@@ -14,8 +14,9 @@
 //!     `undelivered == 0`);
 //! (c) fail-closed boundary: chaos never crashes the server, every
 //!     rejection (attributable deny or connection drop) carries a record
-//!     in the boundary audit ledger (`unaudited == 0`), and that ledger's
-//!     hash chain verifies;
+//!     in the boundary audit ledger (`unaudited == 0`), every connection
+//!     that sent `Hello` ends with exactly one departure or drop record
+//!     (`unterminated == 0`), and that ledger's hash chain verifies;
 //! (d) causal traceability: a traced probe shows one `TraceContext`
 //!     chain spanning client → wire → service → wire → client.
 //!
@@ -53,8 +54,14 @@ fn assert_acceptance(report: &E17Report) {
         // (c) chaos was rejected fail-closed, and every rejection audited.
         assert!(cell.chaos, "{label}: chaos pack did not run");
         assert!(cell.rejects >= 1, "{label}: unauthorized probe not denied");
-        assert!(cell.drops >= 4, "{label}: garbage connections not dropped");
+        // One drop per dropping chaos kind: garbage, bad CRC, oversize,
+        // slow-loris and mid-frame disconnect.
+        assert_eq!(cell.drops, 5, "{label}: garbage connections not dropped");
         assert_eq!(cell.unaudited, 0, "{label}: unaudited rejection");
+        assert_eq!(
+            cell.unterminated, 0,
+            "{label}: a connection lacks exactly one terminal audit record"
+        );
         assert!(cell.audit_verified, "{label}: boundary audit corrupt");
         // Rotation really engaged on the wire path too.
         assert!(cell.segments > 1, "{label}: budget never rotated");

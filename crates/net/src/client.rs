@@ -24,6 +24,7 @@ use apdm_serve::{Decision, DecisionRequest, ReqSnap, TenantId, WorkloadGen, Work
 use apdm_telemetry::{self as telemetry, trace_id, TraceContext, TraceSampler};
 
 use crate::frame::{encode, read_frame, write_frame, Frame, FrameType, ReadOutcome, MAX_PAYLOAD};
+use crate::socket;
 use crate::wire::{
     decode_payload, encode_payload, DecisionSnap, ErrorPayload, HelloPayload, Role, TickPayload,
 };
@@ -33,11 +34,18 @@ use crate::wire::{
 const CLIENT_SLOT: u64 = 2;
 
 /// Connect to `addr`, retrying while the server's listener comes up.
+///
+/// The stream comes back ready for the lockstep exchange: Nagle's
+/// algorithm disabled, a 50 ms read timeout and a 2 s write timeout — the
+/// same set-up the server applies to every connection it accepts.
 pub fn connect_with_retry(addr: &str, attempts: u32, delay: Duration) -> io::Result<TcpStream> {
     let mut last = io::Error::other("no attempts");
     for _ in 0..attempts.max(1) {
         match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                socket::configure(&stream, socket::READ_TIMEOUT, socket::WRITE_TIMEOUT)?;
+                return Ok(stream);
+            }
             Err(e) => last = e,
         }
         thread::sleep(delay);
@@ -73,8 +81,6 @@ pub fn run_workload_client(
 ) -> io::Result<ClientReport> {
     assert!(clients > 0 && index < clients, "bad partition");
     let mut stream = connect_with_retry(addr, 50, Duration::from_millis(100))?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(2_000)))?;
     let started = Instant::now();
 
     let hello = HelloPayload {
@@ -313,8 +319,6 @@ pub struct ChaosReport {
 /// the run itself, not by this client.
 pub fn run_chaos_client(addr: &str, kind: ChaosKind) -> io::Result<ChaosReport> {
     let mut stream = connect_with_retry(addr, 50, Duration::from_millis(100))?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(2_000)))?;
     let mut report = ChaosReport {
         kind,
         closed_code: None,

@@ -18,13 +18,14 @@
 //! workload. A separate single-client probe runs traced and asserts the
 //! causal chain spans client → wire → service → wire → client.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
 use std::rc::Rc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use apdm_ledger::RotationPolicy;
+use apdm_ledger::{RotationPolicy, RunEvent};
 use apdm_serve::{
     run_to_completion, standard_stacks, PolicyDecisionService, ServeConfig, WorkloadGen,
     WorkloadOracle, WorkloadSpec,
@@ -32,7 +33,7 @@ use apdm_serve::{
 use apdm_telemetry::{self as telemetry, trace_id, RingCollector, TraceContext, TraceSampler};
 use serde::{Deserialize, Serialize};
 
-use crate::client::{run_chaos_client, run_workload_client, ChaosKind, ChaosReport, ClientReport};
+use crate::client::{run_chaos_client, run_workload_client, ChaosKind, ClientReport};
 use crate::server::{serve, NetServerConfig, ServeOutcome};
 use crate::wire::DecisionSnap;
 
@@ -180,6 +181,10 @@ pub struct E17CellReport {
     pub audit_verified: bool,
     /// Rejections (denies + drops) missing an audit record — must be 0.
     pub unaudited: u64,
+    /// Connections that sent `Hello` without exactly one terminal audit
+    /// record (departure or drop), plus any connection with more than
+    /// one — must be 0.
+    pub unterminated: u64,
     /// Decisions that could not be delivered (peer gone) — 0 without
     /// chaos-induced departures of workload clients, i.e. always here.
     pub undelivered: u64,
@@ -222,6 +227,7 @@ impl E17Report {
                     && c.decisions_identical
                     && c.returned == c.offered
                     && c.unaudited == 0
+                    && c.unterminated == 0
                     && c.undelivered == 0
                     && c.audit_verified
             })
@@ -279,7 +285,7 @@ fn net_run(
     cfg: &E17Config,
     clients: u32,
     chaos: bool,
-) -> io::Result<(ServeOutcome, Vec<ClientReport>, Vec<ChaosReport>)> {
+) -> io::Result<(ServeOutcome, Vec<ClientReport>)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?.to_string();
     let server_cfg = cfg.clone();
@@ -294,6 +300,16 @@ fn net_run(
         serve(listener, svc, net_cfg)
     });
 
+    // Chaos first: its connections open before any workload client's, so
+    // every incident but the slow-loris (whose stall outlasts the run)
+    // lands inside the arrival window instead of racing the run's end.
+    let mut chaos_threads = Vec::new();
+    if chaos {
+        for kind in ChaosKind::all() {
+            let addr = addr.clone();
+            chaos_threads.push(thread::spawn(move || run_chaos_client(&addr, kind)));
+        }
+    }
     let mut workers = Vec::new();
     for index in 0..clients {
         let addr = addr.clone();
@@ -301,13 +317,6 @@ fn net_run(
         workers.push(thread::spawn(move || {
             run_workload_client(&addr, spec, index, clients, None, Duration::from_secs(120))
         }));
-    }
-    let mut chaos_threads = Vec::new();
-    if chaos {
-        for kind in ChaosKind::all() {
-            let addr = addr.clone();
-            chaos_threads.push(thread::spawn(move || run_chaos_client(&addr, kind)));
-        }
     }
 
     let mut reports = Vec::new();
@@ -317,20 +326,21 @@ fn net_run(
                 .map_err(|_| io::Error::other("client panicked"))??,
         );
     }
-    let mut chaos_reports = Vec::new();
+    // The server's audit ledger, not the chaos clients' view, is what the
+    // cell checks; a chaos client only has to finish.
     for c in chaos_threads {
-        chaos_reports.push(c.join().map_err(|_| io::Error::other("chaos panicked"))??);
+        c.join().map_err(|_| io::Error::other("chaos panicked"))??;
     }
     let outcome = server
         .join()
         .map_err(|_| io::Error::other("server panicked"))??;
-    Ok((outcome, reports, chaos_reports))
+    Ok((outcome, reports))
 }
 
 /// Run one cell and compare it against the golden run.
 fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17CellReport> {
     let started = Instant::now();
-    let (outcome, reports, chaos_reports) = net_run(cfg, clients, cfg.chaos)?;
+    let (outcome, reports) = net_run(cfg, clients, cfg.chaos)?;
 
     let mut snaps: Vec<DecisionSnap> = reports
         .iter()
@@ -341,20 +351,31 @@ fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17Cel
 
     // Every chaos rejection (deny or drop) must have an audit record; the
     // audit ledger also notes joins/departures, so count the rejection
-    // records specifically.
-    let audited_rejections = outcome
-        .audit
-        .records()
-        .iter()
-        .filter(|r| match &r.event {
-            apdm_ledger::RunEvent::Audit(entry) => {
-                entry.detail.starts_with("fail-closed deny") || entry.detail.starts_with("drop ")
-            }
-            _ => false,
-        })
+    // records specifically. Per connection, tally joins and terminal
+    // records (departure or drop).
+    let mut audited_rejections = 0u64;
+    let mut conns: BTreeMap<&str, (bool, u64)> = BTreeMap::new();
+    for record in outcome.audit.records() {
+        let RunEvent::Audit(entry) = &record.event else {
+            continue;
+        };
+        let rejection =
+            entry.detail.starts_with("fail-closed deny") || entry.detail.starts_with("drop ");
+        audited_rejections += rejection as u64;
+        if entry.subject.contains('/') {
+            continue; // a request's record, not its connection's
+        }
+        let conn = conns.entry(entry.subject.as_str()).or_default();
+        if entry.detail.starts_with("joined ") {
+            conn.0 = true;
+        } else if entry.detail == "bye" || entry.detail.starts_with("drop ") {
+            conn.1 += 1;
+        }
+    }
+    let unterminated = conns
+        .values()
+        .filter(|&&(joined, terminals)| terminals > 1 || (joined && terminals != 1))
         .count() as u64;
-    let chaos_denies: u64 = chaos_reports.iter().map(|c| c.denies).sum();
-    let _ = chaos_denies; // denies also appear in `outcome.rejects`
 
     Ok(E17CellReport {
         clients,
@@ -373,6 +394,7 @@ fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17Cel
         audit_records: outcome.audit.len() as u64,
         audit_verified: outcome.audit.verify().is_ok(),
         unaudited: (outcome.rejects + outcome.drops).saturating_sub(audited_rejections),
+        unterminated,
         undelivered: outcome.decisions_dropped,
         wall_ns: started.elapsed().as_nanos() as u64,
     })
@@ -476,7 +498,13 @@ mod tests {
         assert_eq!(cell.unaudited, 0, "unaudited rejection");
         // The chaos pack really did get rejected (and audited).
         assert!(cell.rejects >= 1, "unauthorized probe was not denied");
-        assert!(cell.drops >= 4, "garbage connections were not dropped");
+        // One drop per dropping chaos kind: garbage, bad CRC, oversize,
+        // slow-loris and mid-frame disconnect.
+        assert_eq!(cell.drops, 5, "garbage connections were not dropped");
+        assert_eq!(
+            cell.unterminated, 0,
+            "connection without one terminal record"
+        );
         assert!(report.trace_spans_wire, "trace chain broken across wire");
     }
 }

@@ -325,7 +325,14 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     bytes
 }
 
-/// Write one frame to `w` and flush.
+/// Write one frame to `w` in a single `write_all`, then call `flush`.
+///
+/// The flush does not mean delivery: on a `TcpStream` it is a no-op, and
+/// when the bytes leave is up to the socket. With Nagle's algorithm on, a
+/// small frame written while earlier bytes are unacknowledged waits for
+/// the peer's (delayed) ACK — so every `apdm-net` socket disables Nagle
+/// (`TCP_NODELAY`), and third-party peers must too (see
+/// `docs/PROTOCOL.md`).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode(frame))?;
     w.flush()

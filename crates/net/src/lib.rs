@@ -79,6 +79,7 @@ pub mod client;
 pub mod experiment;
 pub mod frame;
 pub mod server;
+mod socket;
 pub mod wire;
 
 pub use client::{

@@ -39,8 +39,8 @@
 //! and the connection stays open. Every rejection path lands in exactly
 //! one of those two buckets; there is no silent discard.
 
-use std::collections::HashMap;
-use std::io;
+use std::collections::{HashMap, HashSet};
+use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -55,6 +55,7 @@ use apdm_serve::{Decision, DecisionRequest, PolicyDecisionService, ReqSnap, Serv
 use apdm_telemetry::{self as telemetry, TraceContext};
 
 use crate::frame::{read_frame, write_frame, Frame, FrameType, ReadError, ReadOutcome, VERSION};
+use crate::socket;
 use crate::wire::{
     close_code, decode_payload, encode_payload, DecisionSnap, ErrorPayload, HelloPayload, Role,
     TickPayload, WelcomePayload,
@@ -94,8 +95,8 @@ impl Default for NetServerConfig {
             clients: 1,
             arrival_ticks: 32,
             max_ticks: 4_000,
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_millis(2_000),
+            read_timeout: socket::READ_TIMEOUT,
+            write_timeout: socket::WRITE_TIMEOUT,
             barrier_timeout: Duration::from_secs(30),
             seed: 42,
         }
@@ -110,8 +111,11 @@ pub struct ServeOutcome {
     pub ledger: SegmentedLedger,
     /// Service counters.
     pub stats: ServeStats,
-    /// The sealed boundary audit ledger: one record per join, departure,
-    /// rejected request and dropped connection.
+    /// The sealed boundary audit ledger. Every connection that sent
+    /// `Hello` has a join record and exactly one terminal record — a
+    /// departure (`bye`) or a drop — even when it was still open as the
+    /// run ended. A connection dropped before `Hello` has only its drop
+    /// record, and every fail-closed deny adds one record.
     pub audit: Ledger,
     /// Tick at which the ledger was sealed.
     pub final_tick: u64,
@@ -184,6 +188,9 @@ struct Loop {
     done: HashMap<u64, bool>,
     /// request id → connection owed the decision.
     owed: HashMap<u64, u64>,
+    /// Connections whose terminal audit record (departure or drop) is
+    /// written; later terminal events for them are ignored.
+    ended: HashSet<u64>,
     audit: RunRecorder,
     audit_seq: u64,
     rejects: u64,
@@ -240,18 +247,10 @@ impl Loop {
                     Role::Observer => true,
                 };
                 if !valid {
-                    let _ = out.send(Outbound::Close(
-                        close_code::PROTOCOL,
-                        format!("bad hello: role={role:?} index={index} clients={clients}"),
-                    ));
-                    self.drops += 1;
-                    Self::count("net.conn.dropped");
-                    self.audit(
-                        tick,
-                        AuditKind::Note,
-                        format!("conn{conn}"),
-                        format!("drop code={} bad hello", close_code::PROTOCOL),
-                    );
+                    let detail =
+                        format!("bad hello: role={role:?} index={index} clients={clients}");
+                    let _ = out.send(Outbound::Close(close_code::PROTOCOL, detail.clone()));
+                    self.record_drop(conn, tick, close_code::PROTOCOL, &detail);
                     return Ok(());
                 }
                 let _ = out.send(Outbound::Frame(Frame::new(
@@ -298,31 +297,43 @@ impl Loop {
                     return Ok(());
                 };
                 if state.role != Role::Workload || !collecting || t != tick {
-                    let _ = state.out.send(Outbound::Close(
-                        close_code::PROTOCOL,
-                        format!("unexpected TickDone({t}) at tick {tick}"),
-                    ));
+                    let detail = format!("unexpected TickDone({t}) at tick {tick}");
+                    let _ = state
+                        .out
+                        .send(Outbound::Close(close_code::PROTOCOL, detail.clone()));
+                    self.record_drop(conn, tick, close_code::PROTOCOL, &detail);
                     return self.depart(conn, tick, collecting, "protocol: bad TickDone");
                 }
                 self.done.insert(conn, true);
                 Ok(())
             }
             Event::Dropped { conn, code, detail } => {
-                self.drops += 1;
-                Self::count("net.conn.dropped");
-                self.audit(
-                    tick,
-                    AuditKind::Note,
-                    format!("conn{conn}"),
-                    format!("drop code={code} ({}): {detail}", close_code::name(code)),
-                );
+                self.record_drop(conn, tick, code, &detail);
                 self.depart(conn, tick, collecting, "dropped")
             }
             Event::Left { conn } => {
-                self.audit(tick, AuditKind::Note, format!("conn{conn}"), "bye".into());
+                if self.ended.insert(conn) {
+                    self.audit(tick, AuditKind::Note, format!("conn{conn}"), "bye".into());
+                }
                 self.depart(conn, tick, collecting, "left")
             }
         }
+    }
+
+    /// Count and audit a dropped connection. This is the connection's
+    /// terminal record, so a connection that already has one is skipped.
+    fn record_drop(&mut self, conn: u64, tick: u64, code: u16, detail: &str) {
+        if !self.ended.insert(conn) {
+            return;
+        }
+        self.drops += 1;
+        Self::count("net.conn.dropped");
+        self.audit(
+            tick,
+            AuditKind::Note,
+            format!("conn{conn}"),
+            format!("drop code={code} ({}): {detail}", close_code::name(code)),
+        );
     }
 
     /// Answer an attributable bad request with a fail-closed deny and
@@ -423,9 +434,14 @@ fn net_hop(ctx: Option<TraceContext>, name: &'static str, device: u64) -> Option
 /// Accepts connections on `listener` until `cfg.clients` workload clients
 /// have driven all `cfg.arrival_ticks` ticks through the lockstep barrier,
 /// drains the service queue, seals the segmented decision ledger, and
-/// returns it together with the boundary audit ledger. The caller supplies
-/// a fresh [`PolicyDecisionService`]; the function never spawns a thread
-/// that touches it.
+/// returns it together with the boundary audit ledger. The caller
+/// supplies a fresh [`PolicyDecisionService`]; the function never spawns
+/// a thread that touches it.
+///
+/// Shutdown closes every connection and handles the last event of each
+/// before the audit ledger seals, so a peer still connected at the end is
+/// recorded too: a departure when it sat at a frame boundary, a drop
+/// (code 4) when it held a partial frame.
 pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     listener: TcpListener,
     mut svc: PolicyDecisionService<O>,
@@ -448,6 +464,7 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
         pending: Vec::new(),
         done: HashMap::new(),
         owed: HashMap::new(),
+        ended: HashSet::new(),
         audit: RunRecorder::new("e17/net-audit", cfg.seed, 0),
         audit_seq: 0,
         rejects: 0,
@@ -466,6 +483,12 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     }
     let _ = accept_handle.join();
     let final_tick = run?;
+    // Every connection thread has exited, so each connection's last event
+    // is queued. Handle them all before sealing the audit ledger: a
+    // departure or drop that raced the end of the run is still recorded.
+    for ev in events.try_iter() {
+        state.handle(ev, final_tick, false)?;
+    }
 
     let (ledger, stats) = svc.finish_segmented(final_tick);
     let audit = state.audit.finish(final_tick, 0);
@@ -608,8 +631,9 @@ fn connection(
     read_timeout: Duration,
     write_timeout: Duration,
 ) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+    if socket::configure(&stream, read_timeout, write_timeout).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -662,10 +686,15 @@ fn reader_loop(
     let hello_budget = 200u32;
     loop {
         if shutdown.load(Ordering::SeqCst) {
-            let _ = out.send(Outbound::Finish);
+            // The run ended with the peer idle at a frame boundary.
+            leave(conn, role, events, out, Outbound::Finish);
             return;
         }
-        let frame = match read_frame(&mut stream) {
+        let mut counted = Counted {
+            inner: &mut stream,
+            read: 0,
+        };
+        let frame = match read_frame(&mut counted) {
             Ok(ReadOutcome::Frame(f)) => {
                 idle = 0;
                 f
@@ -679,10 +708,7 @@ fn reader_loop(
                 continue;
             }
             Ok(ReadOutcome::Closed) => {
-                if role.is_some() {
-                    let _ = events.send(Event::Left { conn });
-                }
-                let _ = out.send(Outbound::Quiet);
+                leave(conn, role, events, out, Outbound::Quiet);
                 return;
             }
             Err(ReadError::Malformed(e)) => {
@@ -696,6 +722,12 @@ fn reader_loop(
             }
             Err(ReadError::Stalled) | Err(ReadError::Truncated) => {
                 drop_conn(conn, events, out, close_code::STALLED, "torn frame".into());
+                return;
+            }
+            Err(ReadError::Io(_)) if counted.read == 0 && shutdown.load(Ordering::SeqCst) => {
+                // A reset at a frame boundary once the server is closing
+                // is a departure, like a clean close.
+                leave(conn, role, events, out, Outbound::Quiet);
                 return;
             }
             Err(ReadError::Io(e)) => {
@@ -755,10 +787,7 @@ fn reader_loop(
                 let _ = out.send(Outbound::Frame(Frame::new(FrameType::Pong, Vec::new())));
             }
             (FrameType::Bye, _) => {
-                if role.is_some() {
-                    let _ = events.send(Event::Left { conn });
-                }
-                let _ = out.send(Outbound::Quiet);
+                leave(conn, role, events, out, Outbound::Quiet);
                 return;
             }
             (ty, _) => {
@@ -780,4 +809,34 @@ fn reader_loop(
 fn drop_conn(conn: u64, events: &Sender<Event>, out: &Sender<Outbound>, code: u16, detail: String) {
     let _ = out.send(Outbound::Close(code, detail.clone()));
     let _ = events.send(Event::Dropped { conn, code, detail });
+}
+
+/// End a connection as an orderly departure: a `Left` event to the tick
+/// loop (for a peer that completed `Hello`), then `then` to the writer.
+fn leave(
+    conn: u64,
+    role: Option<Role>,
+    events: &Sender<Event>,
+    out: &Sender<Outbound>,
+    then: Outbound,
+) {
+    if role.is_some() {
+        let _ = events.send(Event::Left { conn });
+    }
+    let _ = out.send(then);
+}
+
+/// A stream that counts the bytes read through it, so the reader can tell
+/// an I/O error at a frame boundary from one inside a frame.
+struct Counted<'a> {
+    inner: &'a mut TcpStream,
+    read: usize,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read += n;
+        Ok(n)
+    }
 }

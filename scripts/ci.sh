@@ -224,20 +224,26 @@ echo "==> networked-serving smoke (E17: serve-net over real sockets vs in-proces
 ./target/release/apdm-experiments serve-net golden --smoke --seed 42 \
     --out "$trace_dir/e17-golden" --quiet >/dev/null
 ./target/release/apdm-experiments serve-net serve --smoke --seed 42 --clients 2 \
-    --addr-file "$trace_dir/e17-addr" --out "$trace_dir/e17-served" --quiet >/dev/null &
+    --addr-file "$trace_dir/e17-addr" --out "$trace_dir/e17-served" --quiet \
+    >"$trace_dir/e17-serve.out" &
 e17_server=$!
 ./target/release/apdm-experiments serve-net client --smoke --seed 42 \
     --addr-file "$trace_dir/e17-addr" --index 0 --clients 2 --quiet >/dev/null &
 e17_c0=$!
+# The run cannot start without workload client 1, and a 16-tick run takes
+# only tens of ms: let the garbage client finish first, so it never finds
+# the listener already closed.
 ./target/release/apdm-experiments serve-net chaos --smoke --seed 42 \
-    --addr-file "$trace_dir/e17-addr" --kind garbage --quiet >/dev/null &
-e17_chaos=$!
+    --addr-file "$trace_dir/e17-addr" --kind garbage --quiet >/dev/null \
+    || { echo "e17 smoke: chaos client failed"; exit 1; }
 ./target/release/apdm-experiments serve-net client --smoke --seed 42 \
     --addr-file "$trace_dir/e17-addr" --index 1 --clients 2 --quiet >/dev/null \
     || { echo "e17 smoke: workload client 1 failed"; exit 1; }
 wait "$e17_c0" || { echo "e17 smoke: workload client 0 failed"; exit 1; }
-wait "$e17_chaos" || { echo "e17 smoke: chaos client failed"; exit 1; }
 wait "$e17_server" || { echo "e17 smoke: server failed"; exit 1; }
+grep -q ", 1 drops," "$trace_dir/e17-serve.out" \
+    || { echo "e17 smoke: expected exactly 1 drop (the garbage client):"; \
+         cat "$trace_dir/e17-serve.out"; exit 1; }
 e17_segs=0
 for f in "$trace_dir"/e17-golden.seg*.jsonl; do
     e17_segs=$((e17_segs + 1))
