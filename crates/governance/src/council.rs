@@ -199,18 +199,6 @@ impl CouncilGovernor {
             size: self.collectives.len(),
         }
     }
-
-    /// Synchronous shim over [`ballot_of`](Self::ballot_of) +
-    /// [`tally`](Self::tally) for unit tests only; production callers must
-    /// exchange ballots through the comms envelope.
-    #[cfg(test)]
-    pub fn decide(&mut self, state: &State, action: &Action) -> CouncilDecision {
-        let ballot_id = self.stats.decisions;
-        let ballots: Vec<CouncilBallot> = (0..self.collectives.len())
-            .map(|m| self.ballot_of(m, ballot_id, state, action))
-            .collect();
-        self.tally(ballot_id, &ballots, state, action)
-    }
 }
 
 impl fmt::Debug for CouncilGovernor {
@@ -249,11 +237,21 @@ mod tests {
         CouncilGovernor::new(MetaPolicy::new().forbid_action("strike"), n, k)
     }
 
+    /// One ratification over the message path: every member casts its
+    /// ballot, and the council tallies them under the next ballot id.
+    fn ratify(c: &mut CouncilGovernor, state: &State, action: &Action) -> CouncilDecision {
+        let ballot_id = c.stats().decisions;
+        let ballots: Vec<CouncilBallot> = (0..c.len())
+            .map(|m| c.ballot_of(m, ballot_id, state, action))
+            .collect();
+        c.tally(ballot_id, &ballots, state, action)
+    }
+
     #[test]
     fn honest_council_is_faithful() {
         let mut c = council(5, 3);
-        assert!(c.decide(&state(), &wave()).approved);
-        assert!(!c.decide(&state(), &strike()).approved);
+        assert!(ratify(&mut c, &state(), &wave()).approved);
+        assert!(!ratify(&mut c, &state(), &strike()).approved);
         assert_eq!(c.stats().malevolent_blocked, 1);
         assert_eq!(c.stats().false_blocks, 0);
     }
@@ -266,7 +264,7 @@ mod tests {
             for i in 0..corrupted {
                 c.collective_mut(i).set_integrity(Integrity::Compromised);
             }
-            let d = c.decide(&state(), &strike());
+            let d = ratify(&mut c, &state(), &strike());
             if corrupted <= c.corruption_tolerance() {
                 assert!(!d.approved, "{corrupted} corrupted should be tolerated");
             } else {
@@ -287,7 +285,7 @@ mod tests {
         // 5-of-5 with one adversarial member blocks everything legitimate.
         let mut c = council(5, 5);
         c.collective_mut(0).set_integrity(Integrity::Adversarial);
-        assert!(!c.decide(&state(), &wave()).approved);
+        assert!(!ratify(&mut c, &state(), &wave()).approved);
         assert_eq!(c.stats().false_blocks, 1);
         // But it is maximally corruption-tolerant against malevolence.
         assert_eq!(c.corruption_tolerance(), 4);
@@ -297,7 +295,7 @@ mod tests {
     fn vote_counts_are_reported() {
         let mut c = council(4, 2);
         c.collective_mut(0).set_integrity(Integrity::Compromised);
-        let d = c.decide(&state(), &strike());
+        let d = ratify(&mut c, &state(), &strike());
         assert_eq!(d.ayes, 1);
         assert_eq!(d.size, 4);
         assert!(!d.approved);

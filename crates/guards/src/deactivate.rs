@@ -280,27 +280,6 @@ impl QuorumKillSwitch {
         None
     }
 
-    /// Synchronous shim over [`apply_ballot`](Self::apply_ballot) for unit
-    /// tests only; production callers must go through the comms envelope.
-    #[cfg(test)]
-    pub fn vote(
-        &mut self,
-        watcher: usize,
-        subject: &str,
-        is_rogue: bool,
-        tick: u64,
-    ) -> Option<DeactivationOrder> {
-        self.apply_ballot(
-            &KillBallot {
-                watcher,
-                subject: subject.to_string(),
-                rogue: is_rogue,
-                cast_tick: tick,
-            },
-            tick,
-        )
-    }
-
     /// Devices killed so far.
     pub fn killed(&self) -> &[String] {
         &self.killed
@@ -324,6 +303,16 @@ mod tests {
 
     fn schema() -> StateSchema {
         StateSchema::builder().var("x", 0.0, 10.0).build()
+    }
+
+    /// The kill-switch message a watcher sends, cast at `tick`.
+    fn ballot(watcher: usize, subject: &str, rogue: bool, tick: u64) -> KillBallot {
+        KillBallot {
+            watcher,
+            subject: subject.to_string(),
+            rogue,
+            cast_tick: tick,
+        }
     }
 
     fn controller(threshold: u32) -> DeactivationController {
@@ -389,10 +378,10 @@ mod tests {
     #[test]
     fn quorum_requires_k_watchers() {
         let mut q = QuorumKillSwitch::new(5, 3);
-        assert!(q.vote(0, "d", true, 1).is_none());
-        assert!(q.vote(1, "d", true, 1).is_none());
+        assert!(q.apply_ballot(&ballot(0, "d", true, 1), 1).is_none());
+        assert!(q.apply_ballot(&ballot(1, "d", true, 1), 1).is_none());
         assert_eq!(q.votes_for("d"), 2);
-        let order = q.vote(4, "d", true, 2).unwrap();
+        let order = q.apply_ballot(&ballot(4, "d", true, 2), 2).unwrap();
         assert!(order.reason.contains("3-of-5"));
         assert_eq!(q.killed(), &["d".to_string()]);
     }
@@ -402,7 +391,7 @@ mod tests {
         let mut q = QuorumKillSwitch::new(3, 2);
         // A compromised watcher votes rogue against a healthy device forever.
         for t in 0..100 {
-            assert!(q.vote(0, "healthy", true, t).is_none());
+            assert!(q.apply_ballot(&ballot(0, "healthy", true, t), t).is_none());
         }
         assert!(q.killed().is_empty());
     }
@@ -410,12 +399,12 @@ mod tests {
     #[test]
     fn retracted_votes_count_down() {
         let mut q = QuorumKillSwitch::new(3, 2);
-        q.vote(0, "d", true, 1);
-        q.vote(0, "d", false, 2);
+        q.apply_ballot(&ballot(0, "d", true, 1), 1);
+        q.apply_ballot(&ballot(0, "d", false, 2), 2);
         assert_eq!(q.votes_for("d"), 0);
-        q.vote(1, "d", true, 3);
+        q.apply_ballot(&ballot(1, "d", true, 3), 3);
         assert!(
-            q.vote(1, "d", true, 3).is_none(),
+            q.apply_ballot(&ballot(1, "d", true, 3), 3).is_none(),
             "duplicate votes don't stack"
         );
         assert_eq!(q.votes_for("d"), 1);
@@ -424,8 +413,8 @@ mod tests {
     #[test]
     fn killed_subject_ignores_votes() {
         let mut q = QuorumKillSwitch::new(2, 1);
-        assert!(q.vote(0, "d", true, 1).is_some());
-        assert!(q.vote(1, "d", true, 2).is_none());
+        assert!(q.apply_ballot(&ballot(0, "d", true, 1), 1).is_some());
+        assert!(q.apply_ballot(&ballot(1, "d", true, 2), 2).is_none());
     }
 
     #[test]
@@ -438,6 +427,6 @@ mod tests {
     #[should_panic(expected = "unknown watcher")]
     fn unknown_watcher_rejected() {
         let mut q = QuorumKillSwitch::new(2, 1);
-        q.vote(5, "d", true, 0);
+        q.apply_ballot(&ballot(5, "d", true, 0), 0);
     }
 }

@@ -200,21 +200,6 @@ impl FormationGuard {
             }
         }
     }
-
-    /// Synchronous shim over [`review`](Self::review) for unit tests only;
-    /// production callers must go through the comms envelope.
-    #[cfg(test)]
-    pub fn admit<R: Rng + ?Sized>(
-        &mut self,
-        subject: &str,
-        members: &[State],
-        candidate: &State,
-        tick: u64,
-        rng: &mut R,
-    ) -> AdmissionDecision {
-        let request = AdmissionRequest::declare(subject, self.spec, candidate);
-        self.review(&request, members, tick, rng)
-    }
 }
 
 impl fmt::Debug for FormationGuard {
@@ -344,7 +329,12 @@ mod tests {
     fn admission_within_limit() {
         let mut g = FormationGuard::new(AggregateSpec::sum_of(VarId(0), 10.0));
         let mut rng = StdRng::seed_from_u64(0);
-        let d = g.admit("new", &[st(3.0), st(3.0)], &st(2.0), 1, &mut rng);
+        let d = g.review(
+            &AdmissionRequest::declare("new", g.spec(), &st(2.0)),
+            &[st(3.0), st(3.0)],
+            1,
+            &mut rng,
+        );
         assert!(d.is_admitted());
         assert_eq!(g.stats(), (1, 0));
     }
@@ -353,7 +343,12 @@ mod tests {
     fn admission_over_limit_refused() {
         let mut g = FormationGuard::new(AggregateSpec::sum_of(VarId(0), 10.0));
         let mut rng = StdRng::seed_from_u64(0);
-        let d = g.admit("new", &[st(5.0), st(4.0)], &st(3.0), 1, &mut rng);
+        let d = g.review(
+            &AdmissionRequest::declare("new", g.spec(), &st(3.0)),
+            &[st(5.0), st(4.0)],
+            1,
+            &mut rng,
+        );
         match d {
             AdmissionDecision::Refused {
                 predicted_aggregate,
@@ -373,12 +368,22 @@ mod tests {
         let mut g =
             FormationGuard::new(AggregateSpec::sum_of(VarId(0), 10.0)).with_human_error_rate(1.0);
         let mut rng = StdRng::seed_from_u64(0);
-        let unsafe_admit = g.admit("new", &[st(9.0)], &st(9.0), 1, &mut rng);
+        let unsafe_admit = g.review(
+            &AdmissionRequest::declare("new", g.spec(), &st(9.0)),
+            &[st(9.0)],
+            1,
+            &mut rng,
+        );
         assert!(
             unsafe_admit.is_admitted(),
             "erring human admits the unsafe device"
         );
-        let safe_refuse = g.admit("new2", &[], &st(1.0), 2, &mut rng);
+        let safe_refuse = g.review(
+            &AdmissionRequest::declare("new2", g.spec(), &st(1.0)),
+            &[],
+            2,
+            &mut rng,
+        );
         assert!(
             !safe_refuse.is_admitted(),
             "erring human refuses the safe device"

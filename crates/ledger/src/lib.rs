@@ -19,8 +19,11 @@
 //!   recorded reference and reports the first divergence.
 //! - JSONL import/export ([`Ledger::to_jsonl`] / [`Ledger::from_jsonl`])
 //!   so ledgers survive on disk and can be shipped for forensics.
-//! - [`SegmentedRecorder`] / [`SegmentedLedger`] — segment rotation for
-//!   long-lived serving processes: the ledger rolls at a configurable
+//! - [`SegmentedRecorder`] / [`SegmentedLedger`] — the run recorder every
+//!   caller appends through: it opens a run with [`RunEvent::RunStarted`]
+//!   and seals it with [`RunEvent::RunFinished`]. Under the default
+//!   [`RotationPolicy`] a run is one flat ledger; long-lived serving
+//!   processes set a policy, and the ledger rolls at a configurable
 //!   record/byte budget, each sealed segment's head digest is anchored in
 //!   its successor's first frame, and retention prunes old segments while
 //!   the retained chain stays verifiable (see [`segment`]).
@@ -38,9 +41,10 @@
 //! # Example
 //!
 //! ```
-//! use apdm_ledger::{Ledger, RunEvent, RunRecorder};
+//! use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedRecorder};
 //!
-//! let mut rec = RunRecorder::new("demo", 42, 1);
+//! // The default policy never rotates: one flat, sealed ledger.
+//! let mut rec = SegmentedRecorder::new("demo", 42, 1, RotationPolicy::default());
 //! rec.record(1, RunEvent::Proposal { device: 0, action: "strike".into() });
 //! rec.record(1, RunEvent::Verdict {
 //!     device: 0,
@@ -48,7 +52,7 @@
 //!     verdict: "deny".into(),
 //!     reason: "direct harm predicted".into(),
 //! });
-//! let ledger = rec.finish(1, 0);
+//! let ledger = rec.finish(1, 0).into_single().expect("never rotated");
 //! assert!(ledger.verify().is_ok());
 //!
 //! // Round-trip through JSONL and verify again.
@@ -64,14 +68,12 @@ pub mod event;
 pub mod hash;
 pub mod ledger;
 pub mod name;
-pub mod recorder;
 pub mod replay;
 pub mod segment;
 
 pub use event::{DeviceSnap, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
 pub use name::{Name, NamePool};
-pub use recorder::RunRecorder;
 pub use replay::{Divergence, ReplayReport, Replayer, StreamReplayer};
 pub use segment::{
     RotationPolicy, SegmentCorruption, SegmentReport, SegmentedLedger, SegmentedRecorder,

@@ -336,10 +336,14 @@ fn describe(event: &RunEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::RunRecorder;
+    use crate::segment::{RotationPolicy, SegmentedRecorder};
+
+    fn recorder() -> SegmentedRecorder {
+        SegmentedRecorder::new("demo", 1, 1, RotationPolicy::default())
+    }
 
     fn reference() -> Ledger {
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -361,7 +365,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        rec.finish(2, 0)
+        rec.finish(2, 0).into_single().unwrap()
     }
 
     #[test]
@@ -376,7 +380,7 @@ mod tests {
     #[test]
     fn differing_event_is_localized() {
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -398,7 +402,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(2, 0);
+        let replay = rec.finish(2, 0).into_single().unwrap();
         let report = Replayer::from_origin(&reference).compare(&replay);
         match report.divergence {
             Some(Divergence::Mismatch { seq, .. }) => assert_eq!(seq, 2),
@@ -410,7 +414,7 @@ mod tests {
     #[test]
     fn short_replay_reports_missing_events() {
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -418,7 +422,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(1, 0);
+        let replay = rec.finish(1, 0).into_single().unwrap();
         let report = Replayer::from_origin(&reference).compare(&replay);
         assert!(matches!(
             report.divergence,
@@ -448,7 +452,7 @@ mod tests {
         assert!(report.is_faithful(), "{report}");
         assert_eq!(report.matched, 3);
         // A replay that differs *inside* the surviving prefix still fails.
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -456,7 +460,7 @@ mod tests {
                 action: "strike".into(),
             },
         );
-        let divergent = rec.finish(1, 0);
+        let divergent = rec.finish(1, 0).into_single().unwrap();
         let report = Replayer::from_origin(&torn).compare_prefix(&divergent);
         assert!(!report.is_faithful());
     }
@@ -473,7 +477,7 @@ mod tests {
         assert_eq!(report.matched, reference.len() as u64);
 
         // Divergence localization agrees with the in-memory replayer.
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -495,7 +499,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let divergent = rec.finish(2, 0);
+        let divergent = rec.finish(2, 0).into_single().unwrap();
         let in_memory = Replayer::from_origin(&reference).compare(&divergent);
         let streamed = StreamReplayer::from_origin()
             .compare_lines(jsonl.lines(), divergent.to_jsonl().lines())
@@ -506,8 +510,6 @@ mod tests {
 
     #[test]
     fn streamed_compare_spans_segment_boundaries() {
-        use crate::segment::{RotationPolicy, SegmentedRecorder};
-
         let run = |bad: bool| {
             let mut rec = SegmentedRecorder::new("seg", 3, 1, RotationPolicy::by_records(3));
             for i in 0..10u64 {
@@ -563,7 +565,7 @@ mod tests {
         // Reference: header, two events, seal. Pretend record 1 was a
         // snapshot; a resumed replay reproduces records 2.. only.
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Execution {
@@ -578,7 +580,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(2, 0);
+        let replay = rec.finish(2, 0).into_single().unwrap();
         let report = Replayer::from_snapshot(&reference, 1).compare(&replay);
         assert!(report.is_faithful(), "{report}");
         assert_eq!(report.start_seq, 2);

@@ -34,8 +34,8 @@ use crate::ledger::{Corruption, Ledger, LedgerError};
 /// When and how a [`SegmentedRecorder`] rolls to a new segment.
 ///
 /// A budget of zero disables that trigger; the all-zero default never
-/// rotates, which makes a segmented recorder byte-identical to a plain
-/// [`crate::RunRecorder`] run.
+/// rotates, so the run is one flat ledger
+/// ([`SegmentedLedger::into_single`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RotationPolicy {
     /// Roll when the current segment holds at least this many records
@@ -74,10 +74,13 @@ fn segment_index_of(ledger: &Ledger) -> Option<u64> {
     }
 }
 
-/// A [`crate::RunRecorder`] that rolls its ledger into anchored segments
-/// under a [`RotationPolicy`].
+/// The flight recorder a run appends through: opens the ledger with
+/// [`RunEvent::RunStarted`], accepts events while the run executes, seals
+/// it with [`RunEvent::RunFinished`] on [`finish`](SegmentedRecorder::finish),
+/// and rolls it into anchored segments under a [`RotationPolicy`]. Under
+/// the default policy it never rolls, and the run is one flat ledger.
 ///
-/// The recorder only *decides* nothing by itself: the owner checks
+/// The recorder decides nothing by itself: the owner checks
 /// [`should_rotate`](SegmentedRecorder::should_rotate) at a deterministic
 /// point (the serving layer does so at end of tick) and calls
 /// [`rotate`](SegmentedRecorder::rotate), so rotation points are identical
@@ -340,8 +343,8 @@ impl SegmentedLedger {
     }
 
     /// The unrotated case: exactly one segment and nothing pruned. Returns
-    /// the segment, which is then a plain sealed [`Ledger`] byte-identical
-    /// to what an unsegmented [`crate::RunRecorder`] would have produced.
+    /// the segment, a plain sealed [`Ledger`]: the run header, every
+    /// recorded event, and the run seal.
     pub fn into_single(mut self) -> Option<Ledger> {
         if self.segments.len() == 1 && self.first_index() == 0 {
             self.segments.pop()
@@ -554,7 +557,6 @@ impl fmt::Display for SegmentedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunRecorder;
 
     fn proposal(device: u64) -> RunEvent {
         RunEvent::Proposal {
@@ -575,16 +577,46 @@ mod tests {
     }
 
     #[test]
+    fn recorder_opens_and_seals() {
+        let mut rec = SegmentedRecorder::new("demo", 7, 3, RotationPolicy::default());
+        assert_eq!(rec.len(), 1);
+        assert!(!rec.is_empty());
+        rec.record(1, proposal(0));
+        let ledger = rec.finish(1, 0).into_single().expect("one segment");
+        assert!(ledger.verify().is_ok());
+        assert_eq!(ledger.len(), 3);
+        assert!(matches!(
+            ledger.records()[0].event,
+            RunEvent::RunStarted { seed: 7, .. }
+        ));
+        assert!(ledger.is_sealed());
+    }
+
+    #[test]
     fn disabled_policy_matches_plain_recorder_bytes() {
         let mut seg = SegmentedRecorder::new("demo", 7, 3, RotationPolicy::default());
-        let mut plain = RunRecorder::new("demo", 7, 3);
+        let mut plain = Ledger::new();
+        plain.append(
+            0,
+            RunEvent::RunStarted {
+                experiment: "demo".into(),
+                seed: 7,
+                devices: 3,
+            },
+        );
         for i in 0..20 {
             seg.record(i + 1, proposal(i));
-            plain.record(i + 1, proposal(i));
+            plain.append(i + 1, proposal(i));
             assert!(!seg.should_rotate());
         }
         let seg = seg.finish(20, 0);
-        let plain = plain.finish(20, 0);
+        plain.append(
+            20,
+            RunEvent::RunFinished {
+                ticks: 20,
+                harms: 0,
+            },
+        );
         let single = seg.into_single().expect("one segment");
         assert_eq!(single.to_jsonl(), plain.to_jsonl());
         assert!(single.verify().is_ok());

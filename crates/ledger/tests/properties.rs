@@ -2,16 +2,14 @@
 //! ledger — single-byte mutation, record deletion, truncation, reordering —
 //! is caught by `verify()` on re-import.
 
-use apdm_ledger::{
-    Ledger, RotationPolicy, RunEvent, RunRecorder, SegmentedLedger, SegmentedRecorder,
-};
+use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
 use apdm_policy::{AuditEntry, AuditKind};
 use proptest::prelude::*;
 
 /// A deterministic sealed ledger exercising every event shape that carries
 /// strings, numbers, options and nested structs.
 fn sample_ledger(events: usize, seed: u64) -> Ledger {
-    let mut rec = RunRecorder::new("properties", seed, 4);
+    let mut rec = SegmentedRecorder::new("properties", seed, 4, RotationPolicy::default());
     for i in 0..events as u64 {
         let tick = i / 2 + 1;
         match i % 5 {
@@ -59,6 +57,8 @@ fn sample_ledger(events: usize, seed: u64) -> Ledger {
         };
     }
     rec.finish(events as u64 / 2 + 1, events as u64 / 4)
+        .into_single()
+        .expect("never rotated")
 }
 
 /// The same event stream recorded under segment rotation: roll to a new

@@ -14,8 +14,8 @@
 //!    (`id % clients == index`) and, per tick *t*, send their slice
 //!    followed by `TickDone(t)`.
 //! 2. The server collects until **every** workload client has declared
-//!    tick *t* done, sorts the tick's requests by id (restoring the
-//!    generator's emission order), submits them, and runs exactly one
+//!    tick *t* done, submits the tick's requests in id order (the
+//!    generator's emission order), and runs exactly one
 //!    service tick — the same `submit*; tick` cadence as the in-process
 //!    driver.
 //! 3. Decisions are routed back to the submitting connection and the
@@ -39,7 +39,7 @@
 //! and the connection stays open. Every rejection path lands in exactly
 //! one of those two buckets; there is no silent discard.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +49,7 @@ use std::thread;
 use std::time::Duration;
 
 use apdm_guards::{GuardVerdict, HarmOracle};
-use apdm_ledger::{Ledger, RunEvent, RunRecorder, SegmentedLedger};
+use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
 use apdm_policy::{AuditEntry, AuditKind};
 use apdm_serve::{Decision, DecisionRequest, PolicyDecisionService, ReqSnap, ServeStats};
 use apdm_telemetry::{self as telemetry, TraceContext};
@@ -182,16 +182,18 @@ struct Loop {
     conns: HashMap<u64, ConnState>,
     /// Workload index → connection id, to reject duplicate joins.
     workload: HashMap<u32, u64>,
-    /// Requests collected for the tick currently behind the barrier.
-    pending: Vec<(u64, DecisionRequest)>,
+    /// Requests collected for the tick currently behind the barrier, keyed
+    /// by request id: iteration restores the workload generator's emission
+    /// order by construction.
+    pending: BTreeMap<u64, (u64, DecisionRequest)>,
     /// Workload connections that declared the current tick done.
-    done: HashMap<u64, bool>,
+    done: HashSet<u64>,
     /// request id → connection owed the decision.
     owed: HashMap<u64, u64>,
     /// Connections whose terminal audit record (departure or drop) is
     /// written; later terminal events for them are ignored.
     ended: HashSet<u64>,
-    audit: RunRecorder,
+    audit: SegmentedRecorder,
     audit_seq: u64,
     rejects: u64,
     drops: u64,
@@ -289,7 +291,17 @@ impl Loop {
                     self.reject(conn, &req, tick, detail);
                     return Ok(());
                 }
-                self.pending.push((conn, req));
+                // A request id names its owner (`id % clients == index`)
+                // and one decision: a foreign or repeated id would route
+                // some decision to the wrong connection.
+                let foreign = req.id % u64::from(self.expected_clients) != u64::from(state.index);
+                if foreign {
+                    self.reject(conn, &req, tick, "foreign-id");
+                } else if self.pending.contains_key(&req.id) || self.owed.contains_key(&req.id) {
+                    self.reject(conn, &req, tick, "duplicate-id");
+                } else {
+                    self.pending.insert(req.id, (conn, req));
+                }
                 Ok(())
             }
             Event::TickDone { conn, tick: t } => {
@@ -304,7 +316,7 @@ impl Loop {
                     self.record_drop(conn, tick, close_code::PROTOCOL, &detail);
                     return self.depart(conn, tick, collecting, "protocol: bad TickDone");
                 }
-                self.done.insert(conn, true);
+                self.done.insert(conn);
                 Ok(())
             }
             Event::Dropped { conn, code, detail } => {
@@ -461,11 +473,11 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     let mut state = Loop {
         conns: HashMap::new(),
         workload: HashMap::new(),
-        pending: Vec::new(),
-        done: HashMap::new(),
+        pending: BTreeMap::new(),
+        done: HashSet::new(),
         owed: HashMap::new(),
         ended: HashSet::new(),
-        audit: RunRecorder::new("e17/net-audit", cfg.seed, 0),
+        audit: SegmentedRecorder::new("e17/net-audit", cfg.seed, 0, RotationPolicy::default()),
         audit_seq: 0,
         rejects: 0,
         drops: 0,
@@ -491,7 +503,11 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     }
 
     let (ledger, stats) = svc.finish_segmented(final_tick);
-    let audit = state.audit.finish(final_tick, 0);
+    let audit = state
+        .audit
+        .finish(final_tick, 0)
+        .into_single()
+        .expect("the audit ledger never rotates");
     Ok(ServeOutcome {
         ledger,
         stats,
@@ -537,11 +553,9 @@ fn drive<O: HarmOracle + Copy + Send + Sync>(
             }
         }
         // The OS delivered this tick's requests in arbitrary interleaving;
-        // sorting by id restores the workload generator's emission order,
-        // which is what the in-process driver submits.
-        let mut pending = std::mem::take(&mut state.pending);
-        pending.sort_by_key(|(_, req)| req.id);
-        for (conn, mut req) in pending {
+        // id order is the workload generator's emission order, which is
+        // what the in-process driver submits.
+        for (conn, mut req) in std::mem::take(&mut state.pending).into_values() {
             if req.submitted_at != tick {
                 state.reject(conn, &req, tick, "tick-mismatch");
                 continue;

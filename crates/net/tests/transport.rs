@@ -1,20 +1,24 @@
 //! Transport tests over real loopback sockets: Nagle is off on both ends,
-//! so the lockstep barrier runs at loopback speed, and the boundary audit
-//! stays complete when a run ends with peers still connected.
+//! so the lockstep barrier runs at loopback speed, the boundary audit
+//! stays complete when a run ends with peers still connected, and every
+//! decision goes back to the connection that owns its request.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use apdm_guards::GuardVerdict;
 use apdm_ledger::RunEvent;
 use apdm_net::frame::{encode, read_frame, write_frame, Frame, FrameType, ReadOutcome};
 use apdm_net::wire::{decode_payload, encode_payload};
 use apdm_net::{
-    connect_with_retry, run_workload_client, serve, E17Config, HelloPayload, NetServerConfig,
-    ReqSnap, Role, ServeOutcome, TickPayload,
+    connect_with_retry, run_workload_client, serve, DecisionSnap, E17Config, HelloPayload,
+    NetServerConfig, ReqSnap, Role, ServeOutcome, TickPayload,
 };
-use apdm_serve::{standard_stacks, PolicyDecisionService, WorkloadGen, WorkloadOracle};
+use apdm_serve::{
+    standard_stacks, DecisionRequest, PolicyDecisionService, WorkloadGen, WorkloadOracle,
+};
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
@@ -249,5 +253,193 @@ fn peer_mid_frame_at_shutdown_is_audited_as_one_stalled_drop() {
         "{subject}: expected a stalled drop, got {terminals:?}"
     );
     assert_eq!(outcome.drops, 1);
+    assert!(outcome.audit.verify().is_ok());
+}
+
+/// Write one request frame.
+fn send_request(stream: &mut TcpStream, req: &DecisionRequest) {
+    let payload = encode_payload(&ReqSnap::from(req));
+    write_frame(stream, &Frame::new(FrameType::Request, payload)).expect("write request");
+}
+
+/// Drive `clients` raw workload connections in lockstep through `cfg`'s
+/// arrival window. Each tick every connection sends its own partition,
+/// then `inject` may write extra frames, then every connection sends
+/// `TickDone`. Returns the decisions each connection received before the
+/// server's closing `Bye`, and the server's outcome.
+fn drive_raw(
+    cfg: &E17Config,
+    clients: u32,
+    mut inject: impl FnMut(&[DecisionRequest], &mut [TcpStream]),
+) -> (Vec<Vec<DecisionSnap>>, ServeOutcome) {
+    let (addr, server) = start_server(cfg, cfg.net_config(clients));
+    let mut conns: Vec<TcpStream> = (0..clients)
+        .map(|index| {
+            let mut conn =
+                connect_with_retry(&addr, 50, Duration::from_millis(100)).expect("connect");
+            handshake(&mut conn, Role::Workload, index, clients);
+            conn
+        })
+        .collect();
+    let mut received: Vec<Vec<DecisionSnap>> = vec![Vec::new(); clients as usize];
+    let mut gen = WorkloadGen::new(cfg.spec());
+    for tick in 1..=cfg.arrival_ticks {
+        let reqs = gen.tick_requests(tick);
+        for req in &reqs {
+            send_request(&mut conns[(req.id % u64::from(clients)) as usize], req);
+        }
+        inject(&reqs, &mut conns);
+        let done = encode_payload(&TickPayload { tick });
+        for conn in &mut conns {
+            write_frame(conn, &Frame::new(FrameType::TickDone, done.clone()))
+                .expect("write TickDone");
+        }
+        for (c, conn) in conns.iter_mut().enumerate() {
+            loop {
+                let frame = next_frame(conn);
+                match frame.frame_type {
+                    FrameType::Decision => {
+                        received[c].push(decode_payload(&frame.payload).expect("decision payload"))
+                    }
+                    FrameType::TickAck => break,
+                    other => panic!("unexpected {other:?} frame"),
+                }
+            }
+        }
+    }
+    // The server drains its queue, then closes every connection with Bye.
+    for (c, conn) in conns.iter_mut().enumerate() {
+        loop {
+            let frame = next_frame(conn);
+            match frame.frame_type {
+                FrameType::Decision => {
+                    received[c].push(decode_payload(&frame.payload).expect("decision payload"))
+                }
+                FrameType::Bye => break,
+                other => panic!("unexpected {other:?} frame"),
+            }
+        }
+    }
+    drop(conns);
+    let outcome = server.join().expect("server thread").expect("served run");
+    (received, outcome)
+}
+
+/// The fail-closed reject reason of a decision, if it is one.
+fn reject_reason(decision: &DecisionSnap) -> Option<&str> {
+    match &decision.verdict {
+        GuardVerdict::Deny { reason } => reason.strip_prefix("net:reject:"),
+        _ => None,
+    }
+}
+
+/// The audit records of fail-closed denies for request `id`.
+fn reject_audits(outcome: &ServeOutcome, id: u64) -> Vec<String> {
+    let suffix = format!("/req{id}");
+    outcome
+        .audit
+        .records()
+        .iter()
+        .filter_map(|r| match &r.event {
+            RunEvent::Audit(entry) if entry.subject.ends_with(&suffix) => {
+                Some(entry.detail.clone())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// A workload client that copies another client's request id cannot
+/// capture its decision: the copy is denied and audited, and the owner
+/// still receives the evaluated decision.
+#[test]
+fn foreign_request_id_is_rejected_and_the_owner_keeps_its_decision() {
+    const CLIENTS: u32 = 2;
+    let cfg = E17Config {
+        arrival_ticks: 3,
+        per_tick: 4,
+        ..E17Config::default()
+    };
+    let mut stolen = None;
+    let (received, outcome) = drive_raw(&cfg, CLIENTS, |reqs, conns| {
+        if stolen.is_some() {
+            return;
+        }
+        let victim = reqs.iter().find(|r| r.id % u64::from(CLIENTS) == 0);
+        let victim = victim.expect("a request owned by client 0").clone();
+        // A Ping round trip on the owner's connection proves the server
+        // holds the owner's copy before the foreign one is sent.
+        write_frame(&mut conns[0], &Frame::new(FrameType::Ping, Vec::new())).expect("ping");
+        assert_eq!(next_frame(&mut conns[0]).frame_type, FrameType::Pong);
+        send_request(&mut conns[1], &victim);
+        stolen = Some(victim.id);
+    });
+    let id = stolen.expect("a request was copied");
+
+    let owner: Vec<&DecisionSnap> = received[0].iter().filter(|d| d.request_id == id).collect();
+    assert_eq!(owner.len(), 1, "owner decisions for req{id}: {owner:?}");
+    assert_eq!(
+        reject_reason(owner[0]),
+        None,
+        "the owner's request was evaluated"
+    );
+    let thief: Vec<&DecisionSnap> = received[1].iter().filter(|d| d.request_id == id).collect();
+    assert_eq!(thief.len(), 1, "foreign decisions for req{id}: {thief:?}");
+    assert_eq!(reject_reason(thief[0]), Some("foreign-id"));
+
+    let offered = cfg.per_tick as u64 * cfg.arrival_ticks;
+    assert_eq!(
+        outcome.stats.submitted, offered,
+        "the copy never reached the service"
+    );
+    assert_eq!(outcome.rejects, 1);
+    assert_eq!(outcome.decisions_dropped, 0, "a decision lost its owner");
+    assert_eq!(outcome.decisions_sent, offered);
+    assert_eq!(
+        reject_audits(&outcome, id),
+        ["fail-closed deny: foreign-id"]
+    );
+    assert!(outcome.audit.verify().is_ok());
+    assert!(outcome.ledger.verify().is_ok());
+}
+
+/// A request id sent twice is evaluated once: the repeat is denied and
+/// audited instead of overwriting the routing entry of the first.
+#[test]
+fn duplicate_request_id_is_rejected_and_decided_once() {
+    let cfg = E17Config {
+        arrival_ticks: 3,
+        per_tick: 4,
+        ..E17Config::default()
+    };
+    let mut repeated = None;
+    let (received, outcome) = drive_raw(&cfg, 1, |reqs, conns| {
+        if repeated.is_none() {
+            send_request(&mut conns[0], &reqs[0]);
+            repeated = Some(reqs[0].id);
+        }
+    });
+    let id = repeated.expect("a request was repeated");
+
+    let mine: Vec<&DecisionSnap> = received[0].iter().filter(|d| d.request_id == id).collect();
+    assert_eq!(mine.len(), 2, "decisions for req{id}: {mine:?}");
+    let reasons: Vec<Option<&str>> = mine.iter().map(|d| reject_reason(d)).collect();
+    assert!(reasons.contains(&Some("duplicate-id")), "{reasons:?}");
+    assert!(
+        reasons.contains(&None),
+        "the first copy was evaluated: {reasons:?}"
+    );
+
+    let offered = cfg.per_tick as u64 * cfg.arrival_ticks;
+    assert_eq!(
+        outcome.stats.submitted, offered,
+        "the repeat never reached the service"
+    );
+    assert_eq!(outcome.rejects, 1);
+    assert_eq!(outcome.decisions_dropped, 0);
+    assert_eq!(
+        reject_audits(&outcome, id),
+        ["fail-closed deny: duplicate-id"]
+    );
     assert!(outcome.audit.verify().is_ok());
 }

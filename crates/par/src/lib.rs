@@ -2,23 +2,20 @@
 //!
 //! Everything here is plain `std`: scoped threads, a mutex-guarded work
 //! queue, and an mpsc channel. The two entry points encode the two shapes
-//! of parallelism the simulator needs:
+//! of parallelism the workspace needs:
 //!
-//! - [`run_sharded`] — split a mutable slice into contiguous shards and run
-//!   one worker per shard (`Fleet::step`'s read-only decide phase; devices
-//!   are already in stable `DeviceId` order, so contiguous shards preserve
-//!   that order and shard results come back shard-ordered).
 //! - [`par_map`] — map a function over owned items with dynamic scheduling
 //!   but **order-preserving collection** (experiment fan-out: cells finish
 //!   in any order, results are reassembled in input order).
-//! - [`run_sharded_balanced`] — skew-aware variant of [`run_sharded`]:
-//!   items are split into cost-weighted chunks and claimed in a
-//!   deterministic steal order that is a pure function of
-//!   `(seed, tick, chunk id)` (see [`StealPlan`]). Results come back in
-//!   chunk (= input) order no matter which worker ran which chunk, and a
-//!   deterministic *virtual* schedule ([`VirtualSchedule`]) reports
-//!   makespan/steal counts in cost units so callers can reason about
-//!   balance without ever reading the wall clock.
+//! - [`run_sharded_balanced`] — split a mutable slice into cost-weighted
+//!   contiguous chunks and claim them in a deterministic steal order that
+//!   is a pure function of `(seed, tick, chunk id)` (see [`StealPlan`]).
+//!   Results come back in chunk (= input) order no matter which worker ran
+//!   which chunk, and a deterministic *virtual* schedule
+//!   ([`VirtualSchedule`]) reports makespan/steal counts in cost units so
+//!   callers can reason about balance without ever reading the wall clock.
+//!   [`static_schedule`] expresses a contiguous static partition in the
+//!   same units, as a comparison baseline.
 //!
 //! Determinism contract: neither function lets scheduling order leak into
 //! results. Output position is fixed by input position, so callers that
@@ -79,54 +76,6 @@ pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     out
-}
-
-/// Run `f` over contiguous shards of `items` on up to `threads` scoped
-/// threads. Returns one result per shard, in shard (= input) order.
-///
-/// With `threads <= 1` (or a single shard) the function runs inline on the
-/// caller's thread — no pool, no channel — which is the "legacy sequential
-/// path": bit-identical behaviour is guaranteed by construction because the
-/// parallel path runs the same closure over the same shard ranges.
-///
-/// `f` receives `(shard_index, shard)` so callers can maintain per-shard
-/// scratch state keyed by index.
-pub fn run_sharded<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    let bounds = shard_bounds(items.len(), threads.max(1));
-    if bounds.len() <= 1 {
-        return match items.is_empty() {
-            true => Vec::new(),
-            false => vec![f(0, items)],
-        };
-    }
-    let mut shards: Vec<(usize, &mut [T])> = Vec::with_capacity(bounds.len());
-    let mut rest = items;
-    let mut consumed = 0;
-    for (i, &(start, end)) in bounds.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(end - start);
-        debug_assert_eq!(consumed, start);
-        consumed = end;
-        shards.push((i, head));
-        rest = tail;
-    }
-    let f = &f;
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|(i, shard)| scope.spawn(move || (i, f(i, shard))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Map `f` over `items` on up to `threads` scoped threads with dynamic
@@ -376,8 +325,8 @@ pub fn simulate_schedule(
 
 /// The virtual schedule of the *static* strategy: each worker owns a
 /// contiguous block of chunks and runs them in index order, no stealing.
-/// This is what [`run_sharded`] does, expressed in the same cost units so
-/// static and balanced makespans are directly comparable.
+/// A virtual baseline only — nothing executes this way — expressed in the
+/// same cost units so static and balanced makespans are directly comparable.
 pub fn static_schedule(
     threads: usize,
     ranges: &[(usize, usize)],
@@ -427,10 +376,9 @@ pub struct BalancedRun<R> {
     pub actual_steals: u64,
 }
 
-/// Skew-aware [`run_sharded`]: split `items` into cost-weighted chunks
-/// (per-item cost from `cost`), claim them across `threads` workers in the
-/// deterministic steal order of `plan`, and return per-chunk results in
-/// chunk order.
+/// Split `items` into cost-weighted chunks (per-item cost from `cost`),
+/// claim them across `threads` workers in the deterministic steal order of
+/// `plan`, and return per-chunk results in chunk order.
 ///
 /// Determinism contract: the chunk partition, the claim order, the virtual
 /// schedule, and the position of every result are pure functions of
@@ -639,42 +587,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn run_sharded_matches_inline_for_all_thread_counts() {
-        let baseline: Vec<u64> = {
-            let mut items: Vec<u64> = (0..97).collect();
-            run_sharded(1, &mut items, |_, shard| {
-                shard.iter_mut().for_each(|x| *x *= 3);
-                shard.iter().sum::<u64>()
-            })
-        };
-        for threads in 2..=8 {
-            let mut items: Vec<u64> = (0..97).collect();
-            let got = run_sharded(threads, &mut items, |_, shard| {
-                shard.iter_mut().for_each(|x| *x *= 3);
-                shard.iter().sum::<u64>()
-            });
-            // Shard partitioning differs, but totals and mutations must not.
-            assert_eq!(
-                got.iter().sum::<u64>(),
-                baseline.iter().sum::<u64>(),
-                "threads={threads}"
-            );
-            assert_eq!(items, (0..97).map(|x| x * 3).collect::<Vec<u64>>());
-            assert_eq!(got.len(), shard_bounds(97, threads).len());
-        }
-    }
-
-    #[test]
-    fn run_sharded_handles_empty_and_tiny_inputs() {
-        let mut empty: Vec<u32> = Vec::new();
-        let r = run_sharded(4, &mut empty, |_, s| s.len());
-        assert!(r.is_empty());
-        let mut one = vec![7u32];
-        let r = run_sharded(4, &mut one, |i, s| (i, s[0]));
-        assert_eq!(r, vec![(0, 7)]);
     }
 
     #[test]

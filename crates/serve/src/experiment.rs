@@ -310,7 +310,8 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         }
     }
     let ticks = now;
-    let (ledger, stats) = svc.finish(now);
+    let (ledger, stats) = svc.finish_segmented(now);
+    let ledger = ledger.into_single().expect("an E13 cell never rotates");
     ledger.verify().expect("cell ledger must verify");
 
     let max_queue_ticks = latencies.iter().copied().max().unwrap_or(0);

@@ -21,8 +21,8 @@
 //! dequeue ──deadline expired──shed──▶ Deny("shed:deadline")
 //!      │ batch of ≤ max_batch
 //!      ▼
-//! shard by device % shards ──run_sharded(threads)──▶ GuardStack::check_batch
-//!      │ verdicts reassembled in batch order          (per-shard memo cache)
+//! shard by device % shards ──run_sharded_balanced(threads)──▶ GuardStack::check
+//!      │ verdicts reassembled in batch order                  (per-shard memo cache)
 //!      ▼
 //! Decision stream + ledger Verdict records + telemetry
 //! ```
@@ -45,7 +45,7 @@
 use std::time::Instant;
 
 use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
-use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
+use apdm_ledger::{RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
 use apdm_policy::Action;
 use apdm_telemetry as telemetry;
 use apdm_telemetry::{SloMonitor, SloSpec, TraceContext};
@@ -80,26 +80,12 @@ struct EvalOutcome {
 }
 
 thread_local! {
-    static SUBMITTED: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.submitted") };
-    static DECIDED: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.decided") };
-    static SHED_CAPACITY: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.shed.capacity") };
-    static SHED_QUOTA: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.shed.quota") };
-    static SHED_DEADLINE: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.shed.deadline") };
-    static SHED_TOTAL: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.shed.total") };
     static QUEUE_TICKS: telemetry::CachedHistogram =
         const { telemetry::CachedHistogram::new("serve.latency.queue_ticks") };
     static BATCH_SIZE: telemetry::CachedHistogram =
         const { telemetry::CachedHistogram::new("serve.batch.size") };
     static EVAL_NS: telemetry::CachedHistogram =
         const { telemetry::CachedHistogram::new("serve.eval.ns") };
-    static DEFERRED: telemetry::CachedCounter =
-        const { telemetry::CachedCounter::new("serve.deferred") };
 }
 
 /// Seed mixed into the per-batch steal order so the claim sequence differs
@@ -107,20 +93,22 @@ thread_local! {
 /// the batch counter.
 const SERVE_STEAL_SEED: u64 = 0x5E4E_57EA;
 
-/// How batch evaluation distributes shards across worker threads.
+/// Which virtual schedule the service reports for batch evaluation.
 ///
-/// Either way the decision stream and the sealed ledger are byte-identical
-/// — scheduling decides *which worker* evaluates a shard and the virtual
-/// wait accounting, never the verdicts or their order.
+/// Batches always execute through [`apdm_par::run_sharded_balanced`]; this
+/// setting selects only the deterministic *virtual* schedule behind the
+/// wait overlay, the makespan and the steal counts in [`SchedSummary`].
+/// The decision stream and the sealed ledger are byte-identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scheduling {
-    /// Contiguous static partition: worker `w` owns a fixed block of
-    /// shards, hot shards queue behind their block-mates (the pre-E15
-    /// behaviour).
+    /// Contiguous static partition ([`apdm_par::static_schedule`]): worker
+    /// `w` owns a fixed block of shards, so hot shards queue behind their
+    /// block-mates. Reports zero virtual and actual steals. A comparison
+    /// baseline only.
     Static,
-    /// Deterministic work-stealing ([`apdm_par::run_sharded_balanced`]):
-    /// shards are claimed heaviest-first in a seeded order, so a hot shard
-    /// starts immediately instead of waiting out its block.
+    /// Deterministic work-stealing: shards are claimed heaviest-first in a
+    /// seeded order, so a hot shard starts immediately instead of waiting
+    /// out its block.
     Balanced,
 }
 
@@ -148,7 +136,8 @@ pub struct ServeConfig {
     /// (burn-rate windows are delimited by the evaluations). `0` disables
     /// SLO monitoring; it is also inert unless telemetry is installed.
     pub slo_every: u64,
-    /// Shard scheduling strategy for batch evaluation. Never affects the
+    /// The virtual schedule reported for batch evaluation (see
+    /// [`Scheduling`]). Selects no execution code, and never affects the
     /// decision stream or the ledger.
     pub scheduling: Scheduling,
     /// Cross-shard admission backpressure: cap each batch's intake from
@@ -158,13 +147,13 @@ pub struct ServeConfig {
     /// identically at every thread count), not any verdict.
     pub backpressure: bool,
     /// Segment rotation for the run ledger. `None` records one unbounded
-    /// segment (the pre-E16 behaviour, and what [`finish`] expects —
-    /// see [`finish_segmented`]). When set, the service checks the budget
+    /// segment (the pre-E16 behaviour), which
+    /// [`SegmentedLedger::into_single`] turns into a plain ledger after
+    /// [`finish_segmented`]. When set, the service checks the budget
     /// at the end of every tick's dispatch work and rolls to a new
     /// anchored segment headed by a checkpoint frame, so a crashed
     /// process can resume from the last rotation point.
     ///
-    /// [`finish`]: PolicyDecisionService::finish
     /// [`finish_segmented`]: PolicyDecisionService::finish_segmented
     pub rotation: Option<RotationPolicy>,
 }
@@ -232,8 +221,10 @@ fn stage_event(
     Some(next)
 }
 
-/// Exact counters over one service lifetime (mirrored into the telemetry
-/// registry when a dispatch is installed).
+/// Exact counters over one service lifetime: the service's only count.
+/// When a telemetry dispatch is installed, their growth is published into
+/// the registry's `serve.*` counters at the end of every tick and when the
+/// run is sealed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Requests offered via [`PolicyDecisionService::submit`].
@@ -312,6 +303,8 @@ pub struct PolicyDecisionService<O> {
     oracle: O,
     recorder: SegmentedRecorder,
     stats: ServeStats,
+    /// `stats` as of the last publish into the telemetry registry.
+    published: ServeStats,
     slo: SloMonitor,
     /// Estimated in-flight cost per shard, decayed by the shard's fair
     /// share each tick — the backpressure signal.
@@ -352,6 +345,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 cfg.rotation.unwrap_or_default(),
             ),
             stats: ServeStats::default(),
+            published: ServeStats::default(),
             slo: standard_slos()
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
@@ -403,9 +397,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// shed denial (queue full or tenant over quota).
     pub fn submit(&mut self, mut req: DecisionRequest, now: u64) -> Option<Decision> {
         self.stats.submitted += 1;
-        if telemetry::enabled() {
-            SUBMITTED.with(|c| c.inc());
-        }
         // The admission stage rules on every request — admitted or shed —
         // so its span is minted before the queue decides.
         req.ctx = stage_event(req.ctx, "serve.admit", req.device, &[]);
@@ -486,9 +477,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             let deferrals = deferred.len() as u64;
             if deferrals > 0 {
                 self.stats.deferrals += deferrals;
-                if telemetry::enabled() {
-                    DEFERRED.with(|c| c.add(deferrals));
-                }
                 self.queue.requeue_front(deferred);
             }
             if batch.is_empty() {
@@ -553,6 +541,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             self.recorder.record(now, RunEvent::Snapshot(frame));
             self.recorder.mark_header();
         }
+        self.publish_stats();
         if telemetry::enabled() {
             let depth = self.queue.len() as f64;
             let sched = self.sched;
@@ -574,26 +563,41 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         decisions
     }
 
-    /// Seal and return the run ledger plus the final counters. `now` is the
-    /// tick recorded on the closing record. Only valid with rotation off
-    /// (the default) — a rotated run holds several segments, so callers
-    /// that enable [`ServeConfig::rotation`] must use
-    /// [`finish_segmented`](Self::finish_segmented) instead.
-    pub fn finish(self, now: u64) -> (Ledger, ServeStats) {
-        let (segments, stats) = self.finish_segmented(now);
-        let ledger = segments
-            .into_single()
-            .expect("finish() requires rotation off; use finish_segmented()");
-        (ledger, stats)
-    }
-
     /// Seal the run and return every retained ledger segment plus the
-    /// final counters. With rotation off this is one segment and
+    /// final counters. `now` is the tick recorded on the closing record.
+    /// With rotation off (the default) this is one segment and
     /// [`SegmentedLedger::into_single`] recovers the plain ledger.
-    pub fn finish_segmented(self, now: u64) -> (SegmentedLedger, ServeStats) {
+    pub fn finish_segmented(mut self, now: u64) -> (SegmentedLedger, ServeStats) {
+        self.publish_stats();
         // The service executes nothing itself, so the ledger's harm count
         // is structurally zero: only verdicts flow through here.
         (self.recorder.finish(now, 0), self.stats)
+    }
+
+    /// Add the growth of [`ServeStats`] since the last publish to the
+    /// registry's `serve.*` counters (when a dispatch is installed).
+    /// Counters still at zero are not created.
+    fn publish_stats(&mut self) {
+        let (now, was) = (self.stats, self.published);
+        self.published = now;
+        if !telemetry::enabled() {
+            return;
+        }
+        telemetry::with_registry(|reg| {
+            for (name, delta) in [
+                ("serve.submitted", now.submitted - was.submitted),
+                ("serve.decided", now.decided - was.decided),
+                ("serve.shed.capacity", now.shed_capacity - was.shed_capacity),
+                ("serve.shed.quota", now.shed_quota - was.shed_quota),
+                ("serve.shed.deadline", now.shed_deadline - was.shed_deadline),
+                ("serve.shed.total", now.shed_total() - was.shed_total()),
+                ("serve.deferred", now.deferrals - was.deferrals),
+            ] {
+                if delta > 0 {
+                    reg.counter(name).add(delta);
+                }
+            }
+        });
     }
 
     /// The run recorder: the open ledger segment and any retained sealed
@@ -710,6 +714,8 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             oracle,
             recorder,
             stats: checkpoint.stats,
+            // The registry counts this process's work, not the crashed one's.
+            published: checkpoint.stats,
             slo: standard_slos()
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
@@ -721,11 +727,11 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     }
 
     /// Evaluate one batch: bucket requests by shard, run the shards across
-    /// the worker pool under the configured [`Scheduling`], reassemble
-    /// verdicts in batch order. Alongside the verdicts and the memo-cache
-    /// `(hits, misses)`, returns the batch's deterministic virtual
-    /// schedule (makespan, steals) and each request's virtual start offset
-    /// for the wait overlay.
+    /// the worker pool, reassemble verdicts in batch order. Alongside the
+    /// verdicts and the memo-cache `(hits, misses)`, returns the batch's
+    /// deterministic virtual schedule under the configured [`Scheduling`]
+    /// (makespan, steals) and each request's virtual start offset for the
+    /// wait overlay.
     fn evaluate(&mut self, batch: &[DecisionRequest], now: u64) -> EvalOutcome {
         let shards = self.cfg.shards;
         let cost_model = self.cfg.cost;
@@ -778,30 +784,25 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             }
             (out, hits, misses)
         };
-        let (shard_results, makespan, virtual_steals, actual_steals, shard_starts) = match self
-            .cfg
-            .scheduling
-        {
+        let plan = apdm_par::StealPlan::new(self.cfg.seed ^ SERVE_STEAL_SEED, self.stats.batches);
+        let run = apdm_par::run_sharded_balanced(
+            self.threads,
+            plan,
+            &mut work,
+            |(_, items)| cost_model.estimate(items.len() as u64),
+            run_slice,
+        );
+        // The wait overlay, makespan and steal counts describe the
+        // configured virtual schedule; execution is always balanced, and
+        // the verdicts do not depend on which worker judged a shard.
+        let (makespan, virtual_steals, actual_steals, shard_starts) = match self.cfg.scheduling {
             Scheduling::Static => {
-                // run_sharded hands worker w a contiguous block of
-                // shards — exactly the virtual schedule's home
-                // assignment, so its start times describe this run.
                 let ranges: Vec<(usize, usize)> = (0..shards).map(|i| (i, i + 1)).collect();
                 let schedule = apdm_par::static_schedule(self.threads, &ranges, &shard_costs);
-                let results = apdm_par::run_sharded(self.threads, &mut work, run_slice);
                 let starts = schedule.chunks.iter().map(|c| c.start).collect();
-                (results, schedule.makespan, 0, 0, starts)
+                (schedule.makespan, 0, 0, starts)
             }
             Scheduling::Balanced => {
-                let plan =
-                    apdm_par::StealPlan::new(self.cfg.seed ^ SERVE_STEAL_SEED, self.stats.batches);
-                let run = apdm_par::run_sharded_balanced(
-                    self.threads,
-                    plan,
-                    &mut work,
-                    |(_, items)| cost_model.estimate(items.len() as u64),
-                    run_slice,
-                );
                 // A chunk may span several shards; shards inside it
                 // start back to back from the chunk's virtual start.
                 let mut starts = vec![0u64; shards];
@@ -813,7 +814,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                     }
                 }
                 (
-                    run.results,
                     run.schedule.makespan,
                     run.schedule.steals,
                     run.actual_steals,
@@ -826,7 +826,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         }
         let mut verdicts: Vec<Option<GuardVerdict>> = vec![None; batch.len()];
         let (mut hits, mut misses) = (0u64, 0u64);
-        for (pairs, h, m) in shard_results {
+        for (pairs, h, m) in run.results {
             hits += h;
             misses += m;
             for (idx, verdict) in pairs {
@@ -860,7 +860,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             GuardVerdict::Replace { .. } => self.stats.replaced += 1,
         }
         if telemetry::enabled() {
-            DECIDED.with(|c| c.inc());
             QUEUE_TICKS.with(|h| h.record(decision.queue_ticks()));
         }
         self.record(&decision, now);
@@ -871,15 +870,10 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     fn shed(&mut self, req: &DecisionRequest, reason: ShedReason, now: u64) -> Decision {
         let mut decision = Decision::shed(req, reason, now);
         decision.ctx = stage_event(req.ctx, "serve.shed", req.device, &[]);
-        let (field, counter) = match reason {
-            ShedReason::Capacity => (&mut self.stats.shed_capacity, &SHED_CAPACITY),
-            ShedReason::Quota => (&mut self.stats.shed_quota, &SHED_QUOTA),
-            ShedReason::Deadline => (&mut self.stats.shed_deadline, &SHED_DEADLINE),
-        };
-        *field += 1;
-        if telemetry::enabled() {
-            counter.with(|c| c.inc());
-            SHED_TOTAL.with(|c| c.inc());
+        match reason {
+            ShedReason::Capacity => self.stats.shed_capacity += 1,
+            ShedReason::Quota => self.stats.shed_quota += 1,
+            ShedReason::Deadline => self.stats.shed_deadline += 1,
         }
         self.record(&decision, now);
         decision
@@ -952,7 +946,8 @@ mod tests {
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].verdict, GuardVerdict::Allow);
         assert_eq!(decisions[0].shed, None);
-        let (ledger, stats) = svc.finish(1);
+        let (ledger, stats) = svc.finish_segmented(1);
+        let ledger = ledger.into_single().expect("rotation off");
         assert!(ledger.verify().is_ok());
         assert_eq!(stats.decided, 1);
         assert_eq!(stats.allowed, 1);
@@ -1090,8 +1085,8 @@ mod tests {
             }
             let stats = svc.stats();
             let waits = svc.drain_shard_waits();
-            let (ledger, _) = svc.finish(200);
-            (decisions, ledger.to_jsonl(), stats, waits)
+            let (ledger, _) = svc.finish_segmented(200);
+            (decisions, ledger.to_jsonl_segments(), stats, waits)
         };
         let (d_bal, l_bal, s_bal, _) = run(Scheduling::Balanced, 1);
         let (d_stat, l_stat, s_stat, _) = run(Scheduling::Static, 4);
@@ -1134,6 +1129,101 @@ mod tests {
         assert_eq!(again.iter().map(Vec::len).sum::<usize>(), 0);
     }
 
+    /// The registry's `serve.*` counters, by name.
+    fn published_counters() -> std::collections::BTreeMap<String, u64> {
+        let reg = telemetry::current_registry().expect("dispatch installed");
+        reg.counter_values()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("serve."))
+            .collect()
+    }
+
+    /// Every published counter equals its [`ServeStats`] field; a counter
+    /// whose field is still zero is absent.
+    fn assert_published(stats: &ServeStats, when: &str) {
+        let expected: std::collections::BTreeMap<String, u64> = [
+            ("serve.submitted", stats.submitted),
+            ("serve.decided", stats.decided),
+            ("serve.shed.capacity", stats.shed_capacity),
+            ("serve.shed.quota", stats.shed_quota),
+            ("serve.shed.deadline", stats.shed_deadline),
+            ("serve.shed.total", stats.shed_total()),
+            ("serve.deferred", stats.deferrals),
+        ]
+        .into_iter()
+        .filter(|&(_, value)| value > 0)
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+        assert_eq!(published_counters(), expected, "{when}");
+    }
+
+    #[test]
+    fn registry_counters_equal_serve_stats_after_every_tick() {
+        let _guard = telemetry::install(std::rc::Rc::new(telemetry::RingCollector::new(8)));
+        let mut svc = service(ServeConfig {
+            admission: AdmissionConfig {
+                capacity: 24,
+                tenant_quota: 20,
+                quantum: 4,
+            },
+            cost: CostModel {
+                capacity_per_tick: 16,
+                ..CostModel::default()
+            },
+            backpressure: true,
+            slo_every: 4,
+            ..ServeConfig::default()
+        });
+        let mut id = 0;
+        for now in 1..=12u64 {
+            for i in 0..20u64 {
+                // Tenant 0 floods one hot device past its quota; tenant 1
+                // spreads out with deadlines too tight for the backlog.
+                let tenant = u32::from(i % 3 == 0);
+                let mut r = req(
+                    id,
+                    if tenant == 0 { 3 } else { i + now },
+                    Action::adjust("patrol", StateDelta::empty()),
+                    now,
+                    (tenant == 1).then_some(now),
+                );
+                r.tenant = TenantId(tenant);
+                svc.submit(r, now);
+                id += 1;
+            }
+            svc.tick(now);
+            assert_published(&svc.stats(), &format!("after tick {now}"));
+        }
+        let mut now = 12;
+        while svc.queue_depth() > 0 {
+            now += 1;
+            svc.tick(now);
+            assert_published(&svc.stats(), &format!("after drain tick {now}"));
+        }
+        // A request offered after the last tick is published at the seal.
+        svc.submit(
+            req(
+                id,
+                1,
+                Action::adjust("patrol", StateDelta::empty()),
+                now,
+                None,
+            ),
+            now,
+        );
+        let (_, stats) = svc.finish_segmented(now);
+        assert_published(&stats, "after finish_segmented");
+        for (field, value) in [
+            ("decided", stats.decided),
+            ("shed_capacity", stats.shed_capacity),
+            ("shed_quota", stats.shed_quota),
+            ("shed_deadline", stats.shed_deadline),
+            ("deferrals", stats.deferrals),
+        ] {
+            assert!(value > 0, "workload never exercised {field}: {stats:?}");
+        }
+    }
+
     #[test]
     fn verdict_stream_is_thread_count_invariant() {
         let run = |threads: usize| {
@@ -1164,8 +1254,8 @@ mod tests {
                     break;
                 }
             }
-            let (ledger, stats) = svc.finish(40);
-            (decisions, ledger.to_jsonl(), stats)
+            let (ledger, stats) = svc.finish_segmented(40);
+            (decisions, ledger.to_jsonl_segments(), stats)
         };
         let (d1, l1, s1) = run(1);
         let (d4, l4, s4) = run(4);

@@ -265,7 +265,8 @@ pub fn run_e15_cell(
     let mut shard_waits = svc.drain_shard_waits();
     let sched_summary = svc.sched_summary();
     let stats = svc.stats();
-    let (ledger, _) = svc.finish(now);
+    let (ledger, _) = svc.finish_segmented(now);
+    let ledger = ledger.into_single().expect("an E15 cell never rotates");
     ledger.verify().expect("cell ledger must verify");
 
     // Hot shard = most decided requests; ties go to the lowest index so

@@ -406,7 +406,7 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
         }
     }
     let stats = svc.stats();
-    let (ledger, _) = svc.finish(now);
+    let (ledger, _) = svc.finish_segmented(now);
     ledger.verify().expect("e14 ledger must verify");
     let (_, _, retries, dedup_dropped) = client.counters();
     let (response_cache_hits, _) = server.cache_counters();

@@ -36,7 +36,8 @@ fn run_service(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, String) 
             break;
         }
     }
-    let (ledger, _) = svc.finish(now);
+    let (ledger, _) = svc.finish_segmented(now);
+    let ledger = ledger.into_single().expect("rotation off");
     ledger.verify().expect("sealed ledger verifies");
     (decisions, ledger.to_jsonl())
 }

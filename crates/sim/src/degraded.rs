@@ -20,9 +20,9 @@
 //! Determinism: the driver is single-threaded per cell; the only RNG
 //! consumers are the seeded network, the couriers' seeded jitter, the
 //! watchers' seeded misread draws and the formation guard's seeded human
-//! check. The per-tick device decide phase is sharded through
-//! [`apdm_par::run_sharded`] but is a pure read, so a cell's sealed ledger
-//! is bit-identical for every thread count (tests assert it).
+//! check. The per-tick device decide phase is fanned out through
+//! [`apdm_par::par_map`] but is a pure read, so a cell's sealed ledger is
+//! bit-identical for every thread count (tests assert it).
 
 use std::collections::BTreeMap;
 
@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use apdm_comms::{CommsConfig, Courier, Envelope, FailMode, Incoming, IsolationMonitor, SafetyMsg};
 use apdm_governance::{CouncilBallot, CouncilGovernor, MetaPolicy};
 use apdm_guards::{AdmissionRequest, AggregateSpec, FormationGuard, KillBallot, QuorumKillSwitch};
-use apdm_ledger::{Ledger, RunEvent, RunRecorder};
+use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedRecorder};
 use apdm_par::Watchdog;
 use apdm_policy::{Action, Condition, EcaRule, Event, PolicyEngine};
 use apdm_simnet::{Link, Network, NodeId, Topology};
@@ -388,7 +388,7 @@ pub fn run_e12_cell(
     let mut ratify: BTreeMap<u64, Ratify> = BTreeMap::new();
     let mut next_ballot_id = 0u64;
 
-    let mut recorder = RunRecorder::new("e12", seed, n as u64);
+    let mut recorder = SegmentedRecorder::new("e12", seed, n as u64, RotationPolicy::default());
     let mut watchdog = Watchdog::new(cfg.ticks.saturating_mul(4));
     let mut tripped: Option<String> = None;
     let mut harms = 0u64;
@@ -708,15 +708,9 @@ pub fn run_e12_cell(
         let harms_before = harms;
         let hostile = t >= rogue_from;
         let intents: Vec<Option<String>> =
-            apdm_par::run_sharded(cfg.threads.max(1), &mut agents, |_, shard| {
-                shard
-                    .iter()
-                    .map(|a| intent(a, mode, hostile))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            apdm_par::par_map(cfg.threads, agents.iter().collect(), |_, a| {
+                intent(a, mode, hostile)
+            });
         for (a, chosen) in intents.iter().enumerate() {
             match chosen.as_deref() {
                 Some(name) if name == actions::STRIKE => {
@@ -774,7 +768,10 @@ pub fn run_e12_cell(
         response_cache_misses += misses;
     }
     let (net_duplicated, net_reordered) = net.fault_stats();
-    let ledger = recorder.finish(t, harms);
+    let ledger = recorder
+        .finish(t, harms)
+        .into_single()
+        .expect("an E12 cell never rotates");
     let report = E12CellReport {
         loss,
         partition_ticks,

@@ -4,7 +4,9 @@ use std::time::Instant;
 use apdm_device::{Device, DeviceId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{DeactivationController, GuardContext, GuardStack, GuardVerdict};
-use apdm_ledger::{DeviceSnap, LedgerError, Name, NamePool, RunEvent, RunRecorder, SnapshotFrame};
+use apdm_ledger::{
+    DeviceSnap, LedgerError, Name, NamePool, RunEvent, SegmentedRecorder, SnapshotFrame,
+};
 use apdm_policy::{Action, Event, Obligation, ObligationTrigger};
 use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize, Value};
@@ -95,7 +97,7 @@ impl PhaseClock {
 /// charging the cost to the `phase.ledger-append` accumulator.
 #[inline]
 fn record_timed(
-    recorder: &mut Option<RunRecorder>,
+    recorder: &mut Option<SegmentedRecorder>,
     clock: &mut PhaseClock,
     tick: u64,
     make: impl FnOnce() -> RunEvent,
@@ -232,7 +234,7 @@ pub struct Fleet {
     harvested_harms: usize,
     /// Optional flight recorder (crate `apdm-ledger`); every proposal,
     /// verdict, execution, deactivation and harm lands in its hash chain.
-    recorder: Option<RunRecorder>,
+    recorder: Option<SegmentedRecorder>,
     /// Decides which ticks pay for wall-clock phase measurement.
     phase_sampler: telemetry::Sampler,
     /// Per-device count of break-glass audit entries already forwarded into
@@ -272,18 +274,13 @@ impl Fleet {
     /// Attach a flight recorder; from now on every proposal, verdict,
     /// execution, obligation, deactivation and harm is appended to its
     /// hash-chained ledger.
-    pub fn set_recorder(&mut self, recorder: RunRecorder) {
+    pub fn set_recorder(&mut self, recorder: SegmentedRecorder) {
         self.recorder = Some(recorder);
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&RunRecorder> {
-        self.recorder.as_ref()
-    }
-
     /// Detach the recorder (typically to seal it with
-    /// [`RunRecorder::finish`]).
-    pub fn take_recorder(&mut self) -> Option<RunRecorder> {
+    /// [`SegmentedRecorder::finish`]).
+    pub fn take_recorder(&mut self) -> Option<SegmentedRecorder> {
         self.recorder.take()
     }
 

@@ -22,7 +22,9 @@ use serde::{Deserialize, Serialize, Value};
 use apdm_device::{Device, DeviceId, DeviceKind, OrgId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{GuardStack, PreActionCheck};
-use apdm_ledger::{Ledger, LedgerError, ReplayReport, Replayer, RunEvent, RunRecorder};
+use apdm_ledger::{
+    Ledger, LedgerError, ReplayReport, Replayer, RotationPolicy, RunEvent, SegmentedRecorder,
+};
 use apdm_policy::{Action, Condition, EcaRule, Event};
 use apdm_statespace::{StateDelta, StateSchema};
 
@@ -176,13 +178,32 @@ fn advance_tick(
     }
 }
 
+/// The recorder a canonical run appends through: one flat ledger, never
+/// rotated.
+fn flat_recorder(spec: &RecordSpec) -> SegmentedRecorder {
+    SegmentedRecorder::new(
+        "record",
+        spec.seed,
+        spec.n_devices as u64,
+        RotationPolicy::default(),
+    )
+}
+
+/// Seal a canonical run's recorder into its flat ledger.
+fn seal(recorder: SegmentedRecorder, spec: &RecordSpec, metrics: &Metrics) -> Ledger {
+    recorder
+        .finish(spec.ticks, metrics.harm_count() as u64)
+        .into_single()
+        .expect("a canonical run never rotates")
+}
+
 /// Execute the canonical scenario under a flight recorder and return the
 /// sealed ledger plus the run's ground truth.
 pub fn run_recorded(spec: &RecordSpec) -> RecordedRun {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut world = build_world(spec);
     let mut fleet = build_fleet(spec, &mut rng);
-    fleet.set_recorder(RunRecorder::new("record", spec.seed, spec.n_devices as u64));
+    fleet.set_recorder(flat_recorder(spec));
     let events = tick_events(&fleet);
     for tick in 1..=spec.ticks {
         advance_tick(spec, &mut fleet, &mut world, &mut rng, &events, tick);
@@ -190,7 +211,7 @@ pub fn run_recorded(spec: &RecordSpec) -> RecordedRun {
     let metrics = fleet.metrics().clone();
     let score = skynet_score(&fleet, &world, 1, 1);
     let recorder = fleet.take_recorder().expect("recorder was attached");
-    let ledger = recorder.finish(spec.ticks, metrics.harm_count() as u64);
+    let ledger = seal(recorder, spec, &metrics);
     RecordedRun {
         ledger,
         metrics,
@@ -246,7 +267,7 @@ fn replay_recorded_against(
         }
     };
 
-    fleet.set_recorder(RunRecorder::new("record", spec.seed, spec.n_devices as u64));
+    fleet.set_recorder(flat_recorder(spec));
     let events = tick_events(&fleet);
     for tick in (start_tick + 1)..=spec.ticks {
         advance_tick(spec, &mut fleet, &mut world, &mut rng, &events, tick);
@@ -254,7 +275,7 @@ fn replay_recorded_against(
     let metrics = fleet.metrics().clone();
     let score = skynet_score(&fleet, &world, 1, 1);
     let recorder = fleet.take_recorder().expect("recorder was attached");
-    let replayed = recorder.finish(spec.ticks, metrics.harm_count() as u64);
+    let replayed = seal(recorder, spec, &metrics);
     let report = if prefix {
         replayer.compare_prefix(&replayed)
     } else {

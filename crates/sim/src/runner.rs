@@ -15,7 +15,7 @@ use apdm_guards::{
     AdmissionRequest, AggregateSpec, CollaborativeAssessment, DeactivationController,
     FormationGuard, GuardStack, KillBallot, PreActionCheck, QuorumKillSwitch, StateSpaceGuard,
 };
-use apdm_ledger::{Ledger, RunRecorder};
+use apdm_ledger::{Ledger, RotationPolicy, SegmentedRecorder};
 use apdm_policy::obligation::ObligationCatalog;
 use apdm_policy::{
     Action, BreakGlassController, BreakGlassRule, Condition, EcaRule, Event, Obligation,
@@ -1606,7 +1606,12 @@ pub fn run_e10(n_devices: usize, ticks: u64, ring_capacity: usize, seed: u64) ->
             let pos = (rng.random_range(0..30), rng.random_range(0..30));
             fleet.add(e1_device(i as u64, action), stack, pos);
         }
-        fleet.set_recorder(RunRecorder::new("e10", seed, n_devices as u64));
+        fleet.set_recorder(SegmentedRecorder::new(
+            "e10",
+            seed,
+            n_devices as u64,
+            RotationPolicy::default(),
+        ));
         let events: Vec<(DeviceId, Event)> = fleet
             .iter()
             .map(|(&id, _)| (id, Event::named("tick")))
@@ -1852,7 +1857,12 @@ fn e11_run_once(n_devices: usize, threads: usize, ticks: u64, seed: u64, cache: 
         fleet.add(device, stack, pos);
     }
 
-    fleet.set_recorder(RunRecorder::new("e11", seed, n_devices as u64));
+    fleet.set_recorder(SegmentedRecorder::new(
+        "e11",
+        seed,
+        n_devices as u64,
+        RotationPolicy::default(),
+    ));
     let events: Vec<(DeviceId, Event)> = fleet
         .iter()
         .map(|(&id, _)| (id, Event::named("tick")))
@@ -1867,7 +1877,9 @@ fn e11_run_once(n_devices: usize, threads: usize, ticks: u64, seed: u64, cache: 
     let ledger = fleet
         .take_recorder()
         .expect("recorder was attached")
-        .finish(ticks, harms);
+        .finish(ticks, harms)
+        .into_single()
+        .expect("an E11 run never rotates");
     E11Run {
         ledger,
         wall_ms,

@@ -16,6 +16,11 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark is its own workspace over the crates' public API; testing
+# it here makes an API change that breaks it fail CI.
+echo "==> cargo test --release --manifest-path wallbench/Cargo.toml"
+cargo test --release --manifest-path wallbench/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -380,13 +380,21 @@ fn dispatch(
         Some("run") => match positional.get(1).map(String::as_str) {
             Some("all") => {
                 for (id, _) in EXPERIMENTS {
-                    run_experiment(id, seed, json, threads, cache, None, sched);
+                    if let Err(e) = run_experiment(id, seed, json, threads, cache, None, sched) {
+                        eprintln!("{e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
                 ExitCode::SUCCESS
             }
             Some(id) if EXPERIMENTS.iter().any(|(e, _)| e == &id) => {
-                run_experiment(id, seed, json, threads, cache, out.as_deref(), sched);
-                ExitCode::SUCCESS
+                match run_experiment(id, seed, json, threads, cache, out.as_deref(), sched) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        ExitCode::FAILURE
+                    }
+                }
             }
             Some(other) => {
                 eprintln!("unknown experiment `{other}`; see `apdm-experiments list`");
@@ -1235,6 +1243,9 @@ where
     }
 }
 
+/// Run one experiment and print its report. An error (a failed run, or
+/// an `--out` file that cannot be written) is returned as the message to
+/// print; the process then exits non-zero.
 fn run_experiment(
     id: &str,
     seed: u64,
@@ -1243,7 +1254,7 @@ fn run_experiment(
     cache: bool,
     out: Option<&str>,
     sched: Scheduling,
-) {
+) -> Result<(), String> {
     if !json {
         let title = EXPERIMENTS
             .iter()
@@ -1338,10 +1349,8 @@ fn run_experiment(
                 // write its sealed ledger for the byte-for-byte determinism
                 // check across thread counts.
                 let (report, ledger) = run_e12_cell(&cfg, 0.3, 30, FailMode::Closed);
-                if let Err(e) = fs::write(path, ledger.to_jsonl()) {
-                    eprintln!("cannot write {path}: {e}");
-                    return;
-                }
+                fs::write(path, ledger.to_jsonl())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 emit(json, &report);
             } else {
                 emit(
@@ -1370,10 +1379,8 @@ fn run_experiment(
                 // Record mode for `trace-analyze` and CI: run the fully
                 // traced variant once and write its record stream as JSONL.
                 let (report, records) = run_e14_mode(&cfg, TraceMode::Full);
-                if let Err(e) = fs::write(path, telemetry::export_jsonl(&records)) {
-                    eprintln!("cannot write {path}: {e}");
-                    return;
-                }
+                fs::write(path, telemetry::export_jsonl(&records))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 emit(json, &report);
             } else {
                 emit(json, &run_e14(&cfg));
@@ -1397,10 +1404,8 @@ fn run_experiment(
                 };
                 let cell_threads = if threads == 0 { 3 } else { threads };
                 let (report, ledger) = run_e15_cell(&cfg, 1.2, sched, cell_threads);
-                if let Err(e) = fs::write(path, ledger.to_jsonl()) {
-                    eprintln!("cannot write {path}: {e}");
-                    return;
-                }
+                fs::write(path, ledger.to_jsonl())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 emit(json, &report);
             } else {
                 emit(json, &run_e15(&cfg));
@@ -1419,10 +1424,7 @@ fn run_experiment(
                     ..E16Config::smoke()
                 };
                 let (report, ledger) = run_e16_cell(&cfg, cfg.budgets[0], sched);
-                if let Err(e) = write_segments(path, &ledger.to_jsonl_segments()) {
-                    eprintln!("{e}");
-                    return;
-                }
+                write_segments(path, &ledger.to_jsonl_segments())?;
                 emit(json, &report);
             } else {
                 let cfg = E16Config {
@@ -1437,14 +1439,14 @@ fn run_experiment(
             // The TCP sweep drives its own loopback threads; `threads` (the
             // in-service worker pool) stays 1 so the ledger matches the
             // golden in-process run byte for byte.
-            match run_e17(&E17Config {
+            let report = run_e17(&E17Config {
                 seed,
                 ..E17Config::default()
-            }) {
-                Ok(report) => emit(json, &report),
-                Err(e) => eprintln!("e17 failed: {e}"),
-            }
+            })
+            .map_err(|e| format!("e17 failed: {e}"))?;
+            emit(json, &report);
         }
         _ => unreachable!("validated above"),
     }
+    Ok(())
 }
