@@ -94,7 +94,7 @@ pub fn write_report<T: Serialize>(path: &str, report: &T) -> Result<(), String> 
         serde_json::to_value(report).map_err(|e| format!("unserializable report: {e}"))?;
     let host = serde_json::to_value(&host_info()).map_err(|e| format!("host info: {e}"))?;
     if let Value::Map(entries) = &mut value {
-        entries.insert(0, ("host".to_string(), host));
+        entries.insert(0, ("host".into(), host));
     }
     let body = serde_json::to_string_pretty(&value).map_err(|e| format!("render: {e}"))?;
     fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))

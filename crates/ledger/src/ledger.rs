@@ -1,10 +1,11 @@
 //! The hash-chained, append-only ledger and its verification pass.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::time::Instant;
 
 use apdm_telemetry::{self as telemetry, event, Level};
-use serde::{Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize};
 
 use crate::event::{RunEvent, SnapshotFrame};
 use crate::hash::{chain_digest, GENESIS};
@@ -135,18 +136,46 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// Canonical payload bytes of a record: compact JSON of `[seq, tick, event]`.
+thread_local! {
+    /// Reused canonical-payload buffer: every append and every verified
+    /// record writes its payload here, so the hot path allocates nothing
+    /// once the buffer has grown to the largest record (a checkpoint).
+    static PAYLOAD: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Run `f` over the canonical payload bytes of a record: compact JSON of
+/// `[seq,tick,event]`.
 ///
-/// Canonical because the vendored `serde_json` emits no whitespace, struct
-/// fields in declaration order, and a fixed float format — two equal events
-/// always serialize to identical bytes.
-fn canonical_payload(seq: u64, tick: u64, event: &RunEvent) -> String {
-    let value = Value::Seq(vec![
-        Value::UInt(seq),
-        Value::UInt(tick),
-        Serialize::to_value(event),
-    ]);
-    serde_json::to_string(&value).expect("canonical payload serialization cannot fail")
+/// Canonical because the vendored `serde_json` writer emits no whitespace,
+/// struct fields in declaration order, and a fixed float format — two equal
+/// events always serialize to identical bytes. The event streams straight
+/// from the borrowed value ([`Serialize::write_json`]); nothing is copied.
+fn with_canonical_payload<R>(
+    seq: u64,
+    tick: u64,
+    event: &RunEvent,
+    f: impl FnOnce(&[u8]) -> R,
+) -> R {
+    PAYLOAD.with(|buf| {
+        let mut out = buf.borrow_mut();
+        out.clear();
+        out.push('[');
+        json::write_u64(&mut out, seq);
+        out.push(',');
+        json::write_u64(&mut out, tick);
+        out.push(',');
+        event.write_json(&mut out);
+        out.push(']');
+        f(out.as_bytes())
+    })
+}
+
+/// Byte length of a record's JSONL line, newline included, from the length
+/// of its canonical payload. The line `{"seq":S,"tick":T,"event":E,"digest":D}`
+/// holds the payload `[S,T,E]`'s values plus 36 bytes of keys and
+/// punctuation where the payload has 4, plus the digest's decimal digits.
+fn jsonl_line_len(payload_len: usize, digest: u64) -> usize {
+    payload_len + 32 + digest.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// An append-only, hash-chained event log.
@@ -167,17 +196,27 @@ impl Ledger {
 
     /// Append an event, chaining its digest; returns the new record's seq.
     pub fn append(&mut self, tick: u64, event: RunEvent) -> u64 {
+        self.append_measured(tick, event).0
+    }
+
+    /// [`append`](Ledger::append), also returning the byte length of the new
+    /// record's [`to_jsonl`](Ledger::to_jsonl) line (newline included). The
+    /// length comes from the canonical payload the digest was just computed
+    /// over, so nothing is serialized a second time.
+    pub(crate) fn append_measured(&mut self, tick: u64, event: RunEvent) -> (u64, usize) {
         sampled_timed(&APPEND_NS, &APPEND_SAMPLER, || {
             let seq = self.records.len() as u64;
-            let payload = canonical_payload(seq, tick, &event);
-            let digest = chain_digest(self.head_digest(), payload.as_bytes());
+            let prev = self.head_digest();
+            let (digest, payload_len) = with_canonical_payload(seq, tick, &event, |payload| {
+                (chain_digest(prev, payload), payload.len())
+            });
             self.records.push(LedgerRecord {
                 seq,
                 tick,
                 event,
                 digest,
             });
-            seq
+            (seq, jsonl_line_len(payload_len, digest))
         })
     }
 
@@ -228,8 +267,10 @@ impl Ledger {
                         ),
                     ));
                 }
-                let payload = canonical_payload(record.seq, record.tick, &record.event);
-                let expected = chain_digest(prev, payload.as_bytes());
+                let expected =
+                    with_canonical_payload(record.seq, record.tick, &record.event, |p| {
+                        chain_digest(prev, p)
+                    });
                 if record.digest != expected {
                     return Err(corruption(
                         seq,
@@ -295,11 +336,17 @@ impl Ledger {
     /// Export as JSONL: one record per line, in append order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// Append the [`to_jsonl`](Ledger::to_jsonl) text to `out`, each record
+    /// streamed straight into it.
+    pub fn write_jsonl(&self, out: &mut String) {
         for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialization cannot fail"));
+            record.write_json(out);
             out.push('\n');
         }
-        out
     }
 
     /// Import from JSONL. Parse failures report the 1-based line number;
@@ -399,6 +446,7 @@ impl fmt::Display for Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn sample() -> Ledger {
         let mut ledger = Ledger::new();
@@ -581,6 +629,37 @@ mod tests {
         match Ledger::from_jsonl(&jsonl) {
             Err(LedgerError::Parse { line, .. }) => assert_eq!(line, 6),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn measured_line_lengths_match_the_exported_lines() {
+        let mut ledger = Ledger::new();
+        let mut lengths = Vec::new();
+        for (tick, event) in sample().records().iter().map(|r| (r.tick, r.event.clone())) {
+            lengths.push(ledger.append_measured(tick, event).1);
+        }
+        let exported: Vec<usize> = ledger.to_jsonl().lines().map(|l| l.len() + 1).collect();
+        assert_eq!(lengths, exported);
+        assert_eq!(jsonl_line_len(0, 0), 33);
+        assert_eq!(jsonl_line_len(0, 9), 33);
+        assert_eq!(jsonl_line_len(0, 10), 34);
+        assert_eq!(jsonl_line_len(0, u64::MAX), 52);
+    }
+
+    #[test]
+    fn canonical_payload_matches_the_value_route() {
+        for record in sample().records() {
+            let reference = serde_json::to_string_via_value(&Value::Seq(vec![
+                Value::UInt(record.seq),
+                Value::UInt(record.tick),
+                record.event.to_value(),
+            ]))
+            .unwrap();
+            let streamed = with_canonical_payload(record.seq, record.tick, &record.event, |p| {
+                String::from_utf8(p.to_vec()).unwrap()
+            });
+            assert_eq!(streamed, reference);
         }
     }
 

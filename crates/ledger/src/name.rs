@@ -77,6 +77,10 @@ impl Serialize for Name {
     fn to_value(&self) -> Value {
         Value::Str(self.0.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(out, &self.0);
+    }
 }
 
 impl Deserialize for Name {

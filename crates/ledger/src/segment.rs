@@ -92,6 +92,8 @@ pub struct SegmentedRecorder {
     current: Ledger,
     index: u64,
     pruned: u64,
+    /// Byte length of `current`'s JSONL export, kept only under a byte
+    /// budget (0 otherwise).
     current_bytes: usize,
     header_len: usize,
 }
@@ -99,8 +101,16 @@ pub struct SegmentedRecorder {
 impl SegmentedRecorder {
     /// Open a recorder; record 0 of segment 0 is the run header.
     pub fn new(experiment: &str, seed: u64, devices: u64, policy: RotationPolicy) -> Self {
-        let mut current = Ledger::new();
-        current.append(
+        let mut rec = SegmentedRecorder {
+            policy,
+            sealed: Vec::new(),
+            current: Ledger::new(),
+            index: 0,
+            pruned: 0,
+            current_bytes: 0,
+            header_len: 1,
+        };
+        rec.record(
             0,
             RunEvent::RunStarted {
                 experiment: experiment.to_string(),
@@ -108,16 +118,7 @@ impl SegmentedRecorder {
                 devices,
             },
         );
-        let current_bytes = current.to_jsonl().len();
-        SegmentedRecorder {
-            policy,
-            sealed: Vec::new(),
-            current,
-            index: 0,
-            pruned: 0,
-            current_bytes,
-            header_len: 1,
-        }
+        rec
     }
 
     /// Reopen a recorder from recovered segments: the retained sealed
@@ -130,7 +131,11 @@ impl SegmentedRecorder {
         let pruned = sealed
             .first()
             .map_or_else(|| index, |s| segment_index_of(s).unwrap_or(0));
-        let current_bytes = current.to_jsonl().len();
+        let current_bytes = if policy.max_bytes > 0 {
+            current.to_jsonl().len()
+        } else {
+            0
+        };
         let header_len = current.len();
         SegmentedRecorder {
             policy,
@@ -145,11 +150,9 @@ impl SegmentedRecorder {
 
     /// Append an event to the current segment; returns its in-segment seq.
     pub fn record(&mut self, tick: u64, event: RunEvent) -> u64 {
-        let seq = self.current.append(tick, event);
+        let (seq, line_len) = self.current.append_measured(tick, event);
         if self.policy.max_bytes > 0 {
-            let record = self.current.records().last().expect("just appended");
-            let line = serde_json::to_string(record).expect("record serialization cannot fail");
-            self.current_bytes += line.len() + 1;
+            self.current_bytes += line_len;
         }
         seq
     }
@@ -158,13 +161,9 @@ impl SegmentedRecorder {
     /// frames: they never trigger rotation by themselves. The serving layer
     /// calls this after appending the checkpoint snapshot that follows an
     /// anchor frame, so a tiny budget cannot rotate an empty segment.
+    /// (Header bytes still count toward the byte budget.)
     pub fn mark_header(&mut self) {
         self.header_len = self.current.len();
-        self.current_bytes = if self.policy.max_bytes > 0 {
-            self.current.to_jsonl().len()
-        } else {
-            0
-        };
     }
 
     /// Should the owner rotate now? True when the policy is enabled, the
@@ -200,7 +199,8 @@ impl SegmentedRecorder {
             }
         }
         self.index += 1;
-        self.current.append(
+        self.current_bytes = 0;
+        self.record(
             tick,
             RunEvent::SegmentOpened {
                 segment: self.index,
@@ -209,11 +209,6 @@ impl SegmentedRecorder {
             },
         );
         self.header_len = 1;
-        self.current_bytes = if self.policy.max_bytes > 0 {
-            self.current.to_jsonl().len()
-        } else {
-            0
-        };
         self.index
     }
 
@@ -702,6 +697,76 @@ mod tests {
         let led = rotated(policy, 30);
         assert!(led.segments().len() > 1, "{led}");
         led.verify().unwrap();
+    }
+
+    #[test]
+    fn byte_count_tracks_the_export_and_rotates_where_the_export_does() {
+        let policy = RotationPolicy {
+            max_records: 0,
+            max_bytes: 700,
+            keep_sealed: 2,
+        };
+        let mut rec = SegmentedRecorder::new("bytes \"é\"", 7, 2, policy);
+        assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+        let mut rotations = Vec::new();
+        for i in 0..60u64 {
+            let event = if i % 7 == 3 {
+                RunEvent::Deactivation {
+                    device: i,
+                    reason: "escaped \u{1}\n ünïcode".repeat(i as usize % 4),
+                }
+            } else {
+                proposal(i * 1_000_003)
+            };
+            rec.record(i + 1, event);
+            let exported = rec.current().to_jsonl().len();
+            assert_eq!(rec.current_bytes, exported, "after append {i}");
+            // The reference rule: rotate once the exported segment's bytes
+            // reach the budget and it holds a record past its header.
+            let expected = rec.current().len() > rec.header_len && exported >= policy.max_bytes;
+            assert_eq!(rec.should_rotate(), expected, "after append {i}");
+            if rec.should_rotate() {
+                rotations.push(i + 1);
+                rec.rotate(i + 1);
+                assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+                rec.record(i + 1, proposal(0));
+                rec.mark_header();
+                assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+            }
+        }
+        // Rotation ticks and final head of the same run under the earlier
+        // recorder, which re-serialized the open segment to count bytes.
+        assert_eq!(rotations, [5, 10, 14, 19, 24, 29, 33, 38, 42, 47, 52, 57]);
+        let sealed = rec.finish(61, 0);
+        sealed.verify().unwrap();
+        assert_eq!(sealed.head_digest(), 0x29f2_57bc_fbc2_dc85);
+    }
+
+    #[test]
+    fn unbudgeted_recorder_counts_nothing() {
+        let mut rec = SegmentedRecorder::new("seg", 7, 2, RotationPolicy::by_records(2));
+        for i in 0..5 {
+            rec.record(i + 1, proposal(i));
+            if rec.should_rotate() {
+                rec.rotate(i + 1);
+            }
+        }
+        assert_eq!(rec.current_bytes, 0);
+        let resumed = SegmentedRecorder::resume(
+            RotationPolicy::default(),
+            rec.sealed().to_vec(),
+            rec.current().clone(),
+        );
+        assert_eq!(resumed.current_bytes, 0);
+        let budgeted = SegmentedRecorder::resume(
+            RotationPolicy {
+                max_bytes: 1 << 20,
+                ..RotationPolicy::default()
+            },
+            rec.sealed().to_vec(),
+            rec.current().clone(),
+        );
+        assert_eq!(budgeted.current_bytes, rec.current().to_jsonl().len());
     }
 
     #[test]

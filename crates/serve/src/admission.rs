@@ -148,31 +148,27 @@ impl AdmissionQueue {
         }
     }
 
-    /// Freeze the queue for a checkpoint: every lane as `(tenant, DRR
-    /// deficit, queued requests front-to-back)` in tenant order — empty
-    /// lanes included, so a restored queue is structurally identical, not
-    /// just behaviorally — plus the DRR rotation order. Together with
+    /// The queue's lanes for a checkpoint, borrowed: every lane as
+    /// `(tenant, DRR deficit, queued requests front-to-back)` in tenant
+    /// order — empty lanes included, so a restored queue is structurally
+    /// identical, not just behaviorally. Together with
+    /// [`rotation`](AdmissionQueue::rotation) and
     /// [`restore`](AdmissionQueue::restore) this round-trips the queue
     /// exactly, which crash recovery needs: dequeue order is a pure
     /// function of this state.
-    #[allow(clippy::type_complexity)]
-    pub fn export(&self) -> (Vec<(TenantId, u32, Vec<DecisionRequest>)>, Vec<TenantId>) {
-        let lanes = self
-            .lanes
+    pub fn lanes(&self) -> impl Iterator<Item = (TenantId, u32, &VecDeque<DecisionRequest>)> {
+        self.lanes
             .iter()
-            .map(|(&tenant, lane)| {
-                (
-                    tenant,
-                    lane.deficit,
-                    lane.queue.iter().cloned().collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        (lanes, self.rotation.iter().copied().collect())
+            .map(|(&tenant, lane)| (tenant, lane.deficit, &lane.queue))
     }
 
-    /// Rebuild a queue from an [`export`](AdmissionQueue::export) under the
-    /// same bounds.
+    /// Backlogged tenants in DRR rotation order (front is being served).
+    pub fn rotation(&self) -> impl Iterator<Item = TenantId> + '_ {
+        self.rotation.iter().copied()
+    }
+
+    /// Rebuild a queue from its [`lanes`](AdmissionQueue::lanes) and
+    /// [`rotation`](AdmissionQueue::rotation) under the same bounds.
     pub fn restore(
         cfg: AdmissionConfig,
         lanes: Vec<(TenantId, u32, Vec<DecisionRequest>)>,

@@ -20,7 +20,7 @@
 //! `metrics` and `devices` fields are zeroed/empty; the checkpoint rides
 //! entirely in `world`.
 
-use apdm_guards::GuardVerdict;
+use apdm_guards::{GuardVerdict, VerdictCache};
 use apdm_ledger::{LedgerError, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::State;
@@ -182,25 +182,125 @@ pub struct ServeCheckpoint {
     pub caches: Vec<Option<CacheSnap>>,
 }
 
+/// A ledger [`SnapshotFrame`] carrying a checkpoint's `world` tree. The
+/// serving layer draws no randomness and owns no world/device state, so
+/// those frame fields are zeroed; the checkpoint rides in `world`.
+fn frame(tick: u64, world: Value) -> SnapshotFrame {
+    SnapshotFrame {
+        tick,
+        rng: [0; 4],
+        world,
+        metrics: Value::Null,
+        devices: Vec::new(),
+    }
+}
+
 impl ServeCheckpoint {
-    /// Package the checkpoint as a ledger [`SnapshotFrame`]. The serving
-    /// layer draws no randomness and owns no world/device state, so those
-    /// frame fields are zeroed; the checkpoint rides in `world`.
+    /// Package the checkpoint as a ledger [`SnapshotFrame`].
     pub fn to_frame(&self) -> SnapshotFrame {
-        SnapshotFrame {
-            tick: self.tick,
-            rng: [0; 4],
-            world: serde_json::to_value(self).expect("checkpoint serialization cannot fail"),
-            metrics: Value::Null,
-            devices: Vec::new(),
-        }
+        frame(self.tick, self.to_value())
     }
 
     /// Rebuild a checkpoint from a ledger frame written by
-    /// [`to_frame`](ServeCheckpoint::to_frame).
+    /// [`to_frame`](ServeCheckpoint::to_frame) or by a rotating service.
     pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, LedgerError> {
-        serde_json::from_value(frame.world.clone())
+        ServeCheckpoint::from_value(&frame.world)
             .map_err(|e| LedgerError::Snapshot(format!("serve checkpoint: {e}")))
+    }
+}
+
+// Borrowed mirrors of the checkpoint types over a live service. A rotation
+// serializes these straight from the admission lanes and memo caches, so
+// the frame's `world` tree is the only copy of that state ever built. Each
+// mirror lists the same fields in the same order as its owned counterpart,
+// which makes the two serialize identically (the service tests check this
+// through a `from_frame` → `to_frame` round trip).
+
+/// Borrowed [`ReqSnap`].
+#[derive(Serialize)]
+pub(crate) struct ReqView<'a> {
+    id: u64,
+    tenant: u32,
+    device: u64,
+    state: &'a State,
+    proposed: &'a Action,
+    alternatives: &'a [Action],
+    submitted_at: u64,
+    deadline: Option<u64>,
+    ctx: Option<CtxSnap>,
+}
+
+impl<'a> From<&'a DecisionRequest> for ReqView<'a> {
+    fn from(req: &'a DecisionRequest) -> Self {
+        ReqView {
+            id: req.id,
+            tenant: req.tenant.0,
+            device: req.device,
+            state: &req.state,
+            proposed: &req.proposed,
+            alternatives: &req.alternatives,
+            submitted_at: req.submitted_at,
+            deadline: req.deadline,
+            ctx: req.ctx.map(CtxSnap::from),
+        }
+    }
+}
+
+/// Borrowed [`LaneSnap`].
+#[derive(Serialize)]
+pub(crate) struct LaneView<'a> {
+    pub(crate) tenant: u32,
+    pub(crate) deficit: u32,
+    pub(crate) queue: Vec<ReqView<'a>>,
+}
+
+/// Borrowed [`CacheEntry`].
+#[derive(Serialize)]
+struct CacheEntryView<'a> {
+    fp: u64,
+    verdict: &'a GuardVerdict,
+}
+
+/// Borrowed [`CacheSnap`].
+#[derive(Serialize)]
+pub(crate) struct CacheView<'a> {
+    entries: Vec<CacheEntryView<'a>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> From<&'a VerdictCache> for CacheView<'a> {
+    fn from(cache: &'a VerdictCache) -> Self {
+        let (hits, misses) = cache.stats();
+        CacheView {
+            entries: cache
+                .entries()
+                .map(|(fp, verdict)| CacheEntryView { fp, verdict })
+                .collect(),
+            hits,
+            misses,
+        }
+    }
+}
+
+/// Borrowed [`ServeCheckpoint`].
+#[derive(Serialize)]
+pub(crate) struct CheckpointView<'a> {
+    pub(crate) tick: u64,
+    pub(crate) lanes: Vec<LaneView<'a>>,
+    pub(crate) rotation: Vec<u32>,
+    pub(crate) meter_credit: i64,
+    pub(crate) meter_spent: u64,
+    pub(crate) shard_inflight: &'a [u64],
+    pub(crate) stats: ServeStats,
+    pub(crate) caches: Vec<Option<CacheView<'a>>>,
+}
+
+impl CheckpointView<'_> {
+    /// The ledger frame of this checkpoint, identical to the
+    /// [`ServeCheckpoint::to_frame`] of its owned copy.
+    pub(crate) fn to_frame(&self) -> SnapshotFrame {
+        frame(self.tick, self.to_value())
     }
 }
 

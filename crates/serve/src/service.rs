@@ -45,7 +45,7 @@
 use std::time::Instant;
 
 use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
-use apdm_ledger::{RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
+use apdm_ledger::{RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_telemetry as telemetry;
 use apdm_telemetry::{SloMonitor, SloSpec, TraceContext};
@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::batcher::{BatchPolicy, CostModel, Meter};
-use crate::checkpoint::{CacheEntry, CacheSnap, LaneSnap, ReqSnap, ServeCheckpoint};
+use crate::checkpoint::{CacheView, CheckpointView, LaneView, ReqView, ServeCheckpoint};
 use crate::request::{Decision, DecisionRequest, ShedReason, TenantId};
 
 /// One shard's contribution to a batch: `(batch_index, verdict)` pairs plus
@@ -537,7 +537,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         // occurrence), so it never re-triggers the budget by itself.
         if self.recorder.should_rotate() {
             self.recorder.rotate(now);
-            let frame = self.checkpoint(now).to_frame();
+            let frame = self.checkpoint_frame(now);
             self.recorder.record(now, RunEvent::Snapshot(frame));
             self.recorder.mark_header();
         }
@@ -609,46 +609,39 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// Freeze everything the decision stream depends on — admission lanes
     /// and deficits, the DRR rotation, the work meter, per-shard
     /// backpressure costs, the batch cursor and the per-shard verdict memo
-    /// caches — as of the end of tick `now`. A service
-    /// [`restore`](Self::restore)d from the result resumes at `now + 1`
-    /// with a bit-identical decision and ledger future. Thread count,
-    /// scheduling telemetry and SLO state are deliberately excluded: they
-    /// must not influence results, so they must not ride the checkpoint.
-    pub fn checkpoint(&self, now: u64) -> ServeCheckpoint {
-        let (lanes, rotation) = self.queue.export();
+    /// caches — as of the end of tick `now`, as the ledger frame a rotation
+    /// records. The frame is serialized straight from the live state: its
+    /// `world` tree is the one copy made. [`ServeCheckpoint::from_frame`]
+    /// reads it back, and a service [`restore`](Self::restore)d from that
+    /// resumes at `now + 1` with a bit-identical decision and ledger
+    /// future. Thread count, scheduling telemetry and SLO state are
+    /// deliberately excluded: they must not influence results, so they
+    /// must not ride the checkpoint.
+    pub fn checkpoint_frame(&self, now: u64) -> SnapshotFrame {
         let (meter_credit, meter_spent) = self.meter.export();
-        ServeCheckpoint {
+        CheckpointView {
             tick: now,
-            lanes: lanes
-                .into_iter()
-                .map(|(tenant, deficit, queue)| LaneSnap {
+            lanes: self
+                .queue
+                .lanes()
+                .map(|(tenant, deficit, queue)| LaneView {
                     tenant: tenant.0,
                     deficit,
-                    queue: queue.iter().map(ReqSnap::from).collect(),
+                    queue: queue.iter().map(ReqView::from).collect(),
                 })
                 .collect(),
-            rotation: rotation.into_iter().map(|t| t.0).collect(),
+            rotation: self.queue.rotation().map(|t| t.0).collect(),
             meter_credit,
             meter_spent,
-            shard_inflight: self.shard_inflight.clone(),
+            shard_inflight: &self.shard_inflight,
             stats: self.stats,
             caches: self
                 .stacks
                 .iter()
-                .map(|stack| {
-                    stack
-                        .export_cache()
-                        .map(|(entries, hits, misses)| CacheSnap {
-                            entries: entries
-                                .into_iter()
-                                .map(|(fp, verdict)| CacheEntry { fp, verdict })
-                                .collect(),
-                            hits,
-                            misses,
-                        })
-                })
+                .map(|stack| stack.verdict_cache().map(CacheView::from))
                 .collect(),
         }
+        .to_frame()
     }
 
     /// Rebuild a service mid-run from a [`ServeCheckpoint`] and a resumed
@@ -1222,6 +1215,49 @@ mod tests {
         ] {
             assert!(value > 0, "workload never exercised {field}: {stats:?}");
         }
+    }
+
+    #[test]
+    fn checkpoint_frame_serializes_like_its_owned_copy() {
+        let mut svc = service(ServeConfig {
+            backpressure: true,
+            ..ServeConfig::default()
+        });
+        let (mut backlog_seen, mut cache_seen) = (false, false);
+        let mut id = 0;
+        for now in 1..=10u64 {
+            for device in 0..30u64 {
+                let action = match device % 3 {
+                    0 => Action::adjust("strike", StateDelta::empty()),
+                    1 => Action::adjust("east", StateDelta::single(VarId(0), 1.0)),
+                    _ => Action::adjust("patrol", StateDelta::empty()),
+                };
+                let mut r = req(
+                    id,
+                    device % 7,
+                    action,
+                    now,
+                    (id % 3 != 0).then_some(now + 20),
+                );
+                r.alternatives = vec![Action::adjust("west", StateDelta::single(VarId(0), -1.0))];
+                r.ctx = (id % 2 == 0).then_some(TraceContext {
+                    trace_id: id,
+                    span_id: id + 1,
+                    parent_id: 0,
+                    sampled: id % 4 == 0,
+                });
+                svc.submit(r, now);
+                id += 1;
+            }
+            svc.tick(now);
+            let frame = svc.checkpoint_frame(now);
+            let owned = ServeCheckpoint::from_frame(&frame).expect("frame decodes");
+            assert_eq!(owned.to_frame(), frame, "tick {now}");
+            backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
+            cache_seen |= owned.caches.iter().flatten().any(|c| !c.entries.is_empty());
+        }
+        assert!(backlog_seen, "the checkpoint must cover queued requests");
+        assert!(cache_seen, "the checkpoint must cover memoized verdicts");
     }
 
     #[test]

@@ -422,8 +422,8 @@ pub fn run_e9(attacks: usize, seed: u64) -> E9Report {
         .iter()
         .map(|r| {
             let value = Value::Map(vec![
-                ("tick".to_string(), Value::UInt(r.tick)),
-                ("event".to_string(), Serialize::to_value(&r.event)),
+                ("tick".into(), Value::UInt(r.tick)),
+                ("event".into(), Serialize::to_value(&r.event)),
             ]);
             serde_json::to_string(&value).expect("event serialization cannot fail")
         })

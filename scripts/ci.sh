@@ -189,6 +189,19 @@ PY
 echo "==> crash-tolerance smoke (E16: checkpoint golden, kill mid-run, resume, verify)"
 ./target/release/apdm-experiments checkpoint --seed 42 \
     --out "$trace_dir/e16-golden" --quiet >/dev/null
+# Format drift guard: the release binary's golden segments must equal the
+# committed fixtures byte for byte, and there must be no other segment.
+fixture_count=0
+for f in tests/fixtures/e16-42.seg*.jsonl; do
+    fixture_count=$((fixture_count + 1))
+    seg="${f##*/e16-42.}"
+    cmp -s "$f" "$trace_dir/e16-golden.$seg" \
+        || { echo "e16 fixtures: e16-golden.$seg differs from $f"; exit 1; }
+done
+fixture_segs=$(ls "$trace_dir"/e16-golden.seg*.jsonl | wc -l)
+test "$fixture_count" -gt 0 && test "$fixture_count" -eq "$fixture_segs" \
+    || { echo "e16 fixtures: $fixture_segs golden segments, $fixture_count fixtures"; exit 1; }
+echo "e16 fixtures: $fixture_count golden segments byte-identical to tests/fixtures"
 ./target/release/apdm-experiments checkpoint --seed 42 --kill-tick 21 \
     --out "$trace_dir/e16-crashed" --quiet >/dev/null
 ./target/release/apdm-experiments resume "$trace_dir/e16-crashed" --seed 42 \

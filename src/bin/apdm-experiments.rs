@@ -110,6 +110,50 @@ use apdm::sim::runner::*;
 use apdm::sim::scenario::run_surveillance;
 use apdm::telemetry::{self, event, Fanout, Level, RingCollector, StderrSubscriber, Subscriber};
 
+/// `--help` text: every subcommand with its flags.
+const USAGE: &str = "\
+usage: apdm-experiments <command> [flags]
+
+commands:
+  list
+  run <id|all> [--seed N] [--json] [--out path] [--sched static|balanced]
+  record [--seed N] [--out run.jsonl]
+  verify <ledger.jsonl | run.segNNNN.jsonl>
+  replay <ledger.jsonl> [--seed N] [--from-snapshot]
+  trace [--seed N] [--out trace.jsonl]
+  serve-bench [--seed N] [--smoke] [--calibrate] [--json] [--out report.json]
+  trace-analyze <trace.jsonl> [--chrome out.json]
+  checkpoint [--seed N] [--kill-tick T] [--sched static|balanced] [--out base]
+  resume <base> [--seed N] [--sched static|balanced] [--out base2]
+  serve-net serve [--listen addr] [--addr-file path] [--clients N] [--smoke] [--out base]
+  serve-net client (--connect addr | --addr-file path) --index I --clients N [--smoke]
+  serve-net chaos (--connect addr | --addr-file path) --kind k [--smoke]
+  serve-net golden [--smoke] [--out base]
+
+global flags:
+  --threads N   worker threads (0 = one per hardware thread)
+  --no-cache    disable the guard-verdict memo cache
+  --quiet       silence progress lines on stderr
+  --trace path  capture spans and events to path (JSONL) and path.chrome.json
+  --help, -h    print this text";
+
+/// How many positional words `command` takes, the command itself
+/// included; `None` for an unknown command.
+fn positional_limit(command: &str) -> Option<usize> {
+    match command {
+        "list" | "record" | "trace" | "serve-bench" | "checkpoint" => Some(1),
+        "run" | "verify" | "replay" | "trace-analyze" | "resume" | "serve-net" => Some(2),
+        _ => None,
+    }
+}
+
+/// Reject a command line with a usage line and a non-zero exit.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    eprintln!("usage: apdm-experiments <command> [flags]; see `apdm-experiments --help`");
+    ExitCode::FAILURE
+}
+
 /// Ring-buffer capacity for `--trace` captures (most recent records win).
 const TRACE_RING_CAPACITY: usize = 262_144;
 
@@ -203,6 +247,10 @@ fn main() -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             "--json" => json = true,
             "--quiet" => quiet = true,
             "--from-snapshot" => from_snapshot = true,
@@ -301,7 +349,17 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
+            flag if flag.starts_with('-') && flag.len() > 1 => {
+                return usage_error(&format!("unknown flag `{flag}`"));
+            }
             other => positional.push(other.to_string()),
+        }
+    }
+    if let Some(command) = positional.first() {
+        if let Some(limit) = positional_limit(command) {
+            if let Some(extra) = positional.get(limit) {
+                return usage_error(&format!("unexpected argument `{extra}` for `{command}`"));
+            }
         }
     }
 
