@@ -285,4 +285,17 @@ print(f"e11: {len(report['cells'])} cells, all ledgers bit-identical "
       f"(hardware_threads={report['hardware_threads']})")
 PY
 
+# Every deterministic experiment whose table configuration runs in a few
+# seconds, checked against its acceptance predicate (`run` exits non-zero
+# and names each broken claim): f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8
+# a1 a2 a3 e9 g1 e11 e12 e13 e17. Left out: e10 and e14, whose claims are
+# wall-clock; e15 (~10 s) and e16 (~1 min), whose smoke configurations
+# tier-1 checks and whose cells the smokes above compare byte for byte.
+echo "==> experiment acceptance predicates (table configurations)"
+for id in f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8 a1 a2 a3 e9 g1 e11 e12 e13 e17; do
+    ./target/release/apdm-experiments run "$id" --quiet >/dev/null \
+        || { echo "experiment $id failed its acceptance predicate"; exit 1; }
+done
+echo "experiments: every selected table meets its acceptance predicate"
+
 echo "CI gate passed."

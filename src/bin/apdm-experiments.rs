@@ -1,10 +1,11 @@
-//! Command-line experiment runner: regenerate any experiment table without
-//! the bench harness, optionally as JSON.
+//! Command-line experiment runner: run any experiment of the
+//! `apdm::experiments` registry, print its table (or, with `--json`, its
+//! report) and exit non-zero when it breaks an acceptance claim.
 //!
 //! ```text
 //! apdm-experiments list
 //! apdm-experiments run e1 [--seed 42] [--json] [--trace out.jsonl] [--quiet]
-//! apdm-experiments run all
+//! apdm-experiments run all              # every experiment; lists each failure
 //! apdm-experiments record [--seed 42] [--out run.jsonl]
 //! apdm-experiments verify run.jsonl
 //! apdm-experiments replay run.jsonl [--seed 42] [--from-snapshot]
@@ -28,7 +29,10 @@
 //! `APDM_THREADS` env var overrides auto-detection). Experiment sweeps
 //! distribute their cells across the pool but always print in table
 //! order, and recorded ledgers are bit-identical at any thread count.
-//! `--no-cache` disables the guard-verdict memo cache.
+//! `--no-cache` disables the guard-verdict memo cache. `run` rejects a flag
+//! the chosen experiment never reads (`--out` outside e12/e14/e15/e16,
+//! `--sched` outside their e15/e16 `--out` cells, `--no-cache` outside e11)
+//! before anything runs.
 //!
 //! `record` runs the canonical guarded-striker scenario under the
 //! `apdm-ledger` flight recorder and writes the hash-chained ledger as
@@ -90,24 +94,20 @@ use std::fs;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use apdm::comms::FailMode;
+use apdm::experiments::{
+    self, print_e13_table, write_segments, Env, Experiment, Scale, EXPERIMENTS,
+};
 use apdm::ledger::{Ledger, SegmentedLedger};
 use apdm::net::{
-    golden_segments, run_chaos_client, run_e17, run_workload_client, serve, ChaosKind, E17Config,
+    golden_segments, run_chaos_client, run_workload_client, serve, ChaosKind, E17Config,
 };
 use apdm::serve::{
-    resume_run, run_calibration, run_e13, run_e14, run_e14_mode, run_e15, run_e15_cell, run_e16,
-    run_e16_cell, run_to_completion, standard_stacks, E13Config, E14Config, E15Config, E16Config,
-    PolicyDecisionService, Scheduling, SimDisk, TraceMode, WorkloadGen, WorkloadOracle,
+    resume_run, run_calibration, run_e13, run_to_completion, standard_stacks, E13Config, E16Config,
+    PolicyDecisionService, Scheduling, SimDisk, WorkloadGen, WorkloadOracle,
 };
-use apdm::sim::contagion::{run_contagion, ContagionArm};
-use apdm::sim::degraded::{run_e12, run_e12_cell, E12Config};
-use apdm::sim::faults::Pathway;
 use apdm::sim::recorder::{
-    replay_recorded, replay_recorded_prefix, run_e9, run_recorded, RecordSpec, ReplayStart,
+    replay_recorded, replay_recorded_prefix, run_recorded, RecordSpec, ReplayStart,
 };
-use apdm::sim::runner::*;
-use apdm::sim::scenario::run_surveillance;
 use apdm::telemetry::{self, event, Fanout, Level, RingCollector, StderrSubscriber, Subscriber};
 
 /// `--help` text: every subcommand with its flags.
@@ -116,7 +116,10 @@ usage: apdm-experiments <command> [flags]
 
 commands:
   list
-  run <id|all> [--seed N] [--json] [--out path] [--sched static|balanced]
+  run <id|all> [--seed N] [--json]
+      [--no-cache]                        e11 only
+      [--out path]                        e12, e14, e15, e16: one cell, written to path
+      [--sched static|balanced]           e15, e16 with --out
   record [--seed N] [--out run.jsonl]
   verify <ledger.jsonl | run.segNNNN.jsonl>
   replay <ledger.jsonl> [--seed N] [--from-snapshot]
@@ -157,54 +160,6 @@ fn usage_error(message: &str) -> ExitCode {
 /// Ring-buffer capacity for `--trace` captures (most recent records win).
 const TRACE_RING_CAPACITY: usize = 262_144;
 
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("f1", "Figure 1: coalition fleet operation and autonomy"),
-    ("e1", "pre-action checks: direct vs indirect harm (VI.A)"),
-    ("e2", "state-space checks: bad entries and dilemmas (VI.B)"),
-    ("e2d", "break-glass under sensor deception (VI.B)"),
-    ("e3", "deactivation and quorum kill (VI.C)"),
-    ("e4", "collection formation and emergent heat (VI.D)"),
-    ("e5", "tripartite governance (VI.E)"),
-    ("e6", "ill-defined spaces: utility gradients (VII)"),
-    ("e7", "malevolence pathways (IV)"),
-    ("e8", "policy contagion (IV)"),
-    ("a1", "guard-stack ablation"),
-    ("a3", "tamper-proofness ablation"),
-    (
-        "e9",
-        "tamper evidence: ledger corruption detection (VI.B audits)",
-    ),
-    ("e10", "observability overhead: telemetry on the hot loop"),
-    (
-        "e11",
-        "strong scaling: two-phase parallel tick, ledger-verified",
-    ),
-    (
-        "e12",
-        "degraded comms: safety coordination under loss/partition (IV)",
-    ),
-    (
-        "e13",
-        "serving: micro-batching decision service under load (VI at fleet scale)",
-    ),
-    (
-        "e14",
-        "distributed tracing: causal propagation, critical paths, overhead",
-    ),
-    (
-        "e15",
-        "skew scheduling: deterministic work stealing and backpressure under Zipf load",
-    ),
-    (
-        "e16",
-        "crash tolerance: kill-and-resume sweep over checkpointed rotating ledgers",
-    ),
-    (
-        "e17",
-        "networked serving: framed TCP path, ledger byte-identical under chaos",
-    ),
-];
-
 /// Flags specific to the `serve-net` subcommand.
 #[derive(Debug, Clone, Default)]
 struct NetFlags {
@@ -224,133 +179,115 @@ struct NetFlags {
     kind: Option<String>,
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let mut json = false;
-    let mut quiet = false;
-    let mut seed: u64 = 42;
-    let mut out: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut chrome: Option<String> = None;
-    let mut from_snapshot = false;
-    let mut threads: usize = 0;
-    let mut cache = true;
-    let mut smoke = false;
-    let mut calibrate = false;
-    let mut kill_tick: Option<u64> = None;
-    let mut sched = Scheduling::Balanced;
-    let mut net = NetFlags {
-        clients: 1,
-        ..NetFlags::default()
-    };
+/// Every command-line flag, at its default unless given.
+#[derive(Debug)]
+struct Flags {
+    json: bool,
+    quiet: bool,
+    seed: u64,
+    out: Option<String>,
+    trace: Option<String>,
+    chrome: Option<String>,
+    from_snapshot: bool,
+    threads: usize,
+    cache: bool,
+    smoke: bool,
+    calibrate: bool,
+    kill_tick: Option<u64>,
+    sched: Scheduling,
+    net: NetFlags,
+    /// The flags given, in command-line order.
+    given: Vec<String>,
+}
+
+impl Default for Flags {
+    fn default() -> Self {
+        Flags {
+            json: false,
+            quiet: false,
+            seed: 42,
+            out: None,
+            trace: None,
+            chrome: None,
+            from_snapshot: false,
+            threads: 0,
+            cache: true,
+            smoke: false,
+            calibrate: false,
+            kill_tick: None,
+            sched: Scheduling::Balanced,
+            net: NetFlags {
+                clients: 1,
+                ..NetFlags::default()
+            },
+            given: Vec::new(),
+        }
+    }
+}
+
+/// Print `message` and fail.
+fn fail(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// The value after `flag`, parsed, or the failure to exit with.
+fn value<T: std::str::FromStr>(
+    iter: &mut std::slice::Iter<String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, ExitCode> {
+    iter.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| fail(&format!("{flag} requires {what}")))
+}
+
+/// Split the command line into positional words and flags. `Err` is the
+/// exit code to return at once: after `--help`, or after printing why the
+/// line is malformed.
+fn parse(args: &[String]) -> Result<(Vec<String>, Flags), ExitCode> {
+    let mut f = Flags::default();
     let mut positional = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if arg.starts_with('-') {
+            f.given.push(arg.clone());
+        }
         match arg.as_str() {
             "--help" | "-h" => {
                 println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return Err(ExitCode::SUCCESS);
             }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--from-snapshot" => from_snapshot = true,
-            "--no-cache" => cache = false,
-            "--smoke" => smoke = true,
-            "--calibrate" => calibrate = true,
-            "--sched" => match iter.next().map(String::as_str) {
-                Some("static") => sched = Scheduling::Static,
-                Some("balanced") => sched = Scheduling::Balanced,
-                _ => {
-                    eprintln!("--sched requires `static` or `balanced`");
-                    return ExitCode::FAILURE;
+            "--json" => f.json = true,
+            "--quiet" => f.quiet = true,
+            "--from-snapshot" => f.from_snapshot = true,
+            "--no-cache" => f.cache = false,
+            "--smoke" => f.smoke = true,
+            "--calibrate" => f.calibrate = true,
+            "--sched" => {
+                f.sched = match iter.next().map(String::as_str) {
+                    Some("static") => Scheduling::Static,
+                    Some("balanced") => Scheduling::Balanced,
+                    _ => return Err(fail("--sched requires `static` or `balanced`")),
                 }
+            }
+            "--seed" => f.seed = value(&mut iter, arg, "an integer")?,
+            "--threads" => f.threads = value(&mut iter, arg, "an integer (0 = auto)")?,
+            "--kill-tick" => f.kill_tick = Some(value(&mut iter, arg, "a tick number")?),
+            "--out" => f.out = Some(value(&mut iter, arg, "a path")?),
+            "--trace" => f.trace = Some(value(&mut iter, arg, "a path")?),
+            "--chrome" => f.chrome = Some(value(&mut iter, arg, "a path")?),
+            "--listen" => f.net.listen = Some(value(&mut iter, arg, "an address")?),
+            "--connect" => f.net.connect = Some(value(&mut iter, arg, "an address")?),
+            "--addr-file" => f.net.addr_file = Some(value(&mut iter, arg, "a path")?),
+            "--clients" => match value(&mut iter, arg, "an integer >= 1")? {
+                0 => return Err(fail("--clients requires an integer >= 1")),
+                n => f.net.clients = n,
             },
-            "--seed" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("--threads requires an integer (0 = auto)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--kill-tick" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(t) => kill_tick = Some(t),
-                None => {
-                    eprintln!("--kill-tick requires a tick number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = Some(path.clone()),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match iter.next() {
-                Some(path) => trace = Some(path.clone()),
-                None => {
-                    eprintln!("--trace requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--chrome" => match iter.next() {
-                Some(path) => chrome = Some(path.clone()),
-                None => {
-                    eprintln!("--chrome requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--listen" => match iter.next() {
-                Some(addr) => net.listen = Some(addr.clone()),
-                None => {
-                    eprintln!("--listen requires an address");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--connect" => match iter.next() {
-                Some(addr) => net.connect = Some(addr.clone()),
-                None => {
-                    eprintln!("--connect requires an address");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--addr-file" => match iter.next() {
-                Some(path) => net.addr_file = Some(path.clone()),
-                None => {
-                    eprintln!("--addr-file requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--clients" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => net.clients = n,
-                _ => {
-                    eprintln!("--clients requires an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--index" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(i) => net.index = i,
-                None => {
-                    eprintln!("--index requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--kind" => match iter.next() {
-                Some(kind) => net.kind = Some(kind.clone()),
-                None => {
-                    eprintln!("--kind requires a chaos script name");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--index" => f.net.index = value(&mut iter, arg, "an integer")?,
+            "--kind" => f.net.kind = Some(value(&mut iter, arg, "a chaos script name")?),
             flag if flag.starts_with('-') && flag.len() > 1 => {
-                return usage_error(&format!("unknown flag `{flag}`"));
+                return Err(usage_error(&format!("unknown flag `{flag}`")));
             }
             other => positional.push(other.to_string()),
         }
@@ -358,15 +295,32 @@ fn main() -> ExitCode {
     if let Some(command) = positional.first() {
         if let Some(limit) = positional_limit(command) {
             if let Some(extra) = positional.get(limit) {
-                return usage_error(&format!("unexpected argument `{extra}` for `{command}`"));
+                return Err(usage_error(&format!(
+                    "unexpected argument `{extra}` for `{command}`"
+                )));
             }
         }
+        if command == "run" {
+            check_run_flags(positional.get(1).map(String::as_str), &f.given)
+                .map_err(|e| usage_error(&e))?;
+        }
     }
+    Ok((positional, f))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let (positional, flags) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
+    let mut trace = flags.trace.clone();
 
     // The `trace` subcommand is the canonical recorded scenario run under
     // `--trace`, with `--out` naming the trace file.
     if positional.first().map(String::as_str) == Some("trace") && trace.is_none() {
-        trace = Some(out.clone().unwrap_or_else(|| format!("trace-{seed}.jsonl")));
+        let default = format!("trace-{}.jsonl", flags.seed);
+        trace = Some(flags.out.clone().unwrap_or(default));
     }
 
     // Telemetry: progress lines go to stderr (unless --quiet); --trace adds
@@ -376,7 +330,7 @@ fn main() -> ExitCode {
         .as_ref()
         .map(|_| Rc::new(RingCollector::new(TRACE_RING_CAPACITY)));
     let mut sinks: Vec<Rc<dyn Subscriber>> = Vec::new();
-    if !quiet {
+    if !flags.quiet {
         sinks.push(Rc::new(StderrSubscriber::default()));
     }
     if let Some(c) = &collector {
@@ -384,12 +338,23 @@ fn main() -> ExitCode {
     }
     let _guard = (!sinks.is_empty()).then(|| telemetry::install(Rc::new(Fanout::new(sinks))));
 
-    let code = dispatch(
-        &positional,
-        seed,
+    let code = dispatch(&positional, &flags);
+
+    // Dump even when the command failed: a trace of a failing verify run
+    // carries the ledger.corruption events that explain it.
+    if let (Some(path), Some(collector)) = (&trace, &collector) {
+        if let Err(e) = dump_trace(path, collector) {
+            return fail(&e);
+        }
+    }
+    code
+}
+
+/// Execute the chosen subcommand.
+fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
+    let Flags {
         json,
-        out,
-        chrome,
+        seed,
         from_snapshot,
         threads,
         cache,
@@ -397,72 +362,51 @@ fn main() -> ExitCode {
         calibrate,
         kill_tick,
         sched,
-        &net,
-    );
-
-    // Dump even when the command failed: a trace of a failing verify run
-    // carries the ledger.corruption events that explain it.
-    if let (Some(path), Some(collector)) = (&trace, &collector) {
-        if let Err(e) = dump_trace(path, collector) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    code
-}
-
-/// Execute the chosen subcommand.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    positional: &[String],
-    seed: u64,
-    json: bool,
-    out: Option<String>,
-    chrome: Option<String>,
-    from_snapshot: bool,
-    threads: usize,
-    cache: bool,
-    smoke: bool,
-    calibrate: bool,
-    kill_tick: Option<u64>,
-    sched: Scheduling,
-    net: &NetFlags,
-) -> ExitCode {
+        ..
+    } = *flags;
+    let (out, net) = (flags.out.clone(), &flags.net);
+    let env = Env {
+        threads: flags
+            .given
+            .iter()
+            .any(|f| f == "--threads")
+            .then_some(threads),
+        cache,
+        sched,
+    };
     match positional.first().map(String::as_str) {
         Some("list") => {
-            for (id, title) in EXPERIMENTS {
-                println!("{id:<5} {title}");
+            for e in EXPERIMENTS {
+                println!("{:<5} {}", e.id, e.title());
             }
             ExitCode::SUCCESS
         }
-        Some("run") => match positional.get(1).map(String::as_str) {
-            Some("all") => {
-                for (id, _) in EXPERIMENTS {
-                    if let Err(e) = run_experiment(id, seed, json, threads, cache, None, sched) {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
+        Some("run") => {
+            let selected: Vec<&Experiment> = match positional.get(1).map(String::as_str) {
+                Some("all") => EXPERIMENTS.iter().collect(),
+                Some(id) => match experiments::find(id) {
+                    Some(e) => vec![e],
+                    None => {
+                        return fail(&format!(
+                            "unknown experiment `{id}`; see `apdm-experiments list`"
+                        ))
                     }
-                }
+                },
+                None => return fail("usage: apdm-experiments run <id|all> [--seed N] [--json]"),
+            };
+            let failed: Vec<String> = selected
+                .into_iter()
+                .filter_map(|e| run_one(e, seed, json, out.as_deref(), &env).err())
+                .collect();
+            for line in &failed {
+                eprintln!("{line}");
+            }
+            if failed.is_empty() {
                 ExitCode::SUCCESS
-            }
-            Some(id) if EXPERIMENTS.iter().any(|(e, _)| e == &id) => {
-                match run_experiment(id, seed, json, threads, cache, out.as_deref(), sched) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            Some(other) => {
-                eprintln!("unknown experiment `{other}`; see `apdm-experiments list`");
+            } else {
                 ExitCode::FAILURE
             }
-            None => {
-                eprintln!("usage: apdm-experiments run <id|all> [--seed N] [--json]");
-                ExitCode::FAILURE
-            }
-        },
+        }
         Some("record") => {
             let spec = RecordSpec {
                 seed,
@@ -473,8 +417,7 @@ fn dispatch(
             let recorded = run_recorded(&spec);
             let path = out.unwrap_or_else(|| format!("run-{seed}.jsonl"));
             if let Err(e) = fs::write(&path, recorded.ledger.to_jsonl()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+                return fail(&format!("cannot write {path}: {e}"));
             }
             event!(
                 Level::Info,
@@ -509,8 +452,7 @@ fn dispatch(
         }
         Some("verify") => {
             let Some(path) = positional.get(1) else {
-                eprintln!("usage: apdm-experiments verify <ledger.jsonl | run.segNNNN.jsonl>");
-                return ExitCode::FAILURE;
+                return fail("usage: apdm-experiments verify <ledger.jsonl | run.segNNNN.jsonl>");
             };
             // A rotated run is a family of `.segNNNN.jsonl` files. If the
             // path names one of them (or their common base), verify the
@@ -518,10 +460,7 @@ fn dispatch(
             // anchors — and report every segment.
             let base = segment_base(path);
             match discover_segments(&base) {
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&e),
                 Ok(segs) if !segs.is_empty() => return verify_segmented(&base, &segs),
                 Ok(_) => {}
             }
@@ -537,10 +476,7 @@ fn dispatch(
                                 println!("{ledger}: chain intact, torn tail recovered (unsealed)");
                                 ExitCode::SUCCESS
                             }
-                            Err(corruption) => {
-                                eprintln!("{corruption}");
-                                ExitCode::FAILURE
-                            }
+                            Err(corruption) => fail(&corruption.to_string()),
                         }
                     } else {
                         match ledger.verify() {
@@ -548,10 +484,7 @@ fn dispatch(
                                 println!("{ledger}: chain intact, sealed");
                                 ExitCode::SUCCESS
                             }
-                            Err(corruption) => {
-                                eprintln!("{corruption}");
-                                ExitCode::FAILURE
-                            }
+                            Err(corruption) => fail(&corruption.to_string()),
                         }
                     }
                 }
@@ -559,10 +492,9 @@ fn dispatch(
         }
         Some("replay") => {
             let Some(path) = positional.get(1) else {
-                eprintln!(
-                    "usage: apdm-experiments replay <ledger.jsonl> [--seed N] [--from-snapshot]"
+                return fail(
+                    "usage: apdm-experiments replay <ledger.jsonl> [--seed N] [--from-snapshot]",
                 );
-                return ExitCode::FAILURE;
             };
             let (ledger, torn) = match load_ledger(path) {
                 Err(code) => return code,
@@ -588,10 +520,7 @@ fn dispatch(
                 replay_recorded(&spec, &ledger, start)
             };
             match outcome {
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => fail(&format!("replay failed: {e}")),
                 Ok(outcome) => {
                     println!("{}", outcome.report);
                     emit(json, &outcome.metrics);
@@ -659,8 +588,7 @@ fn dispatch(
             if let Some(path) = out {
                 let body = serde_json::to_string_pretty(&report).expect("serializable report");
                 if let Err(e) = fs::write(&path, body) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return fail(&format!("cannot write {path}: {e}"));
                 }
                 if !json {
                     println!("report written to {path}");
@@ -670,12 +598,11 @@ fn dispatch(
         }
         Some("trace-analyze") => {
             let Some(path) = positional.get(1) else {
-                eprintln!(
-                    "usage: apdm-experiments trace-analyze <trace.jsonl> [--chrome out.json]"
+                return fail(
+                    "usage: apdm-experiments trace-analyze <trace.jsonl> [--chrome out.json]",
                 );
-                return ExitCode::FAILURE;
             };
-            trace_analyze(path, chrome.as_deref())
+            trace_analyze(path, flags.chrome.as_deref())
         }
         Some("checkpoint") => {
             let cfg = E16Config {
@@ -687,8 +614,7 @@ fn dispatch(
         }
         Some("resume") => {
             let Some(base) = positional.get(1) else {
-                eprintln!("usage: apdm-experiments resume <base> [--seed N] [--out base2]");
-                return ExitCode::FAILURE;
+                return fail("usage: apdm-experiments resume <base> [--seed N] [--out base2]");
             };
             let cfg = E16Config {
                 seed,
@@ -708,14 +634,11 @@ fn dispatch(
             };
             serve_net_cmd(positional.get(1).map(String::as_str), &cfg, out, net)
         }
-        _ => {
-            eprintln!(
-                "usage: apdm-experiments \
+        _ => fail(
+            "usage: apdm-experiments \
                  <list|run|record|verify|replay|trace|serve-bench|trace-analyze\
-                 |checkpoint|resume|serve-net> ..."
-            );
-            ExitCode::FAILURE
-        }
+                 |checkpoint|resume|serve-net> ...",
+        ),
     }
 }
 
@@ -760,17 +683,11 @@ fn serve_net_cmd(
             let listen = net.listen.as_deref().unwrap_or("127.0.0.1:0");
             let listener = match std::net::TcpListener::bind(listen) {
                 Ok(l) => l,
-                Err(e) => {
-                    eprintln!("cannot bind {listen}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&format!("cannot bind {listen}: {e}")),
             };
             let addr = match listener.local_addr() {
                 Ok(a) => a.to_string(),
-                Err(e) => {
-                    eprintln!("cannot read bound address: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&format!("cannot read bound address: {e}")),
             };
             // Write-then-rename so pollers never see a partial address.
             if let Some(path) = &net.addr_file {
@@ -778,8 +695,7 @@ fn serve_net_cmd(
                 if let Err(e) =
                     fs::write(&tmp, &addr).and_then(|()| fs::rename(&tmp, path.as_str()))
                 {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return fail(&format!("cannot write {path}: {e}"));
                 }
             }
             eprintln!(
@@ -794,23 +710,17 @@ fn serve_net_cmd(
             );
             let outcome = match serve(listener, svc, cfg.net_config(net.clients)) {
                 Ok(outcome) => outcome,
-                Err(e) => {
-                    eprintln!("serve failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&format!("serve failed: {e}")),
             };
             if let Err(e) = outcome.ledger.verify() {
-                eprintln!("served ledger corrupt: {e}");
-                return ExitCode::FAILURE;
+                return fail(&format!("served ledger corrupt: {e}"));
             }
             if outcome.audit.verify().is_err() {
-                eprintln!("boundary audit ledger corrupt");
-                return ExitCode::FAILURE;
+                return fail("boundary audit ledger corrupt");
             }
             let base = out.unwrap_or_else(|| format!("e17-{}", cfg.seed));
             if let Err(e) = write_segments(&base, &outcome.ledger.to_jsonl_segments()) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return fail(&e);
             }
             println!(
                 "sealed at tick {}: {} decisions delivered, {} rejects, {} drops, \
@@ -827,14 +737,13 @@ fn serve_net_cmd(
         Some("client") => {
             let addr = match resolve_addr(net) {
                 Ok(addr) => addr,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&e),
             };
             if net.index >= net.clients {
-                eprintln!("--index {} out of range 0..{}", net.index, net.clients);
-                return ExitCode::FAILURE;
+                return fail(&format!(
+                    "--index {} out of range 0..{}",
+                    net.index, net.clients
+                ));
             }
             match run_workload_client(
                 &addr,
@@ -855,28 +764,20 @@ fn serve_net_cmd(
                     if report.decisions.len() as u64 == report.sent {
                         ExitCode::SUCCESS
                     } else {
-                        eprintln!("decision stream incomplete");
-                        ExitCode::FAILURE
+                        fail("decision stream incomplete")
                     }
                 }
-                Err(e) => {
-                    eprintln!("client failed: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => fail(&format!("client failed: {e}")),
             }
         }
         Some("chaos") => {
             let Some(kind) = net.kind.as_deref().and_then(ChaosKind::parse) else {
                 let names: Vec<&str> = ChaosKind::all().iter().map(|k| k.name()).collect();
-                eprintln!("--kind must be one of: {}", names.join(", "));
-                return ExitCode::FAILURE;
+                return fail(&format!("--kind must be one of: {}", names.join(", ")));
             };
             let addr = match resolve_addr(net) {
                 Ok(addr) => addr,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&e),
             };
             match run_chaos_client(&addr, kind) {
                 Ok(report) => {
@@ -888,18 +789,14 @@ fn serve_net_cmd(
                     );
                     ExitCode::SUCCESS
                 }
-                Err(e) => {
-                    eprintln!("chaos {} failed: {e}", kind.name());
-                    ExitCode::FAILURE
-                }
+                Err(e) => fail(&format!("chaos {} failed: {e}", kind.name())),
             }
         }
         Some("golden") => {
             let base = out.unwrap_or_else(|| format!("e17-{}-golden", cfg.seed));
             let segments = golden_segments(cfg);
             if let Err(e) = write_segments(&base, &segments) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return fail(&e);
             }
             println!(
                 "golden in-process run: {} segments -> {base}.seg*.jsonl",
@@ -907,14 +804,11 @@ fn serve_net_cmd(
             );
             ExitCode::SUCCESS
         }
-        _ => {
-            eprintln!(
-                "usage: apdm-experiments serve-net <serve|client|chaos|golden> \
+        _ => fail(
+            "usage: apdm-experiments serve-net <serve|client|chaos|golden> \
                  [--listen A] [--connect A] [--addr-file P] [--clients N] \
-                 [--index I] [--kind K] [--smoke] [--out base]"
-            );
-            ExitCode::FAILURE
-        }
+                 [--index I] [--kind K] [--smoke] [--out base]",
+        ),
     }
 }
 
@@ -966,15 +860,6 @@ fn discover_segments(base: &str) -> Result<Vec<(u64, String)>, String> {
     }
     segs.sort_by_key(|(index, _)| *index);
     Ok(segs)
-}
-
-/// Write a rotated run's segments as a `base.segNNNN.jsonl` file family.
-fn write_segments(base: &str, segs: &[(u64, String)]) -> Result<(), String> {
-    for (index, text) in segs {
-        let path = format!("{base}.seg{index:04}.jsonl");
-        fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
 }
 
 /// Verify a rotated run end to end and print one line per retained
@@ -1060,8 +945,9 @@ fn checkpoint_cmd(
     match kill_tick {
         Some(tick) => {
             let Some(killed) = killed else {
-                eprintln!("--kill-tick {tick} is past the run's final tick {final_tick}");
-                return ExitCode::FAILURE;
+                return fail(&format!(
+                    "--kill-tick {tick} is past the run's final tick {final_tick}"
+                ));
             };
             let segs: Vec<(u64, String)> = killed
                 .files()
@@ -1069,8 +955,7 @@ fn checkpoint_cmd(
                 .map(|(&index, text)| (index, text.clone()))
                 .collect();
             if let Err(e) = write_segments(base, &segs) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return fail(&e);
             }
             println!(
                 "killed at tick {tick}: {} segment files -> {base}.seg*.jsonl \
@@ -1081,12 +966,10 @@ fn checkpoint_cmd(
         None => {
             let (ledger, _) = svc.finish_segmented(final_tick);
             if let Err(e) = ledger.verify() {
-                eprintln!("golden ledger corrupt: {e}");
-                return ExitCode::FAILURE;
+                return fail(&format!("golden ledger corrupt: {e}"));
             }
             if let Err(e) = write_segments(base, &ledger.to_jsonl_segments()) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return fail(&e);
             }
             println!(
                 "golden run sealed at tick {final_tick}: {} decisions, {} segments \
@@ -1106,14 +989,8 @@ fn checkpoint_cmd(
 fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) -> ExitCode {
     let segs = match discover_segments(base) {
         Ok(segs) if !segs.is_empty() => segs,
-        Ok(_) => {
-            eprintln!("no {base}.seg*.jsonl files found");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Ok(_) => return fail(&format!("no {base}.seg*.jsonl files found")),
+        Err(e) => return fail(&e),
     };
     let mut disk = SimDisk::default();
     for (index, text) in segs {
@@ -1122,12 +999,10 @@ fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) ->
     let budget = cfg.budgets[0];
     let (ledger, decisions, start, discarded) = resume_run(cfg, budget, sched, 1, &disk);
     if let Err(e) = ledger.verify() {
-        eprintln!("resumed ledger corrupt: {e}");
-        return ExitCode::FAILURE;
+        return fail(&format!("resumed ledger corrupt: {e}"));
     }
     if let Err(e) = write_segments(out_base, &ledger.to_jsonl_segments()) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
+        return fail(&e);
     }
     if start > 1 {
         println!(
@@ -1156,22 +1031,17 @@ fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) ->
 fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("cannot read {path}: {e}")),
     };
     let records = match telemetry::import_jsonl(&text) {
         Ok(records) => records,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("{path}: {e}")),
     };
     let graph = telemetry::TraceGraph::build(&records);
     if graph.is_empty() {
-        eprintln!("{path}: no trace-context records (was the run traced?)");
-        return ExitCode::FAILURE;
+        return fail(&format!(
+            "{path}: no trace-context records (was the run traced?)"
+        ));
     }
     let unresolved = graph.unresolved_parents();
     println!(
@@ -1188,8 +1058,7 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
     }
     if let Some(chrome_path) = chrome {
         if let Err(e) = fs::write(chrome_path, telemetry::export_chrome_devices(&records)) {
-            eprintln!("cannot write {chrome_path}: {e}");
-            return ExitCode::FAILURE;
+            return fail(&format!("cannot write {chrome_path}: {e}"));
         }
         println!("device timeline written to {chrome_path} (load in chrome://tracing)");
     }
@@ -1200,34 +1069,6 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
             eprintln!("trace {trace:016x}: span {span:016x} orphaned (parent {parent:016x})");
         }
         ExitCode::FAILURE
-    }
-}
-
-/// Human-readable E13 sweep table: one row per (load × knobs) cell.
-fn print_e13_table(report: &apdm::serve::E13Report) {
-    println!(
-        "{:<6} {:<22} {:>8} {:>8} {:>7} {:>9} {:>6} {:>6} {:>7} {:>8}",
-        "load", "knobs", "decided", "shed", "shed%", "thruput", "p50", "p99", "p99.9", "hit%"
-    );
-    for c in &report.cells {
-        let hit_rate = if c.cache_hits + c.cache_misses == 0 {
-            0.0
-        } else {
-            c.cache_hits as f64 / (c.cache_hits + c.cache_misses) as f64
-        };
-        println!(
-            "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3}",
-            c.load,
-            c.label,
-            c.decided,
-            c.shed,
-            c.shed_rate,
-            c.throughput,
-            c.p50_queue_ticks,
-            c.p99_queue_ticks,
-            c.p999_queue_ticks,
-            hit_rate,
-        );
     }
 }
 
@@ -1262,14 +1103,8 @@ fn dump_trace(path: &str, collector: &RingCollector) -> Result<(), String> {
 /// is dropped with a warning and reported as `true`; damage anywhere else
 /// stays a hard error.
 fn load_ledger(path: &str) -> Result<(Ledger, bool), ExitCode> {
-    let text = fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    let (ledger, torn) = Ledger::from_jsonl_recovering(&text).map_err(|e| {
-        eprintln!("{e}");
-        ExitCode::FAILURE
-    })?;
+    let text = fs::read_to_string(path).map_err(|e| fail(&format!("cannot read {path}: {e}")))?;
+    let (ledger, torn) = Ledger::from_jsonl_recovering(&text).map_err(|e| fail(&e.to_string()))?;
     if let Some(tail) = &torn {
         eprintln!("warning: {path}: {tail}");
     }
@@ -1287,224 +1122,76 @@ fn emit<T: serde::Serialize + std::fmt::Debug>(json: bool, value: &T) {
     }
 }
 
-/// Run each cell across the fan-out pool, then emit reports in table
-/// order. Workers run with telemetry disabled, so progress lines from
-/// inside a cell only appear at `--threads 1`; results are unaffected.
-fn sweep<C, R, F>(runner: &ParRunner, json: bool, cells: Vec<C>, f: F)
-where
-    C: Send,
-    R: serde::Serialize + std::fmt::Debug + Send,
-    F: Fn(C) -> R + Sync,
-{
-    for report in runner.map(cells, |_, cell| f(cell)) {
-        emit(json, &report);
+/// Reject a `run` flag the chosen experiment never reads (with `all`: any
+/// flag not every experiment reads). An unknown id is left to `run` itself.
+fn check_run_flags(id: Option<&str>, given: &[String]) -> Result<(), String> {
+    let exp = match id {
+        Some("all") | None => None,
+        Some(id) => match experiments::find(id) {
+            Some(e) => Some(e),
+            None => return Ok(()),
+        },
+    };
+    let artifact = exp.and_then(|e| e.artifact.as_ref());
+    let out = given.iter().any(|f| f == "--out");
+    for flag in given {
+        let read = match flag.as_str() {
+            "--seed" | "--json" | "--threads" | "--quiet" | "--trace" => true,
+            "--out" => artifact.is_some(),
+            "--sched" => out && artifact.is_some_and(|a| a.sched),
+            "--no-cache" => exp.is_some_and(|e| e.reads_cache),
+            _ => false,
+        };
+        if !read {
+            return Err(format!("`run {}` does not read `{flag}`", id.unwrap_or("")));
+        }
     }
+    Ok(())
 }
 
-/// Run one experiment and print its report. An error (a failed run, or
-/// an `--out` file that cannot be written) is returned as the message to
-/// print; the process then exits non-zero.
-fn run_experiment(
-    id: &str,
+/// Run one experiment: its table configuration at `seed`, or with `out`
+/// its artifact cell. `Err` is the line naming the failure.
+fn run_one(
+    exp: &Experiment,
     seed: u64,
     json: bool,
-    threads: usize,
-    cache: bool,
     out: Option<&str>,
-    sched: Scheduling,
+    env: &Env,
 ) -> Result<(), String> {
+    let id = exp.id;
     if !json {
-        let title = EXPERIMENTS
-            .iter()
-            .find(|(e, _)| e == &id)
-            .map(|(_, t)| *t)
-            .unwrap_or("");
         event!(
             Level::Info,
             "experiment.start",
             id = id,
-            title = title,
+            title = exp.title(),
             seed = seed
         );
     }
-    let runner = ParRunner::new(threads);
-    match id {
-        "f1" => sweep(&runner, json, vec![8usize, 32], |n| {
-            run_surveillance(n, 300, seed)
-        }),
-        "e1" => sweep(&runner, json, E1Arm::all().to_vec(), |arm| {
-            run_e1(arm, 12, 12, 100, seed)
-        }),
-        "e2" => sweep(&runner, json, E2Arm::all().to_vec(), |arm| {
-            run_e2(arm, 16, 80, seed)
-        }),
-        "e2d" => sweep(&runner, json, E2dArm::all().to_vec(), |arm| {
-            run_e2d(arm, 400, 0.3, seed)
-        }),
-        "e3" => sweep(&runner, json, E3Arm::all().to_vec(), |arm| {
-            run_e3(arm, 12, 0.3, 100, seed)
-        }),
-        "e4" => sweep(&runner, json, E4Arm::all().to_vec(), |arm| {
-            run_e4(arm, 6, 2.5, 10.0, 50, seed)
-        }),
-        "e5" => {
-            let mut cells = Vec::new();
-            for corrupted in 0..=2usize {
-                for arm in E5Arm::all() {
-                    cells.push((arm, corrupted));
-                }
-            }
-            sweep(&runner, json, cells, |(arm, corrupted)| {
-                run_e5(arm, corrupted, 400, seed)
-            });
-        }
-        "e6" => sweep(&runner, json, E6Arm::all().to_vec(), |arm| {
-            run_e6(arm, 6, 40, 60, seed)
-        }),
-        "e7" => {
-            let mut cells = Vec::new();
-            for pathway in Pathway::all() {
-                for guarded in [false, true] {
-                    cells.push((pathway, guarded));
-                }
-            }
-            sweep(&runner, json, cells, |(pathway, guarded)| {
-                run_e7(pathway, guarded, 4, 100, seed)
-            });
-        }
-        "e8" => sweep(&runner, json, ContagionArm::all().to_vec(), |arm| {
-            run_contagion(arm, 16, 40, seed)
-        }),
-        "a1" => sweep(&runner, json, GuardMask::all().to_vec(), |mask| {
-            run_a1(mask, 60, seed)
-        }),
-        "a3" => sweep(&runner, json, vec![0.0f64, 0.01, 0.05, 0.2], |p| {
-            run_a3(p, 5, 200, seed)
-        }),
-        "e9" => {
-            emit(json, &run_e9(100, seed));
-        }
-        "e10" => {
-            // 600 ticks matches the bench table; shorter trials are too
-            // noisy for a single-digit-percent overhead measurement. Timing
-            // experiments never go through the fan-out pool.
-            emit(json, &run_e10(8, 600, TRACE_RING_CAPACITY, seed));
-        }
-        "e11" => {
-            emit(
-                json,
-                &run_e11(&[8, 24, 48, 96], &[1, 2, 4, 8], 200, seed, cache),
-            );
-        }
-        "e12" => {
-            let cfg = E12Config {
-                seed,
-                threads,
-                ..E12Config::default()
-            };
-            if let Some(path) = out {
-                // Smoke mode for CI: run the canonical lossy cell only and
-                // write its sealed ledger for the byte-for-byte determinism
-                // check across thread counts.
-                let (report, ledger) = run_e12_cell(&cfg, 0.3, 30, FailMode::Closed);
-                fs::write(path, ledger.to_jsonl())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                emit(json, &report);
-            } else {
-                emit(
-                    json,
-                    &run_e12(&cfg, &[0.0, 0.1, 0.3, 0.6], &[0, 20, 60], threads),
+    let (report, verdict) = match (out, &exp.artifact) {
+        (Some(path), Some(artifact)) => {
+            let report =
+                (artifact.write)(seed, env, path).map_err(|e| format!("{id} failed: {e}"))?;
+            if !json {
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(&report).expect("renderable report")
                 );
             }
+            (report, Ok(()))
         }
-        "e13" => {
-            emit(
-                json,
-                &run_e13(&E13Config {
-                    seed,
-                    threads,
-                    ..E13Config::default()
-                }),
-            );
+        _ => {
+            let outcome = exp
+                .run(Scale::Table(seed), env, !json)
+                .map_err(|e| format!("{id} failed: {e}"))?;
+            (outcome.report, outcome.verdict)
         }
-        "e14" => {
-            let cfg = E14Config {
-                seed,
-                threads,
-                ..E14Config::default()
-            };
-            if let Some(path) = out {
-                // Record mode for `trace-analyze` and CI: run the fully
-                // traced variant once and write its record stream as JSONL.
-                let (report, records) = run_e14_mode(&cfg, TraceMode::Full);
-                fs::write(path, telemetry::export_jsonl(&records))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                emit(json, &report);
-            } else {
-                emit(json, &run_e14(&cfg));
-            }
-        }
-        "e15" => {
-            let cfg = E15Config {
-                seed,
-                threads,
-                ..E15Config::default()
-            };
-            if let Some(path) = out {
-                // Smoke mode for CI: run the canonical skewed cell only
-                // (Zipf 1.2, smoke shape) under the requested `--sched`
-                // and write its sealed ledger — CI `cmp`s the static and
-                // balanced files byte for byte.
-                let cfg = E15Config {
-                    seed,
-                    threads,
-                    ..E15Config::smoke()
-                };
-                let cell_threads = if threads == 0 { 3 } else { threads };
-                let (report, ledger) = run_e15_cell(&cfg, 1.2, sched, cell_threads);
-                fs::write(path, ledger.to_jsonl())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                emit(json, &report);
-            } else {
-                emit(json, &run_e15(&cfg));
-            }
-        }
-        "e16" => {
-            if let Some(path) = out {
-                // Smoke mode for CI: run the canonical rotating cell only
-                // (one budget, smoke shape) under the requested `--sched`,
-                // sweep every kill point against it, and write the golden
-                // sealed segment files — CI `cmp`s the static and balanced
-                // families byte for byte and `verify`s the chain.
-                let cfg = E16Config {
-                    seed,
-                    threads,
-                    ..E16Config::smoke()
-                };
-                let (report, ledger) = run_e16_cell(&cfg, cfg.budgets[0], sched);
-                write_segments(path, &ledger.to_jsonl_segments())?;
-                emit(json, &report);
-            } else {
-                let cfg = E16Config {
-                    seed,
-                    threads,
-                    ..E16Config::default()
-                };
-                emit(json, &run_e16(&cfg));
-            }
-        }
-        "e17" => {
-            // The TCP sweep drives its own loopback threads; `threads` (the
-            // in-service worker pool) stays 1 so the ledger matches the
-            // golden in-process run byte for byte.
-            let report = run_e17(&E17Config {
-                seed,
-                ..E17Config::default()
-            })
-            .map_err(|e| format!("e17 failed: {e}"))?;
-            emit(json, &report);
-        }
-        _ => unreachable!("validated above"),
+    };
+    if json {
+        println!(
+            "{}",
+            serde_json::to_string(&report).expect("renderable report")
+        );
     }
-    Ok(())
+    verdict.map_err(|e| format!("{id} failed: {e}"))
 }

@@ -26,6 +26,7 @@
 //! | [`net`] | `apdm-net` | VI at the I/O boundary — framed TCP transport, fail-closed codec, E17 harness |
 //! | [`sim`] | `apdm-sim` | I–II — the coalition world and experiments |
 //! | [`core`] | `apdm-core` | everything — `SafetyKernel`, `AutonomicManager` |
+//! | [`experiments`] | — | every experiment of `EXPERIMENTS.md`: configs, runs, tables, acceptance |
 //!
 //! # Quickstart
 //!
@@ -53,6 +54,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod experiments;
 
 pub use apdm_comms as comms;
 pub use apdm_core as core;

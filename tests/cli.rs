@@ -1,6 +1,7 @@
 //! The experiment CLI's exit status: `run <id>` fails when the experiment
 //! fails or its `--out` file cannot be written, and a malformed command
-//! line is rejected before anything runs.
+//! line, or a flag the chosen experiment never reads, is rejected before
+//! anything runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -116,6 +117,33 @@ fn help_prints_usage_and_succeeds_without_running() {
             stdout.contains("checkpoint [--seed N]"),
             "{args:?}: {stdout}"
         );
+        assert_eq!(listing(&dir), Vec::<String>::new(), "{args:?} wrote files");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_rejects_flags_the_experiment_never_reads() {
+    let dir = scratch("unread");
+    let out = dir.join("x.json");
+    let out = out.to_str().expect("utf-8 path");
+    for args in [
+        &["run", "e1", "--out", out][..],
+        &["run", "e13", "--no-cache"],
+        &["run", "e15", "--sched", "static"],
+        &["run", "e12", "--sched", "static", "--out", out],
+        &["run", "all", "--out", out],
+        &["run", "e1", "--smoke"],
+    ] {
+        let run = run_in(&dir, args);
+        assert!(
+            !run.status.success(),
+            "{args:?}: exit status {:?}",
+            run.status
+        );
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: stderr {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?}: ran anyway");
         assert_eq!(listing(&dir), Vec::<String>::new(), "{args:?} wrote files");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,214 +1,111 @@
-//! Shape assertions for every experiment in DESIGN.md §3: running
-//! `cargo test` re-validates the reproduction's claims end to end.
-//! (`cargo bench` regenerates the full numeric tables.)
+//! Shape checks for the experiment registry: every entry with a smoke
+//! configuration runs it and must meet its acceptance predicate, and the
+//! registry, `EXPERIMENTS.md` and `apdm-experiments list` name the same
+//! experiments. (`cargo bench --bench experiments` runs the full tables.)
 
-use apdm::sim::faults::Pathway;
-use apdm::sim::runner::*;
+use std::collections::BTreeSet;
+use std::process::Command;
+
+use apdm::experiments::{find, Env, Scale, EXPERIMENTS};
+
+/// Run `id`'s smoke configuration and fail with its broken claim.
+fn meets_acceptance(id: &str) {
+    let exp = find(id).unwrap_or_else(|| panic!("no registry entry `{id}`"));
+    let outcome = exp
+        .run(Scale::Smoke, &Env::default(), false)
+        .unwrap_or_else(|e| panic!("{id}: {e}"));
+    if let Err(claim) = outcome.verdict {
+        panic!("{id}: {claim}");
+    }
+}
+
+/// One `#[test]` per entry with a smoke configuration, so the harness runs
+/// them in parallel and names every failing id; [`SHAPE_TESTED`] lists the
+/// ids for the completeness check below.
+macro_rules! shape_tests {
+    ($($name:ident => $id:literal,)*) => {
+        $(
+            #[test]
+            fn $name() {
+                meets_acceptance($id);
+            }
+        )*
+        const SHAPE_TESTED: &[&str] = &[$($id),*];
+    };
+}
+
+shape_tests! {
+    e1_preaction_checks => "e1",
+    e2_statespace_checks => "e2",
+    e3_deactivation => "e3",
+    e4_formation_checks => "e4",
+    e5_governance => "e5",
+    e6_utility_gradients => "e6",
+    e7_pathways => "e7",
+    e8_contagion_throttles => "e8",
+    a1_guard_stack_ablation => "a1",
+    a3_tamper_proofness_is_load_bearing => "a3",
+    e13_serving_under_load => "e13",
+    e15_skew_scheduling => "e15",
+    e16_crash_tolerance => "e16",
+    e17_networked_serving => "e17",
+}
 
 #[test]
-fn e1_preaction_checks() {
-    let rows: Vec<E1Report> = E1Arm::all()
+fn every_smoke_configuration_has_a_shape_test() {
+    let smoke: BTreeSet<&str> = EXPERIMENTS
         .iter()
-        .map(|&a| run_e1(a, 12, 12, 80, 2))
+        .filter(|e| e.has_smoke())
+        .map(|e| e.id)
         .collect();
-    let (none, pre, look, oblig) = (&rows[0], &rows[1], &rows[2], &rows[3]);
-    // Paper: a set of properly defined checks stops direct harm...
-    assert!(none.direct_harms > 0);
-    assert_eq!(pre.direct_harms, 0);
-    // ...but "the pre-action check may fail in some cases" on indirect harm...
-    assert!(pre.indirect_harms > 0);
-    // ...which prediction or obligations close.
-    assert_eq!(look.indirect_harms, 0);
-    assert_eq!(oblig.indirect_harms, 0);
-    // Obligations keep availability above prediction-based denial.
-    assert!(oblig.availability >= look.availability);
+    let tested: BTreeSet<&str> = SHAPE_TESTED.iter().copied().collect();
+    assert_eq!(smoke, tested, "entries with a smoke config vs shape tests");
 }
 
 #[test]
-fn e2_statespace_checks() {
-    let none = run_e2(E2Arm::NoGuard, 12, 60, 3);
-    let hard = run_e2(E2Arm::HardCheck, 12, 60, 3);
-    let ont = run_e2(E2Arm::OntologyRisk, 12, 60, 3);
-    let bg = run_e2(E2Arm::BreakGlass, 12, 60, 3);
-    assert!(none.bad_entries > 0);
-    assert!(hard.bad_entries < none.bad_entries);
-    assert!(hard.frozen_steps > 0, "forced dilemmas freeze a hard check");
-    // The ontology resolves dilemmas toward less-bad states: fewer worst-class
-    // entries per bad entry than the unguarded walk.
-    let ont_worst_ratio = ont.worst_entries as f64 / ont.bad_entries.max(1) as f64;
-    let none_worst_ratio = none.worst_entries as f64 / none.bad_entries.max(1) as f64;
-    assert!(ont_worst_ratio <= none_worst_ratio);
-    // Break-glass escapes exist and every one is audited.
-    assert!(bg.breakglass_grants > 0);
+fn registry_ids_are_unique() {
+    let mut seen = BTreeSet::new();
+    for e in EXPERIMENTS {
+        assert!(seen.insert(e.id), "duplicate registry id `{}`", e.id);
+    }
 }
 
 #[test]
-fn e3_deactivation() {
-    let none = run_e3(E3Arm::NoContainment, 12, 0.25, 80, 4);
-    let quorum = run_e3(E3Arm::QuorumKill, 12, 0.25, 80, 4);
-    assert!(none.harms > 0);
-    assert!(none.containment_tick.is_none());
-    assert!(
-        quorum.containment_tick.is_some(),
-        "quorum contains the rogues"
-    );
-    assert!(quorum.harms <= none.harms);
-    assert!(quorum.availability > 0.5, "healthy devices mostly survive");
-}
-
-#[test]
-fn e4_formation_checks() {
-    let none = run_e4(E4Arm::NoCheck, 6, 2.5, 10.0, 40, 5);
-    let formation = run_e4(E4Arm::FormationCheck, 6, 2.5, 10.0, 40, 5);
-    let collab = run_e4(E4Arm::Collaborative, 6, 2.5, 10.0, 40, 5);
-    // Individually-good devices are collectively harmful without checks.
-    assert!(none.aggregate_harms > 0);
-    assert_eq!(formation.aggregate_harms, 0);
-    assert_eq!(collab.aggregate_harms, 0);
-    // Formation refuses members; collaboration admits all and still is safe.
-    assert!(formation.refused > 0);
-    assert_eq!(collab.admitted, 6);
-}
-
-#[test]
-fn e5_governance() {
-    // One corrupted collective: solo executes malevolence, 2-of-3 blocks all.
-    let solo = run_e5(E5Arm::ExecutiveOnly, 1, 300, 6);
-    let tri = run_e5(E5Arm::Tripartite, 1, 300, 6);
-    assert!(solo.malevolent_executed as f64 > 0.4 * solo.decisions as f64);
-    assert_eq!(tri.malevolent_executed, 0);
-    assert_eq!(tri.false_blocks, 0);
-    // The paper's boundary: two corrupted collectives defeat 2-of-3.
-    let tri2 = run_e5(E5Arm::Tripartite, 2, 300, 6);
-    assert!(tri2.malevolent_executed > 0);
-}
-
-#[test]
-fn e6_utility_gradients() {
-    for dims in [4usize, 6, 8] {
-        let oracle = run_e6(E6Arm::ExactOracle, dims, 30, 60, 7);
-        let gradient = run_e6(E6Arm::GradientUtility, dims, 30, 60, 7);
-        let random = run_e6(E6Arm::Random, dims, 30, 60, 7);
-        // Gradient utility significantly reduces harm relative to random...
+fn every_experiments_md_heading_has_exactly_one_entry() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    // `## E2-D — ...` names the entry `e2d`; headings without an id
+    // (`## Reproduction verdict`) are prose.
+    let headings: Vec<String> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .filter_map(|h| h.split_once(" — ").map(|(id, _)| id))
+        .map(|id| id.to_lowercase().replace('-', ""))
+        .collect();
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    for heading in &headings {
+        let n = ids.iter().filter(|&&id| id == heading).count();
+        assert_eq!(n, 1, "EXPERIMENTS.md heading `{heading}` has {n} entries");
+    }
+    for id in &ids {
         assert!(
-            gradient.harm_probability < 0.5 * random.harm_probability,
-            "dims={dims}: gradient {} vs random {}",
-            gradient.harm_probability,
-            random.harm_probability
-        );
-        // ...but is "not an absolute fool-proof mechanism" (Section VII):
-        // it cannot beat full knowledge by construction.
-        assert!(gradient.harm_probability + 1e-9 >= oracle.harm_probability - 0.05);
-    }
-}
-
-#[test]
-fn e7_pathways() {
-    for pathway in Pathway::all() {
-        let unguarded = run_e7(pathway, false, 4, 80, 8);
-        assert!(
-            unguarded.first_harm_tick.is_some(),
-            "pathway {} must harm an unguarded fleet",
-            pathway.name()
-        );
-    }
-    // Guards hold against all pathways that do not attack the guard layer.
-    for pathway in [
-        Pathway::LearningMistake,
-        Pathway::AdversarialMl,
-        Pathway::InappropriateEmulation,
-        Pathway::MaliciousActor,
-        Pathway::HumanError,
-    ] {
-        let guarded = run_e7(pathway, true, 4, 80, 8);
-        assert_eq!(
-            guarded.harms,
-            0,
-            "guards should hold against {}",
-            pathway.name()
-        );
-    }
-    // The backdoor pathway attacks the guards themselves and eventually wins
-    // — the paper's argument for why backdoors are "perhaps misguided".
-    let backdoor = run_e7(Pathway::Backdoor, true, 4, 600, 8);
-    assert!(backdoor.harms > 0, "a tamperable guard eventually falls");
-}
-
-#[test]
-fn e8_contagion_throttles() {
-    use apdm::sim::contagion::{run_contagion, ContagionArm};
-    let open = run_contagion(ContagionArm::OpenExchange, 12, 30, 11);
-    let phys = run_contagion(ContagionArm::PhysicalBlocked, 12, 30, 11);
-    let ack = run_contagion(ContagionArm::HumanAck, 12, 30, 11);
-    let blk = run_contagion(ContagionArm::HumanAckBlacklist, 12, 30, 11);
-    assert_eq!(open.infected, 12, "unthrottled gossip converts everyone");
-    assert_eq!(
-        phys.infected, 6,
-        "physical-blocking caps at the org boundary"
-    );
-    assert_eq!(phys.benign_coverage, 12, "without starving benign updates");
-    assert_eq!(
-        ack.infected, 12,
-        "per-offer review loses to repeated exposure"
-    );
-    assert!(blk.infected < 4, "indicator sharing stops the epidemic");
-}
-
-#[test]
-fn a1_guard_stack_ablation() {
-    let full = GuardMask {
-        preaction: true,
-        statecheck: true,
-        deactivation: true,
-        formation: true,
-    };
-    let none = GuardMask {
-        preaction: false,
-        statecheck: false,
-        deactivation: false,
-        formation: false,
-    };
-    let r_full = run_a1(full, 50, 9);
-    let r_none = run_a1(none, 50, 9);
-    assert!(r_none.total > 0);
-    assert!(r_full.total < r_none.total);
-    assert_eq!(r_full.direct, 0, "pre-action stops strikes");
-    // Mechanisms are complementary: no single guard equals the full stack.
-    for single in [
-        GuardMask {
-            preaction: true,
-            ..none
-        },
-        GuardMask {
-            statecheck: true,
-            ..none
-        },
-        GuardMask {
-            deactivation: true,
-            ..none
-        },
-        GuardMask {
-            formation: true,
-            ..none
-        },
-    ] {
-        let r = run_a1(single, 50, 9);
-        assert!(
-            r.total >= r_full.total,
-            "single guard {} ({} harms) should not beat the full stack ({})",
-            r.mask,
-            r.total,
-            r_full.total
+            headings.iter().any(|h| h == id),
+            "registry entry `{id}` has no EXPERIMENTS.md heading"
         );
     }
 }
 
 #[test]
-fn a3_tamper_proofness_is_load_bearing() {
-    let solid = run_a3(0.0, 5, 150, 10);
-    let leaky = run_a3(0.02, 5, 150, 10);
-    let sieve = run_a3(0.2, 5, 150, 10);
-    assert_eq!(solid.harms, 0, "tamper-proof guards never fall");
-    assert!(leaky.harms > 0);
-    assert!(sieve.first_harm_tick.unwrap() <= leaky.first_harm_tick.unwrap());
+fn list_prints_every_entry() {
+    let out = Command::new(env!("CARGO_BIN_EXE_apdm-experiments"))
+        .arg("list")
+        .output()
+        .expect("spawn apdm-experiments");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    let listed: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+        .collect();
+    let ids: Vec<String> = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
+    assert_eq!(listed, ids);
 }
