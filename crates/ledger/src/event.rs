@@ -180,11 +180,60 @@ pub struct DeviceSnap {
     pub tamper: Value,
 }
 
+/// A JSON fragment held as its canonical compact text: the bytes
+/// [`serde_json::to_string_via_value`] renders for some [`Value`].
+///
+/// A snapshot's payloads are written once, when the frame is taken, and
+/// read back only on resume, so the frame keeps their text rather than a
+/// [`Value`] tree: appending, hashing or exporting the frame copies the
+/// text verbatim, and dropping it frees one `String`. The only ways in are
+/// [`RawJson::of`] (the streaming writer) and [`Deserialize`] (which
+/// re-renders a parsed value), so the text is always canonical and a frame
+/// serializes to the same bytes whichever way it was built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawJson(String);
+
+impl RawJson {
+    /// The compact JSON of `value`, written once.
+    pub fn of<T: Serialize + ?Sized>(value: &T) -> Self {
+        let mut text = String::new();
+        value.write_json(&mut text);
+        RawJson(text)
+    }
+
+    /// Parse the fragment as a `T`.
+    pub fn parse<T: Deserialize>(&self) -> Result<T, serde_json::Error> {
+        serde_json::from_str(&self.0)
+    }
+}
+
+impl Serialize for RawJson {
+    /// Parses the text back. A fragment of a parsed document nests no
+    /// deeper than the parser allows, so this fails only for a fragment
+    /// [`of`](RawJson::of) an in-memory value nested past
+    /// `serde_json::MAX_DEPTH`.
+    fn to_value(&self) -> Value {
+        self.parse()
+            .expect("a RawJson holds the canonical JSON of a Value")
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+}
+
+impl Deserialize for RawJson {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        Ok(RawJson::of(value))
+    }
+}
+
 /// A checkpoint: everything needed to resume a run at `tick + 1`.
 ///
-/// World and metrics are stored as opaque [`serde::Value`] trees so this
-/// crate does not depend on the sim layer; the sim re-hydrates them with
-/// its own `Deserialize` impls.
+/// World and metrics are embedded as canonical JSON text ([`RawJson`]) so
+/// this crate does not depend on the sim layer and a rotation builds no
+/// tree; the owning layer parses them with its own `Deserialize` impls on
+/// resume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotFrame {
     /// Tick *after* which the frame was taken (resume at `tick + 1`).
@@ -192,9 +241,9 @@ pub struct SnapshotFrame {
     /// The run RNG's four xoshiro256++ state words.
     pub rng: [u64; 4],
     /// Serialized `World`.
-    pub world: Value,
+    pub world: RawJson,
     /// Serialized run `Metrics`.
-    pub metrics: Value,
+    pub metrics: RawJson,
     /// Per-device state in id order.
     pub devices: Vec<DeviceSnap>,
 }
@@ -242,8 +291,8 @@ mod tests {
             RunEvent::Snapshot(SnapshotFrame {
                 tick: 10,
                 rng: [1, 2, 3, 4],
-                world: Value::Null,
-                metrics: Value::Null,
+                world: RawJson::of(&()),
+                metrics: RawJson::of(&()),
                 devices: vec![DeviceSnap {
                     id: 0,
                     values: vec![0.5],
@@ -274,6 +323,58 @@ mod tests {
         }
     }
 
+    /// Values whose canonical text exercises every token writer: edge
+    /// floats (non-finite ones render as `null`), integers past `i64`,
+    /// escaped and non-ASCII strings, empty and nested containers.
+    fn fragments() -> Vec<Value> {
+        let floats = [-0.0, 1e21, 5e-324, 0.1, f64::NAN, f64::NEG_INFINITY, 2.0];
+        vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(i64::MIN),
+            Value::UInt(u64::MAX),
+            Value::Str("\"q\"\\\n\u{1}\u{7f}é😀".into()),
+            Value::Seq(floats.iter().map(|&f| Value::Float(f)).collect()),
+            Value::Map(vec![
+                ("".into(), Value::Map(Vec::new())),
+                ("k\"ey".into(), Value::Seq(vec![Value::Seq(Vec::new())])),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn raw_json_is_the_reference_encoding() {
+        for value in fragments() {
+            let raw = RawJson::of(&value);
+            assert_eq!(raw.0, serde_json::to_string_via_value(&value).unwrap());
+            assert_eq!(serde_json::to_string_via_value(&raw).unwrap(), raw.0);
+        }
+        let device = DeviceSnap {
+            id: 3,
+            values: vec![0.5, -0.0],
+            active: false,
+            x: i32::MIN,
+            y: 4,
+            tamper: Value::Str("x".into()),
+        };
+        let raw = RawJson::of(&device);
+        assert_eq!(raw.0, serde_json::to_string_via_value(&device).unwrap());
+        assert_eq!(raw.parse::<DeviceSnap>().unwrap(), device);
+    }
+
+    #[test]
+    fn raw_json_from_a_parsed_value_writes_its_source_text() {
+        for value in fragments() {
+            let text = serde_json::to_string(&value).unwrap();
+            let parsed: Value = serde_json::from_str(&text).unwrap();
+            let raw = RawJson::from_value(&parsed).unwrap();
+            let mut written = String::new();
+            raw.write_json(&mut written);
+            assert_eq!(written, text);
+            assert_eq!(raw.to_value(), parsed);
+        }
+    }
+
     #[test]
     fn kind_tags_are_stable() {
         assert_eq!(
@@ -291,8 +392,8 @@ mod tests {
         assert!(RunEvent::Snapshot(SnapshotFrame {
             tick: 0,
             rng: [0; 4],
-            world: Value::Null,
-            metrics: Value::Null,
+            world: RawJson::of(&()),
+            metrics: RawJson::of(&()),
             devices: vec![],
         })
         .is_snapshot());

@@ -446,6 +446,7 @@ impl fmt::Display for Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::RawJson;
     use serde::Value;
 
     fn sample() -> Ledger {
@@ -670,8 +671,8 @@ mod tests {
             RunEvent::Snapshot(SnapshotFrame {
                 tick,
                 rng: [0; 4],
-                world: Value::Null,
-                metrics: Value::Null,
+                world: RawJson::of(&()),
+                metrics: RawJson::of(&()),
                 devices: vec![],
             })
         };

@@ -71,7 +71,7 @@ pub mod name;
 pub mod replay;
 pub mod segment;
 
-pub use event::{DeviceSnap, RunEvent, SnapshotFrame};
+pub use event::{DeviceSnap, RawJson, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
 pub use name::{Name, NamePool};
 pub use replay::{Divergence, ReplayReport, Replayer, StreamReplayer};

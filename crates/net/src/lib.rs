@@ -68,7 +68,8 @@
 //! assert_eq!(outcome.drops, 0);
 //! ```
 //!
-//! Participates in experiment **E17** (`bench_e17_net` →
+//! Participates in experiment **E17** (`apdm-experiments run e17`, the
+//! `e17` entry of the `apdm::experiments` registry, whose table run writes
 //! `BENCH_e17_net.json`); the multi-process variant is exercised by the
 //! `serve-net` CLI subcommand and the CI smoke.
 

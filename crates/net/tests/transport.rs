@@ -10,11 +10,13 @@ use std::time::{Duration, Instant};
 
 use apdm_guards::GuardVerdict;
 use apdm_ledger::RunEvent;
-use apdm_net::frame::{encode, read_frame, write_frame, Frame, FrameType, ReadOutcome};
+use apdm_net::frame::{
+    encode, read_frame, write_frame, Frame, FrameType, ReadOutcome, MAX_PAYLOAD,
+};
 use apdm_net::wire::{decode_payload, encode_payload};
 use apdm_net::{
-    connect_with_retry, run_workload_client, serve, DecisionSnap, E17Config, HelloPayload,
-    NetServerConfig, ReqSnap, Role, ServeOutcome, TickPayload,
+    close_code, connect_with_retry, run_workload_client, serve, DecisionSnap, E17Config,
+    ErrorPayload, HelloPayload, NetServerConfig, ReqSnap, Role, ServeOutcome, TickPayload,
 };
 use apdm_serve::{
     standard_stacks, DecisionRequest, PolicyDecisionService, WorkloadGen, WorkloadOracle,
@@ -253,6 +255,47 @@ fn peer_mid_frame_at_shutdown_is_audited_as_one_stalled_drop() {
         "{subject}: expected a stalled drop, got {terminals:?}"
     );
     assert_eq!(outcome.drops, 1);
+    assert!(outcome.audit.verify().is_ok());
+}
+
+/// A `Hello` whose payload is the largest the frame codec allows, all
+/// `[`, behind a valid CRC: decoding it must fail with an error rather
+/// than recurse once per byte and abort the server on a stack overflow.
+/// The server drops that peer as malformed and still serves the run.
+#[test]
+fn deeply_nested_hello_is_dropped_and_the_run_completes() {
+    let cfg = E17Config {
+        arrival_ticks: 4,
+        per_tick: 2,
+        ..E17Config::default()
+    };
+    let (addr, server) = start_server(&cfg, cfg.net_config(1));
+
+    let mut hostile = connect_with_retry(&addr, 50, Duration::from_millis(100)).expect("connect");
+    let payload = vec![b'['; MAX_PAYLOAD as usize];
+    write_frame(&mut hostile, &Frame::new(FrameType::Hello, payload)).expect("write hello");
+    let reply = next_frame(&mut hostile);
+    assert_eq!(reply.frame_type, FrameType::Error);
+    let error: ErrorPayload = decode_payload(&reply.payload).expect("error payload");
+    assert_eq!(error.code, close_code::MALFORMED, "{error:?}");
+
+    let report = run_workload_client(&addr, cfg.spec(), 0, 1, None, DEADLINE).expect("client");
+    let outcome = server.join().expect("server thread").expect("served run");
+    assert_eq!(report.decisions.len() as u64, report.sent);
+    assert!(outcome.ledger.verify().is_ok());
+    assert_eq!(outcome.drops, 1);
+    let drops: Vec<String> = outcome
+        .audit
+        .records()
+        .iter()
+        .filter_map(|r| match &r.event {
+            RunEvent::Audit(entry) if entry.detail.starts_with("drop ") => {
+                Some(entry.detail.clone())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(drops, ["drop code=2 (malformed): bad hello"]);
     assert!(outcome.audit.verify().is_ok());
 }
 

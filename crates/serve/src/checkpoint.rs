@@ -18,14 +18,15 @@
 //!
 //! The serving layer has no RNG and no world model, so the frame's `rng`,
 //! `metrics` and `devices` fields are zeroed/empty; the checkpoint rides
-//! entirely in `world`.
+//! entirely in `world`, as JSON text written once at rotation and parsed
+//! only on resume.
 
 use apdm_guards::{GuardVerdict, VerdictCache};
-use apdm_ledger::{LedgerError, SnapshotFrame};
+use apdm_ledger::{LedgerError, RawJson, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::State;
 use apdm_telemetry::TraceContext;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::request::{DecisionRequest, TenantId};
 use crate::service::ServeStats;
@@ -182,15 +183,15 @@ pub struct ServeCheckpoint {
     pub caches: Vec<Option<CacheSnap>>,
 }
 
-/// A ledger [`SnapshotFrame`] carrying a checkpoint's `world` tree. The
-/// serving layer draws no randomness and owns no world/device state, so
-/// those frame fields are zeroed; the checkpoint rides in `world`.
-fn frame(tick: u64, world: Value) -> SnapshotFrame {
+/// A ledger [`SnapshotFrame`] carrying a checkpoint as its `world` text.
+/// The serving layer draws no randomness and owns no world/device state,
+/// so those frame fields are zeroed; the checkpoint rides in `world`.
+fn frame(tick: u64, world: RawJson) -> SnapshotFrame {
     SnapshotFrame {
         tick,
         rng: [0; 4],
         world,
-        metrics: Value::Null,
+        metrics: RawJson::of(&()),
         devices: Vec::new(),
     }
 }
@@ -198,20 +199,22 @@ fn frame(tick: u64, world: Value) -> SnapshotFrame {
 impl ServeCheckpoint {
     /// Package the checkpoint as a ledger [`SnapshotFrame`].
     pub fn to_frame(&self) -> SnapshotFrame {
-        frame(self.tick, self.to_value())
+        frame(self.tick, RawJson::of(self))
     }
 
     /// Rebuild a checkpoint from a ledger frame written by
     /// [`to_frame`](ServeCheckpoint::to_frame) or by a rotating service.
     pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, LedgerError> {
-        ServeCheckpoint::from_value(&frame.world)
+        frame
+            .world
+            .parse()
             .map_err(|e| LedgerError::Snapshot(format!("serve checkpoint: {e}")))
     }
 }
 
 // Borrowed mirrors of the checkpoint types over a live service. A rotation
-// serializes these straight from the admission lanes and memo caches, so
-// the frame's `world` tree is the only copy of that state ever built. Each
+// writes these straight from the admission lanes and memo caches into the
+// frame's `world` text, so no copy of that state is built on the way. Each
 // mirror lists the same fields in the same order as its owned counterpart,
 // which makes the two serialize identically (the service tests check this
 // through a `from_frame` → `to_frame` round trip).
@@ -300,7 +303,7 @@ impl CheckpointView<'_> {
     /// The ledger frame of this checkpoint, identical to the
     /// [`ServeCheckpoint::to_frame`] of its owned copy.
     pub(crate) fn to_frame(&self) -> SnapshotFrame {
-        frame(self.tick, self.to_value())
+        frame(self.tick, RawJson::of(self))
     }
 }
 
@@ -401,8 +404,8 @@ mod tests {
         let frame = SnapshotFrame {
             tick: 0,
             rng: [0; 4],
-            world: Value::Bool(true),
-            metrics: Value::Null,
+            world: RawJson::of(&true),
+            metrics: RawJson::of(&()),
             devices: Vec::new(),
         };
         assert!(matches!(

@@ -31,7 +31,8 @@
 //!
 //! Recovery work is bounded by the rotation budget: a crash never forces
 //! replay of more than roughly two segments' worth of records (asserted
-//! per crash point by `bench_e16_crash`).
+//! per crash point by the `e16` entry of the `apdm::experiments` registry,
+//! `apdm-experiments run e16`).
 //!
 //! Swept per cell: rotation budget × {static, balanced} scheduling; per
 //! cell: every `crash_stride`-th tick boundary, plus torn-write byte

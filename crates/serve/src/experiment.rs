@@ -8,7 +8,8 @@
 //! in ticks), shed rates by reason, cache hit rates, and the sealed run
 //! ledger's head digest.
 //!
-//! The claims E13 exists to demonstrate (asserted by `bench_e13_serve`):
+//! The claims E13 exists to demonstrate (asserted by the `e13` entry of the
+//! `apdm::experiments` registry, `apdm-experiments run e13`):
 //!
 //! 1. Micro-batching raises sustained throughput at the highest offered
 //!    load (amortized dispatch overhead).

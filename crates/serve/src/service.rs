@@ -610,8 +610,8 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// and deficits, the DRR rotation, the work meter, per-shard
     /// backpressure costs, the batch cursor and the per-shard verdict memo
     /// caches — as of the end of tick `now`, as the ledger frame a rotation
-    /// records. The frame is serialized straight from the live state: its
-    /// `world` tree is the one copy made. [`ServeCheckpoint::from_frame`]
+    /// records. The frame's `world` is JSON text written straight from the
+    /// live state, with no intermediate copy. [`ServeCheckpoint::from_frame`]
     /// reads it back, and a service [`restore`](Self::restore)d from that
     /// resumes at `now + 1` with a bit-identical decision and ledger
     /// future. Thread count, scheduling telemetry and SLO state are

@@ -9,7 +9,8 @@
 //! the deterministic wait overlay), backpressure deferrals, virtual
 //! makespan/steal totals, and the sealed ledger digest.
 //!
-//! The claims E15 exists to demonstrate (asserted by `bench_e15_skew`):
+//! The claims E15 exists to demonstrate (asserted by the `e15` entry of the
+//! `apdm::experiments` registry, `apdm-experiments run e15`):
 //!
 //! 1. Under skew ≥ Zipf(1.0), balanced scheduling reduces the hot shard's
 //!    p99 virtual queue wait versus static scheduling at every thread

@@ -19,8 +19,9 @@
 //! The experiment runs the identical workload in three modes — tracing
 //! [`TraceMode::Disabled`], [`TraceMode::Sampled`] (head-based, one trace
 //! in [`E14Config::sample_period`]), and [`TraceMode::Full`] — and reports
-//! per-mode wall clock, so `bench_e14_tracing` can assert the sampled
-//! overhead stays under its budget. For every recorded trace it rebuilds
+//! per-mode wall clock, so the `e14` entry of the `apdm::experiments`
+//! registry (`apdm-experiments run e14`) can assert the sampled overhead
+//! stays under its budget. For every recorded trace it rebuilds
 //! the span DAG ([`TraceGraph`]), checks that **every parent resolves**
 //! (causality survives loss, duplication and reordering) and that the
 //! critical path **telescopes**: per-step waits sum exactly to the

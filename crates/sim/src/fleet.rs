@@ -5,7 +5,7 @@ use apdm_device::{Device, DeviceId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{DeactivationController, GuardContext, GuardStack, GuardVerdict};
 use apdm_ledger::{
-    DeviceSnap, LedgerError, Name, NamePool, RunEvent, SegmentedRecorder, SnapshotFrame,
+    DeviceSnap, LedgerError, Name, NamePool, RawJson, RunEvent, SegmentedRecorder, SnapshotFrame,
 };
 use apdm_policy::{Action, Event, Obligation, ObligationTrigger};
 use apdm_telemetry as telemetry;
@@ -394,8 +394,8 @@ impl Fleet {
         SnapshotFrame {
             tick,
             rng: rng_words,
-            world: Serialize::to_value(world),
-            metrics: Serialize::to_value(&self.metrics),
+            world: RawJson::of(world),
+            metrics: RawJson::of(&self.metrics),
             devices,
         }
     }
@@ -409,7 +409,9 @@ impl Fleet {
         frame: &SnapshotFrame,
         world: &World,
     ) -> Result<(), LedgerError> {
-        self.metrics = Deserialize::from_value(&frame.metrics)
+        self.metrics = frame
+            .metrics
+            .parse()
             .map_err(|e| LedgerError::Snapshot(format!("metrics: {e}")))?;
         self.harvested_harms = world.harms().len();
         for snap in &frame.devices {

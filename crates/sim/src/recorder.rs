@@ -259,7 +259,9 @@ fn replay_recorded_against(
             let (seq, frame) = reference
                 .latest_snapshot_at_or_before(u64::MAX)
                 .ok_or_else(|| LedgerError::Snapshot("ledger holds no snapshot".into()))?;
-            world = Deserialize::from_value(&frame.world)
+            world = frame
+                .world
+                .parse()
                 .map_err(|e| LedgerError::Snapshot(format!("world: {e}")))?;
             fleet.restore_snapshot(frame, &world)?;
             rng = StdRng::from_state_words(frame.rng);

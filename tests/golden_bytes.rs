@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use serde::{Serialize, Value};
 
 use apdm::guards::GuardVerdict;
-use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RunEvent, SnapshotFrame};
+use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, SnapshotFrame};
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
     run_to_completion, standard_stacks, CacheEntry, CacheSnap, CtxSnap, E16Config, LaneSnap,
@@ -306,8 +306,8 @@ impl Gen {
             11 => RunEvent::Snapshot(SnapshotFrame {
                 tick: self.u64(),
                 rng: [self.u64(), self.u64(), self.u64(), self.u64()],
-                world: self.value(3),
-                metrics: self.value(2),
+                world: RawJson::of(&self.value(3)),
+                metrics: RawJson::of(&self.value(2)),
                 devices: (0..self.below(3))
                     .map(|_| DeviceSnap {
                         id: self.u64(),
@@ -470,11 +470,13 @@ fn edge_values_stream_like_the_value_route() {
     assert_same_bytes(&RunEvent::Snapshot(SnapshotFrame {
         tick: u64::MAX,
         rng: [0, 1, i64::MAX as u64 + 1, u64::MAX],
-        world: Value::Seq(EDGE_FLOATS.iter().map(|&f| Value::Float(f)).collect()),
-        metrics: Value::Map(vec![
+        world: RawJson::of(&Value::Seq(
+            EDGE_FLOATS.iter().map(|&f| Value::Float(f)).collect(),
+        )),
+        metrics: RawJson::of(&Value::Map(vec![
             ("\"quoted\"\n".into(), Value::Int(i64::MIN)),
             ("ünï😀".into(), Value::UInt(u64::MAX)),
-        ]),
+        ])),
         devices: vec![DeviceSnap {
             id: 0,
             values: EDGE_FLOATS.to_vec(),
