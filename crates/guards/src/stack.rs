@@ -192,19 +192,20 @@ impl GuardStack {
     }
 
     /// The verdict cache, for a serving-layer checkpoint of its memo state
-    /// ([`VerdictCache::entries`] and [`VerdictCache::stats`]), or `None`
-    /// when memoization is off.
+    /// ([`VerdictCache::fingerprints`] and [`VerdictCache::stats`]), or
+    /// `None` when memoization is off.
     pub fn verdict_cache(&self) -> Option<&VerdictCache> {
         self.cache.as_ref()
     }
 
     /// Replace the verdict cache with checkpointed state (the inverse of
     /// reading [`verdict_cache`](Self::verdict_cache)). A restored stack
-    /// must resume with the exact memo contents and counters the
-    /// checkpointed one had, or a recovered serving process would meter
-    /// different costs than the uninterrupted run.
-    pub fn restore_cache(&mut self, entries: Vec<(u64, GuardVerdict)>, hits: u64, misses: u64) {
-        self.cache = Some(VerdictCache::restore(entries, hits, misses));
+    /// must resume with the exact memo keys and counters the checkpointed
+    /// one had, or a recovered serving process would meter different costs
+    /// than the uninterrupted run. Verdicts are not needed: each restored
+    /// key's is recomputed on its first check.
+    pub fn restore_cache(&mut self, fps: impl IntoIterator<Item = u64>, hits: u64, misses: u64) {
+        self.cache = Some(VerdictCache::restore(fps, hits, misses));
     }
 
     /// Drop every memoized verdict. Called automatically whenever a
@@ -281,7 +282,9 @@ impl GuardStack {
     ///
     /// With memoization enabled (and the stack [cacheable](Self::with_cache))
     /// a repeated context replays the memoized verdict — including the audit
-    /// entry a Deny/Replace records — without running the sub-guards.
+    /// entry a Deny/Replace records — without running the sub-guards. A
+    /// context whose fingerprint was [restored](Self::restore_cache) counts
+    /// as a hit too; its verdict is computed once, then memoized.
     pub fn check<O: HarmOracle + Copy>(
         &mut self,
         ctx: &GuardContext<'_>,
@@ -309,6 +312,8 @@ impl GuardStack {
             }
             return verdict;
         }
+        // A miss, or a restored key: evaluating records the same audit
+        // entry a replay would, since the verdict depends only on `fp`.
         let verdict = self.check_uncached(ctx, proposed, oracle);
         if let Some(cache) = &mut self.cache {
             cache.store(fp, verdict.clone());

@@ -5,9 +5,11 @@ use proptest::prelude::*;
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{
     AggregateSpec, CollaborativeAssessment, DeactivationController, GuardContext, GuardStack,
-    KillBallot, NoHarmOracle, PreActionCheck, QuorumKillSwitch, StateSpaceGuard,
+    GuardVerdict, HarmOracle, KillBallot, NoHarmOracle, PreActionCheck, QuorumKillSwitch,
+    StateSpaceGuard,
 };
-use apdm_policy::Action;
+use apdm_policy::obligation::ObligationCatalog;
+use apdm_policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm_statespace::{
     Classifier, Region, RegionClassifier, State, StateDelta, StateSchema, VarId,
 };
@@ -197,5 +199,228 @@ proptest! {
         }
         let mut doomed = PreActionCheck::new().with_tamper(TamperStatus::vulnerable(1.0));
         prop_assert!(doomed.attempt_tamper(&mut rng));
+    }
+}
+
+/// A harm oracle for the memo-cache properties: `strike` always harms,
+/// `east` harms at the right edge, and `dig` leaves a hazard (so its
+/// allowed verdicts carry obligations).
+#[derive(Clone, Copy)]
+struct GridOracle;
+
+impl HarmOracle for GridOracle {
+    fn direct_harm(&self, state: &State, action: &Action) -> bool {
+        action.name() == "strike" || (action.name() == "east" && state.values()[0] >= 8.0)
+    }
+    fn creates_hazard(&self, _state: &State, action: &Action) -> bool {
+        action.name() == "dig"
+    }
+}
+
+/// One step of a memo-cache scenario: a check, or a change of one
+/// sub-guard's tamper status (which invalidates the cache).
+#[derive(Debug, Clone)]
+enum Step {
+    Check {
+        subject: usize,
+        cell: (u8, u8),
+        proposed: usize,
+        alternatives: Vec<usize>,
+        world_token: u64,
+    },
+    Tamper {
+        statecheck: bool,
+        status: TamperStatus,
+    },
+}
+
+/// The action menu: few enough that fingerprints repeat often.
+fn grid_action(i: usize) -> Action {
+    let (name, dx, dy) = [
+        ("east", 2.0, 0.0),
+        ("west", -2.0, 0.0),
+        ("north", 0.0, 2.0),
+        ("hold", 0.0, 0.0),
+        ("strike", 0.0, -2.0),
+        ("dig", 2.0, 2.0),
+    ][i];
+    Action::adjust(name, StateDelta::single(VarId(0), dx).and(VarId(1), dy))
+}
+
+fn tamper(i: u8) -> TamperStatus {
+    match i {
+        0 => TamperStatus::Proof,
+        1 => TamperStatus::vulnerable(0.5),
+        _ => TamperStatus::Compromised,
+    }
+}
+
+fn arb_tamper() -> impl Strategy<Value = TamperStatus> {
+    (0u8..3).prop_map(tamper)
+}
+
+/// Mostly checks; about one step in thirteen changes a tamper status.
+fn arb_step() -> impl Strategy<Value = Step> {
+    (
+        0u8..13,
+        0usize..2,
+        (0u8..5, 0u8..5),
+        0usize..6,
+        proptest::collection::vec(0usize..6, 0..3),
+        0u64..2,
+    )
+        .prop_map(
+            |(kind, subject, cell, proposed, alternatives, world_token)| match kind {
+                0 => Step::Tamper {
+                    statecheck: subject == 1,
+                    status: tamper(cell.0 % 3),
+                },
+                _ => Step::Check {
+                    subject,
+                    cell,
+                    proposed,
+                    alternatives,
+                    world_token,
+                },
+            },
+        )
+}
+
+/// A full stack (pre-action check with obligations, state check with a
+/// good square in the middle of the grid) at the given tamper statuses.
+fn grid_stack(pre: TamperStatus, sc: TamperStatus, cache: bool) -> GuardStack {
+    let mut catalog = ObligationCatalog::new();
+    catalog.register("dig", Obligation::after(grid_action(3), 3));
+    let stack = GuardStack::new()
+        .with_preaction(
+            PreActionCheck::new()
+                .with_obligations(catalog)
+                .with_tamper(pre),
+        )
+        .with_statecheck(
+            StateSpaceGuard::new(RegionClassifier::new(Region::rect(&[
+                (2.0, 8.0),
+                (2.0, 8.0),
+            ])))
+            .with_tamper(sc),
+        );
+    if cache {
+        stack.with_cache()
+    } else {
+        stack
+    }
+}
+
+/// Run `steps` (numbered from `first` as ticks) through `stack`, returning
+/// one verdict per check.
+fn run_steps(stack: &mut GuardStack, steps: &[Step], first: usize) -> Vec<GuardVerdict> {
+    let actions: Vec<Action> = (0..6).map(grid_action).collect();
+    let mut verdicts = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        match step {
+            Step::Check {
+                subject,
+                cell,
+                proposed,
+                alternatives,
+                world_token,
+            } => {
+                let state = schema()
+                    .state(&[2.0 * f64::from(cell.0), 2.0 * f64::from(cell.1)])
+                    .unwrap();
+                let alternatives: Vec<&Action> =
+                    alternatives.iter().map(|&a| &actions[a]).collect();
+                let subject = ["d0", "d1"][*subject];
+                let ctx = GuardContext {
+                    tick: (first + i) as u64,
+                    subject,
+                    state: &state,
+                    alternatives: &alternatives,
+                    world_token: *world_token,
+                };
+                verdicts.push(stack.check(&ctx, &actions[*proposed], GridOracle));
+            }
+            Step::Tamper {
+                statecheck: true,
+                status,
+            } => {
+                stack.statecheck_mut().unwrap().set_tamper_status(*status);
+            }
+            Step::Tamper {
+                statecheck: false,
+                status,
+            } => {
+                stack.preaction_mut().unwrap().set_tamper_status(*status);
+            }
+        }
+    }
+    verdicts
+}
+
+/// An audit trail without its per-log sequence numbers.
+fn audit_trail(entries: &[AuditEntry]) -> Vec<(u64, String, AuditKind, String)> {
+    entries
+        .iter()
+        .map(|e| (e.tick, e.subject.clone(), e.kind, e.detail.clone()))
+        .collect()
+}
+
+proptest! {
+    /// The memo cache is invisible: a cached stack renders the verdicts and
+    /// the audit trail of an uncached one, through tamper changes.
+    #[test]
+    fn cached_stack_matches_uncached(
+        pre in arb_tamper(),
+        sc in arb_tamper(),
+        steps in proptest::collection::vec(arb_step(), 1..60),
+    ) {
+        let mut plain = grid_stack(pre, sc, false);
+        let mut cached = grid_stack(pre, sc, true);
+        let expect = run_steps(&mut plain, &steps, 0);
+        let got = run_steps(&mut cached, &steps, 0);
+        prop_assert_eq!(expect, got);
+        prop_assert_eq!(audit_trail(plain.audit().entries()), audit_trail(cached.audit().entries()));
+        let (hits, misses) = cached.cache_stats().unwrap();
+        let checks = steps.iter().filter(|s| matches!(s, Step::Check { .. })).count() as u64;
+        prop_assert_eq!(hits + misses, checks);
+    }
+
+    /// A checkpoint of fingerprints plus counters is enough: a stack
+    /// restored from `fingerprints()` and `stats()` at any cut point
+    /// renders the verdicts, audit entries and `(hits, misses)` of the
+    /// uninterrupted cached stack from that point on.
+    #[test]
+    fn stack_restored_from_fingerprints_matches_the_uninterrupted_one(
+        pre in arb_tamper(),
+        sc in arb_tamper(),
+        steps in proptest::collection::vec(arb_step(), 1..40),
+    ) {
+        for cut in 0..=steps.len() {
+            let (prefix, suffix) = steps.split_at(cut);
+            let mut whole = grid_stack(pre, sc, true);
+            run_steps(&mut whole, prefix, 0);
+            let audited = whole.audit().entries().len();
+            let cache = whole.verdict_cache().unwrap();
+            let (hits, misses) = cache.stats();
+            // The restarted process rebuilds its guards from configuration
+            // (tamper changes included) and restores only the memo keys.
+            let mut restored = grid_stack(pre, sc, true);
+            for step in prefix {
+                if let Step::Tamper { .. } = step {
+                    run_steps(&mut restored, std::slice::from_ref(step), 0);
+                }
+            }
+            restored.restore_cache(cache.fingerprints().collect::<Vec<_>>(), hits, misses);
+
+            let expect = run_steps(&mut whole, suffix, cut);
+            let got = run_steps(&mut restored, suffix, cut);
+            prop_assert_eq!(expect, got, "verdicts after cut {}", cut);
+            prop_assert_eq!(
+                audit_trail(&whole.audit().entries()[audited..]),
+                audit_trail(restored.audit().entries()),
+                "audit after cut {}", cut
+            );
+            prop_assert_eq!(whole.cache_stats(), restored.cache_stats(), "stats after cut {}", cut);
+        }
     }
 }

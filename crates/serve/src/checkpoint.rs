@@ -9,6 +9,25 @@
 //! producing a decision stream and a sealed ledger **bit-identical** to an
 //! uninterrupted run at any thread count (experiment E16 sweeps this).
 //!
+//! **Memo caches are checkpointed as fingerprints.** A shard's
+//! [`CacheSnap`] is its cache's key set in ascending order plus its
+//! lifetime `hits`/`misses`, not the memoized verdicts: a verdict is a pure
+//! function of its fingerprint, and the cache's only effect that must
+//! survive a restart is which checks hit, because hits and misses are
+//! metered at different costs (`cost_hit` / `cost_miss`). On resume a
+//! restored fingerprint counts as a hit, and its verdict is recomputed from
+//! the live request on first use (see
+//! [`VerdictCache`]). This keeps a checkpoint to roughly 20 bytes per
+//! memoized context, where repeating each verdict (Deny/Replace reason
+//! text included) cost several times that.
+//!
+//! **Format version.** Every checkpoint starts with a `format` field,
+//! [`CHECKPOINT_FORMAT`] (2: fingerprint caches). Format 1, which stored
+//! `{fp, verdict}` entries, had no such field. [`ServeCheckpoint::from_frame`]
+//! checks the field before decoding anything else and refuses any other
+//! format with [`CheckpointError::Format`], so recovery can say why it
+//! will not resume instead of quietly restarting the run.
+//!
 //! What is deliberately *not* checkpointed, because it is telemetry rather
 //! than decision state: [`SchedSummary`](crate::SchedSummary) (its
 //! `makespan_units` / `virtual_steals` depend on the thread count, which a
@@ -21,12 +40,14 @@
 //! entirely in `world`, as JSON text written once at rotation and parsed
 //! only on resume.
 
-use apdm_guards::{GuardVerdict, VerdictCache};
-use apdm_ledger::{LedgerError, RawJson, SnapshotFrame};
+use std::fmt;
+
+use apdm_guards::VerdictCache;
+use apdm_ledger::{RawJson, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::State;
 use apdm_telemetry::TraceContext;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::request::{DecisionRequest, TenantId};
 use crate::service::ServeStats;
@@ -135,34 +156,95 @@ pub struct LaneSnap {
     pub queue: Vec<ReqSnap>,
 }
 
-/// One memoized guard verdict: the request fingerprint and the verdict the
-/// stack would replay for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheEntry {
-    /// The guard stack's request fingerprint.
-    pub fp: u64,
-    /// The memoized verdict.
-    pub verdict: GuardVerdict,
-}
-
-/// One shard's guard-verdict memo cache: entries in key order plus the
-/// hit/miss counters (the counters feed the deterministic cost model, so
-/// they are decision state, not telemetry).
+/// One shard's guard-verdict memo cache: its fingerprints in ascending
+/// order plus the hit/miss counters (the counters feed the deterministic
+/// cost model, so they are decision state, not telemetry). Verdicts are
+/// not stored; see the module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnap {
-    /// Memoized verdicts in fingerprint order.
-    pub entries: Vec<CacheEntry>,
+    /// Memoized request fingerprints, ascending.
+    pub fps: Vec<u64>,
     /// Lifetime cache hits.
     pub hits: u64,
     /// Lifetime cache misses.
     pub misses: u64,
 }
 
+impl From<&VerdictCache> for CacheSnap {
+    fn from(cache: &VerdictCache) -> Self {
+        let (hits, misses) = cache.stats();
+        CacheSnap {
+            fps: cache.fingerprints().collect(),
+            hits,
+            misses,
+        }
+    }
+}
+
+/// The checkpoint format this build writes and reads: 2, memo caches as
+/// fingerprints. Format 1 (memo caches as `{fp, verdict}` entries) carried
+/// no `format` field.
+pub const CHECKPOINT_FORMAT: u32 = 2;
+
+/// Why a checkpoint cannot be restored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The checkpoint taken after `tick` is in another format than
+    /// [`CHECKPOINT_FORMAT`]: `found` is its `format` field, or `None` when
+    /// it has none (format 1).
+    Format {
+        /// The frame's tick.
+        tick: u64,
+        /// The `format` field; `None` when absent (or not an unsigned
+        /// integer).
+        found: Option<u64>,
+    },
+    /// The frame does not decode as a checkpoint.
+    Malformed(String),
+    /// The checkpoint decodes but does not fit the service configuration
+    /// it is restored into (shard count, cache count, cache on/off).
+    Mismatch(String),
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::Format { tick, found } => {
+                match found {
+                    None => write!(
+                        f,
+                        "the checkpoint at tick {tick} is serve checkpoint format 1 \
+                         (no `format` field; memo caches stored as verdicts)"
+                    )?,
+                    Some(v) => write!(
+                        f,
+                        "the checkpoint at tick {tick} is serve checkpoint format {v}"
+                    )?,
+                }
+                write!(
+                    f,
+                    ", but this build reads only format {CHECKPOINT_FORMAT} \
+                     (memo caches stored as fingerprints)"
+                )
+            }
+            CheckpointError::Malformed(e) => write!(f, "malformed serve checkpoint: {e}"),
+            CheckpointError::Mismatch(e) => {
+                write!(f, "serve checkpoint does not fit the configuration: {e}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
 /// Everything a [`PolicyDecisionService`](crate::PolicyDecisionService)
 /// needs to resume mid-run with a bit-identical future. See the module
 /// docs for what is deliberately excluded.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeCheckpoint {
+    /// The checkpoint format, [`CHECKPOINT_FORMAT`] for every checkpoint
+    /// this build writes; [`from_frame`](Self::from_frame) refuses others.
+    pub format: u32,
     /// The tick after which the checkpoint was taken; a restored service
     /// resumes at `tick + 1`.
     pub tick: u64,
@@ -204,11 +286,27 @@ impl ServeCheckpoint {
 
     /// Rebuild a checkpoint from a ledger frame written by
     /// [`to_frame`](ServeCheckpoint::to_frame) or by a rotating service.
-    pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, LedgerError> {
-        frame
+    /// The `format` field is checked first, so a checkpoint of another
+    /// format is a [`CheckpointError::Format`] whatever else it holds.
+    pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, CheckpointError> {
+        let value: Value = frame
             .world
             .parse()
-            .map_err(|e| LedgerError::Snapshot(format!("serve checkpoint: {e}")))
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        if value.as_map().is_none() {
+            return Err(CheckpointError::Malformed(format!(
+                "expected a map, got {}",
+                value.kind()
+            )));
+        }
+        let found = value.get("format").and_then(Value::as_u64);
+        if found != Some(u64::from(CHECKPOINT_FORMAT)) {
+            return Err(CheckpointError::Format {
+                tick: frame.tick,
+                found,
+            });
+        }
+        ServeCheckpoint::from_value(&value).map_err(|e| CheckpointError::Malformed(e.to_string()))
     }
 }
 
@@ -257,38 +355,10 @@ pub(crate) struct LaneView<'a> {
     pub(crate) queue: Vec<ReqView<'a>>,
 }
 
-/// Borrowed [`CacheEntry`].
-#[derive(Serialize)]
-struct CacheEntryView<'a> {
-    fp: u64,
-    verdict: &'a GuardVerdict,
-}
-
-/// Borrowed [`CacheSnap`].
-#[derive(Serialize)]
-pub(crate) struct CacheView<'a> {
-    entries: Vec<CacheEntryView<'a>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<'a> From<&'a VerdictCache> for CacheView<'a> {
-    fn from(cache: &'a VerdictCache) -> Self {
-        let (hits, misses) = cache.stats();
-        CacheView {
-            entries: cache
-                .entries()
-                .map(|(fp, verdict)| CacheEntryView { fp, verdict })
-                .collect(),
-            hits,
-            misses,
-        }
-    }
-}
-
 /// Borrowed [`ServeCheckpoint`].
 #[derive(Serialize)]
 pub(crate) struct CheckpointView<'a> {
+    pub(crate) format: u32,
     pub(crate) tick: u64,
     pub(crate) lanes: Vec<LaneView<'a>>,
     pub(crate) rotation: Vec<u32>,
@@ -296,7 +366,7 @@ pub(crate) struct CheckpointView<'a> {
     pub(crate) meter_spent: u64,
     pub(crate) shard_inflight: &'a [u64],
     pub(crate) stats: ServeStats,
-    pub(crate) caches: Vec<Option<CacheView<'a>>>,
+    pub(crate) caches: Vec<Option<CacheSnap>>,
 }
 
 impl CheckpointView<'_> {
@@ -315,6 +385,7 @@ mod tests {
 
     fn sample() -> ServeCheckpoint {
         ServeCheckpoint {
+            format: CHECKPOINT_FORMAT,
             tick: 17,
             lanes: vec![
                 LaneSnap {
@@ -354,10 +425,7 @@ mod tests {
             },
             caches: vec![
                 Some(CacheSnap {
-                    entries: vec![CacheEntry {
-                        fp: 0xfeed_f00d,
-                        verdict: GuardVerdict::Allow,
-                    }],
+                    fps: vec![7, 0xfeed_f00d],
                     hits: 5,
                     misses: 9,
                 }),
@@ -410,7 +478,27 @@ mod tests {
         };
         assert!(matches!(
             ServeCheckpoint::from_frame(&frame),
-            Err(LedgerError::Snapshot(_))
+            Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn another_format_is_refused_by_name() {
+        let current = RawJson::of(&sample()).parse::<Value>().unwrap();
+        let Value::Map(fields) = current else {
+            panic!("a checkpoint is a map")
+        };
+        // Format 1 had no `format` field; a future format has another value.
+        let v1 = Value::Map(fields[1..].to_vec());
+        let mut v3 = fields.clone();
+        v3[0].1 = Value::Int(3);
+        for (world, found) in [(v1, None), (Value::Map(v3), Some(3))] {
+            let err = ServeCheckpoint::from_frame(&frame(17, RawJson::of(&world))).unwrap_err();
+            assert_eq!(err, CheckpointError::Format { tick: 17, found });
+            assert!(
+                err.to_string().contains("this build reads only format 2"),
+                "{err}"
+            );
+        }
     }
 }

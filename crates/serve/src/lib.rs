@@ -100,7 +100,9 @@ mod workload;
 pub use admission::{AdmissionConfig, AdmissionQueue};
 pub use batcher::{BatchPolicy, CostModel, Meter};
 pub use calibrate::{run_calibration, CalibrationReport};
-pub use checkpoint::{CacheEntry, CacheSnap, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint};
+pub use checkpoint::{
+    CacheSnap, CheckpointError, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
+};
 pub use crash::{
     recover_segments, resume_run, run_e16, run_e16_cell, run_to_completion, segment_header,
     E16CellReport, E16Config, E16Report, Recovery, SimDisk,

@@ -53,7 +53,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::batcher::{BatchPolicy, CostModel, Meter};
-use crate::checkpoint::{CacheView, CheckpointView, LaneView, ReqView, ServeCheckpoint};
+use crate::checkpoint::{
+    CacheSnap, CheckpointError, CheckpointView, LaneView, ReqView, ServeCheckpoint,
+    CHECKPOINT_FORMAT,
+};
 use crate::request::{Decision, DecisionRequest, ShedReason, TenantId};
 
 /// One shard's contribution to a batch: `(batch_index, verdict)` pairs plus
@@ -620,6 +623,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     pub fn checkpoint_frame(&self, now: u64) -> SnapshotFrame {
         let (meter_credit, meter_spent) = self.meter.export();
         CheckpointView {
+            format: CHECKPOINT_FORMAT,
             tick: now,
             lanes: self
                 .queue
@@ -638,7 +642,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             caches: self
                 .stacks
                 .iter()
-                .map(|stack| stack.verdict_cache().map(CacheView::from))
+                .map(|stack| stack.verdict_cache().map(CacheSnap::from))
                 .collect(),
         }
         .to_frame()
@@ -651,36 +655,49 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// produces the identical decision stream. Telemetry-side state
     /// (scheduling summary, wait samples, SLO windows) restarts fresh: it
     /// was never part of the determinism contract.
+    ///
+    /// A checkpoint that does not fit `cfg` — another shard count, another
+    /// number of memo caches, or a cache where `cfg.cache` has none (or the
+    /// reverse) — is a [`CheckpointError::Mismatch`]: restoring it would
+    /// meter different costs than the run it came from.
+    ///
+    /// # Panics
+    ///
+    /// When `stacks.len()` differs from `cfg.shards`, as [`new`](Self::new).
     pub fn restore(
         cfg: ServeConfig,
         mut stacks: Vec<GuardStack>,
         oracle: O,
         checkpoint: &ServeCheckpoint,
         recorder: SegmentedRecorder,
-    ) -> Self {
+    ) -> Result<Self, CheckpointError> {
         assert_eq!(
             cfg.shards,
             stacks.len(),
             "cfg.shards must match the stack count"
         );
-        assert_eq!(
-            cfg.shards,
-            checkpoint.shard_inflight.len(),
-            "checkpoint shard count must match the configuration"
-        );
-        for stack in &mut stacks {
-            stack.set_cache_enabled(cfg.cache);
+        let (counters, caches) = (checkpoint.shard_inflight.len(), checkpoint.caches.len());
+        if (counters, caches) != (cfg.shards, cfg.shards) {
+            return Err(CheckpointError::Mismatch(format!(
+                "{counters} backpressure counters and {caches} memo caches for {} shards",
+                cfg.shards
+            )));
+        }
+        if let Some(shard) = checkpoint
+            .caches
+            .iter()
+            .position(|cache| cache.is_some() != cfg.cache)
+        {
+            return Err(CheckpointError::Mismatch(format!(
+                "shard {shard} has its memo cache {} but the configuration turns caching {}",
+                if cfg.cache { "off" } else { "on" },
+                if cfg.cache { "on" } else { "off" },
+            )));
         }
         for (stack, cache) in stacks.iter_mut().zip(&checkpoint.caches) {
-            if let Some(snap) = cache {
-                stack.restore_cache(
-                    snap.entries
-                        .iter()
-                        .map(|e| (e.fp, e.verdict.clone()))
-                        .collect(),
-                    snap.hits,
-                    snap.misses,
-                );
+            match cache {
+                Some(snap) => stack.restore_cache(snap.fps.iter().copied(), snap.hits, snap.misses),
+                None => stack.set_cache_enabled(false),
             }
         }
         let lanes = checkpoint
@@ -699,7 +716,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             })
             .collect();
         let rotation = checkpoint.rotation.iter().map(|&t| TenantId(t)).collect();
-        PolicyDecisionService {
+        Ok(PolicyDecisionService {
             threads: apdm_par::resolve_threads(cfg.threads),
             queue: AdmissionQueue::restore(cfg.admission, lanes, rotation),
             meter: Meter::restore(&cfg.cost, checkpoint.meter_credit, checkpoint.meter_spent),
@@ -716,7 +733,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             shard_waits: vec![Vec::new(); cfg.shards],
             sched: SchedSummary::default(),
             cfg,
-        }
+        })
     }
 
     /// Evaluate one batch: bucket requests by shard, run the shards across
@@ -1254,10 +1271,64 @@ mod tests {
             let owned = ServeCheckpoint::from_frame(&frame).expect("frame decodes");
             assert_eq!(owned.to_frame(), frame, "tick {now}");
             backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
-            cache_seen |= owned.caches.iter().flatten().any(|c| !c.entries.is_empty());
+            cache_seen |= owned.caches.iter().flatten().any(|c| !c.fps.is_empty());
         }
         assert!(backlog_seen, "the checkpoint must cover queued requests");
-        assert!(cache_seen, "the checkpoint must cover memoized verdicts");
+        assert!(
+            cache_seen,
+            "the checkpoint must cover memoized fingerprints"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_checkpoint_of_another_shape() {
+        let cfg = ServeConfig::default();
+        let mut svc = service(cfg);
+        for id in 0..12 {
+            let action = Action::adjust("patrol", StateDelta::empty());
+            svc.submit(req(id, id % 5, action, 1, None), 1);
+        }
+        svc.tick(1);
+        let good = ServeCheckpoint::from_frame(&svc.checkpoint_frame(1)).unwrap();
+        let restore = |cfg: ServeConfig, checkpoint: &ServeCheckpoint| {
+            let recorder = SegmentedRecorder::new(
+                "test",
+                cfg.seed,
+                cfg.shards as u64,
+                RotationPolicy::default(),
+            );
+            PolicyDecisionService::restore(
+                cfg,
+                standard_stacks(cfg.shards, cfg.cache),
+                WorkloadOracle,
+                checkpoint,
+                recorder,
+            )
+            .map(|svc| svc.stats())
+        };
+        assert_eq!(restore(cfg, &good), Ok(svc.stats()));
+        let mut fewer_shards = good.clone();
+        fewer_shards.shard_inflight.pop();
+        let mut fewer_caches = good.clone();
+        fewer_caches.caches.pop();
+        let mut one_cold = good.clone();
+        one_cold.caches[1] = None;
+        let uncached = ServeConfig {
+            cache: false,
+            ..cfg
+        };
+        for (cfg, checkpoint) in [
+            (cfg, &fewer_shards),
+            (cfg, &fewer_caches),
+            (cfg, &one_cold),
+            (uncached, &good),
+        ] {
+            assert!(
+                matches!(restore(cfg, checkpoint), Err(CheckpointError::Mismatch(_))),
+                "{:?}",
+                restore(cfg, checkpoint)
+            );
+        }
     }
 
     #[test]

@@ -250,7 +250,8 @@ proptest! {
         for sched in [Scheduling::Static, Scheduling::Balanced] {
             for threads in [1usize, 3, 8] {
                 let (ledger, decisions, start, _) =
-                    resume_run(&cfg, budget, sched, threads, crash_disk);
+                    resume_run(&cfg, budget, sched, threads, crash_disk)
+                        .expect("a current-format checkpoint resumes");
                 prop_assert!(
                     ledger.verify().is_ok(),
                     "resumed ledger corrupt at {:?} x {} threads", sched, threads

@@ -235,8 +235,17 @@ PY
 if ./target/release/apdm-experiments verify "$tamper_file" --quiet >/dev/null 2>&1; then
     echo "e16 smoke: tampered segment chain passed verification"; exit 1
 fi
+# Format guard: a verified checkpoint in the old format (1: memo caches as
+# verdicts) is refused by name, never silently restarted from tick 1.
+cp tests/fixtures/e16-42-v1.seg0006.jsonl "$trace_dir/e16-v1.seg0006.jsonl"
+if ./target/release/apdm-experiments resume "$trace_dir/e16-v1" --seed 42 \
+    --out "$trace_dir/e16-v1-resumed" --quiet >/dev/null 2>"$trace_dir/e16-v1.err"; then
+    echo "e16 smoke: a format-1 checkpoint was resumed"; exit 1
+fi
+grep -q "serve checkpoint format 1" "$trace_dir/e16-v1.err" \
+    || { echo "e16 smoke: the format-1 refusal does not name the format:"; cat "$trace_dir/e16-v1.err"; exit 1; }
 echo "e16 smoke: resumed run byte-identical to golden across $golden_count segments," \
-     "rotated chain verifies, tampering detected"
+     "rotated chain verifies, tampering detected, format-1 checkpoint refused"
 
 echo "==> hostile-ledger smoke (200,000-deep nesting is a parse error, not a stack overflow)"
 # Line 1 nests far past the JSON parser's depth cap; line 2 is a valid

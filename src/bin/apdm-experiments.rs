@@ -72,7 +72,10 @@
 //! recovers from those files — latest valid checkpoint, fallback ladder,
 //! full restart if nothing survived — replays the suffix, and writes the
 //! resumed run's sealed segments; CI `cmp`s them byte for byte against
-//! the golden files. `verify` recognizes rotated runs: pointed at any
+//! the golden files. A verified checkpoint of another format than this
+//! build's (e.g. a format-1 checkpoint, which stored memo-cache verdicts)
+//! is refused: `resume` names the format and exits nonzero rather than
+//! restarting the run from tick 1. `verify` recognizes rotated runs: pointed at any
 //! `.segNNNN.jsonl` file (or the family's base path), it checks every
 //! retained segment's hash chain *and* the cross-segment anchors, prints
 //! a per-segment report, and exits nonzero if any segment fails.
@@ -997,7 +1000,10 @@ fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) ->
         disk.insert(index, text);
     }
     let budget = cfg.budgets[0];
-    let (ledger, decisions, start, discarded) = resume_run(cfg, budget, sched, 1, &disk);
+    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, sched, 1, &disk) {
+        Ok(resumed) => resumed,
+        Err(e) => return fail(&format!("cannot resume {base}: {e}")),
+    };
     if let Err(e) = ledger.verify() {
         return fail(&format!("resumed ledger corrupt: {e}"));
     }

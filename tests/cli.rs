@@ -148,3 +148,28 @@ fn run_rejects_flags_the_experiment_never_reads() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn resume_refuses_a_format_1_checkpoint_by_name() {
+    // A segment written before checkpoints carried a `format` field: its
+    // chain verifies, so refusing it is not the torn-header fallback.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/e16-42-v1.seg0006.jsonl"
+    );
+    let dir = scratch("resume-v1");
+    std::fs::copy(fixture, dir.join("old.seg0006.jsonl")).expect("copy the v1 fixture");
+    let run = run_in(&dir, &["resume", "old", "--seed", "42", "--quiet"]);
+    assert!(!run.status.success(), "exit status {:?}", run.status);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("serve checkpoint format 1") && stderr.contains("reads only format 2"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        listing(&dir),
+        ["old.seg0006.jsonl"],
+        "nothing resumed, nothing written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

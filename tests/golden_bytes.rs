@@ -15,9 +15,9 @@ use apdm::guards::GuardVerdict;
 use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, SnapshotFrame};
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
-    run_to_completion, standard_stacks, CacheEntry, CacheSnap, CtxSnap, E16Config, LaneSnap,
+    run_to_completion, standard_stacks, CacheSnap, CtxSnap, E16Config, LaneSnap,
     PolicyDecisionService, ReqSnap, Scheduling, ServeCheckpoint, ServeStats, WorkloadGen,
-    WorkloadOracle,
+    WorkloadOracle, CHECKPOINT_FORMAT,
 };
 use apdm::statespace::{State, StateDelta, StateSchema, VarId};
 
@@ -30,7 +30,7 @@ const FIXTURES: [(u64, &str); 4] = [
 ];
 
 /// Head digest of the golden run's final segment.
-const GOLDEN_HEAD: u64 = 0x0e1c_cb4f_7783_eed9;
+const GOLDEN_HEAD: u64 = 0x4309_0f2f_95da_f01b;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -363,18 +363,14 @@ impl Gen {
         let caches = (0..self.below(4))
             .map(|_| {
                 self.bool().then(|| CacheSnap {
-                    entries: (0..self.below(6))
-                        .map(|i| CacheEntry {
-                            fp: self.u64(),
-                            verdict: self.verdict(i),
-                        })
-                        .collect(),
+                    fps: (0..self.below(6)).map(|_| self.u64()).collect(),
                     hits: self.u64(),
                     misses: self.u64(),
                 })
             })
             .collect();
         ServeCheckpoint {
+            format: CHECKPOINT_FORMAT,
             tick: self.u64(),
             lanes,
             rotation: (0..self.below(4)).map(|_| self.u32()).collect(),
@@ -460,13 +456,13 @@ fn edge_values_stream_like_the_value_route() {
         i64::MIN.to_string()
     );
     for variant in 0..4 {
-        let verdict = gen.verdict(variant);
-        assert_same_bytes(&verdict);
-        assert_same_bytes(&CacheEntry {
-            fp: u64::MAX,
-            verdict,
-        });
+        assert_same_bytes(&gen.verdict(variant));
     }
+    assert_same_bytes(&CacheSnap {
+        fps: vec![0, i64::MAX as u64 + 1, u64::MAX],
+        hits: u64::MAX,
+        misses: 0,
+    });
     assert_same_bytes(&RunEvent::Snapshot(SnapshotFrame {
         tick: u64::MAX,
         rng: [0, 1, i64::MAX as u64 + 1, u64::MAX],

@@ -2,15 +2,21 @@
 //! whatever a crashed, truncated or tampered segment holds. Seeded
 //! mutations of a committed golden checkpoint line go through the same
 //! path `resume` takes — [`Ledger::from_jsonl_recovering`], then
-//! [`ServeCheckpoint::from_frame`] on every snapshot — and each must end in
-//! an error, a ledger whose chain fails, or a checkpoint. None may panic,
-//! and none may abort the process (deep nesting once overflowed the
-//! parser's stack).
+//! [`ServeCheckpoint::from_frame`] on every snapshot, then
+//! [`PolicyDecisionService::restore`] for every frame that decodes — and
+//! each must end in an error, a ledger whose chain fails, or a restored
+//! service. None may panic, and none may abort the process (deep nesting
+//! once overflowed the parser's stack).
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use apdm::ledger::{Ledger, RunEvent};
-use apdm::serve::ServeCheckpoint;
+use apdm::ledger::{Ledger, RunEvent, SegmentedRecorder};
+use apdm::serve::{
+    standard_stacks, CheckpointError, E16Config, PolicyDecisionService, Scheduling,
+    ServeCheckpoint, WorkloadOracle,
+};
+use serde::Value;
 
 /// The golden segment whose second line is a serve checkpoint.
 const FIXTURE: &str = "e16-42.seg0006.jsonl";
@@ -32,6 +38,11 @@ struct Tally {
     frame_errors: usize,
     /// Snapshot frames that decoded to a checkpoint.
     checkpoints: usize,
+    /// Decoded checkpoints a service was restored from.
+    restored: usize,
+    /// Decoded checkpoints `restore` refused as not fitting the
+    /// configuration.
+    mismatches: usize,
     /// Frames `from_frame` refused inside a chain that verifies: the
     /// service wrote every verified byte, so this must never happen.
     verified_but_undecodable: usize,
@@ -56,11 +67,39 @@ impl Tally {
         for record in ledger.records() {
             if let RunEvent::Snapshot(frame) = &record.event {
                 match ServeCheckpoint::from_frame(frame) {
-                    Ok(_) => self.checkpoints += 1,
+                    Ok(checkpoint) => {
+                        self.checkpoints += 1;
+                        self.restore(&checkpoint);
+                    }
                     Err(_) if verified => self.verified_but_undecodable += 1,
                     Err(_) => self.frame_errors += 1,
                 }
             }
+        }
+    }
+}
+
+impl Tally {
+    /// Restore the configuration the fixture was written under (the
+    /// canonical `checkpoint --seed 42` cell) from `checkpoint`.
+    fn restore(&mut self, checkpoint: &ServeCheckpoint) {
+        let e16 = E16Config {
+            seed: 42,
+            ..E16Config::smoke()
+        };
+        let budget = e16.budgets[0];
+        let cfg = e16.serve_config(budget, Scheduling::Balanced, 1);
+        let recorder = SegmentedRecorder::new(
+            &e16.run_name(budget),
+            cfg.seed,
+            cfg.shards as u64,
+            cfg.rotation.unwrap_or_default(),
+        );
+        let stacks = standard_stacks(cfg.shards, cfg.cache);
+        match PolicyDecisionService::restore(cfg, stacks, WorkloadOracle, checkpoint, recorder) {
+            Ok(_) => self.restored += 1,
+            Err(CheckpointError::Mismatch(_)) => self.mismatches += 1,
+            Err(e) => panic!("restore returned a decode error: {e}"),
         }
     }
 }
@@ -109,7 +148,71 @@ fn mutants(line: &str) -> Vec<(String, Vec<u8>)> {
             text.into_bytes(),
         ));
     }
+    out.extend(reshaped(line));
     out
+}
+
+/// The fields of a JSON map.
+type Fields = Vec<(Cow<'static, str>, Value)>;
+
+/// An in-place change to a checkpoint's fields.
+type Edit = fn(&mut Fields);
+
+/// The checkpoint map inside a snapshot record's value.
+fn checkpoint_of(record: &mut Value) -> &mut Fields {
+    let mut value = record;
+    for key in ["event", "Snapshot", "world"] {
+        let Value::Map(fields) = value else {
+            panic!("no `{key}` in the checkpoint record")
+        };
+        value = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
+    }
+    let Value::Map(fields) = value else {
+        panic!("the checkpoint is a map")
+    };
+    fields
+}
+
+/// Checkpoints that decode but do not fit the configuration: a shard's
+/// backpressure counter dropped, a memo cache dropped, one cache turned
+/// off, and a shard added.
+fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
+    let record: Value = serde_json::from_str(line).expect("the checkpoint line parses");
+    let edits: [(&str, Edit); 4] = [
+        ("one backpressure counter short", |cp| {
+            pop(cp, "shard_inflight")
+        }),
+        ("one memo cache short", |cp| pop(cp, "caches")),
+        ("one memo cache off", |cp| {
+            field(cp, "caches")[0] = Value::Null;
+        }),
+        ("one shard more", |cp| {
+            field(cp, "shard_inflight").push(Value::Int(0));
+            let caches = field(cp, "caches");
+            caches.push(caches[0].clone());
+        }),
+    ];
+    edits
+        .into_iter()
+        .map(|(label, edit)| {
+            let mut mutant = record.clone();
+            edit(checkpoint_of(&mut mutant));
+            let text = serde_json::to_string(&mutant).expect("serializes");
+            (label.to_string(), text.into_bytes())
+        })
+        .collect()
+}
+
+/// The list under `key` in a checkpoint map.
+fn field<'a>(checkpoint: &'a mut Fields, key: &str) -> &'a mut Vec<Value> {
+    match checkpoint.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Value::Seq(items))) => items,
+        _ => panic!("the checkpoint has no list `{key}`"),
+    }
+}
+
+fn pop(checkpoint: &mut Fields, key: &str) {
+    field(checkpoint, key).pop();
 }
 
 #[test]
@@ -138,12 +241,19 @@ fn mutated_checkpoint_lines_never_panic_on_the_resume_path() {
                 .unwrap_or_else(|_| panic!("mutant `{label}` panicked"));
         }
     }
-    // Truncations and deep nesting are refused, flips reach all three ends.
+    // Truncations and deep nesting are refused, flips reach all three ends,
+    // and every checkpoint that decodes is restored or refused by `restore`.
     assert!(tally.parse_errors > 0, "{tally:?}");
     assert!(tally.chain_failures > 0, "{tally:?}");
     assert!(tally.frame_errors > 0, "{tally:?}");
     assert!(tally.checkpoints > 0, "{tally:?}");
     assert_eq!(tally.verified_but_undecodable, 0, "{tally:?}");
+    assert_eq!(
+        tally.restored + tally.mismatches,
+        tally.checkpoints,
+        "{tally:?}"
+    );
+    assert!(tally.restored > 0 && tally.mismatches > 0, "{tally:?}");
 }
 
 #[test]
@@ -153,4 +263,5 @@ fn the_unmutated_checkpoint_line_resumes() {
     tally.feed(&(lines.join("\n") + "\n"));
     assert_eq!(tally.parse_errors + tally.chain_failures, 0, "{tally:?}");
     assert_eq!((tally.checkpoints, tally.frame_errors), (1, 0), "{tally:?}");
+    assert_eq!((tally.restored, tally.mismatches), (1, 0), "{tally:?}");
 }
