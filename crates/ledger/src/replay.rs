@@ -7,6 +7,8 @@
 //! divergence. A faithful deterministic replay reproduces the recorded
 //! stream event for event, snapshots included.
 
+use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::event::RunEvent;
@@ -144,56 +146,15 @@ impl<'a> Replayer<'a> {
     fn align(&self, replayed: &Ledger, allow_extra: bool) -> ReplayReport {
         // From-snapshot replays open with their own RunStarted header that
         // has no counterpart in the reference suffix — skip it.
-        let replay_skip = usize::from(self.start > 0);
-        let reference = &self.reference.records()[self.start as usize..];
-        let replayed = &replayed.records()[replay_skip.min(replayed.len())..];
-
-        let mut matched = 0u64;
-        for (offset, reference_record) in reference.iter().enumerate() {
-            match replayed.get(offset) {
-                None => {
-                    return ReplayReport {
-                        start_seq: self.start,
-                        matched,
-                        divergence: Some(Divergence::MissingEvents {
-                            seq: reference_record.seq,
-                            missing: (reference.len() - offset) as u64,
-                        }),
-                    };
-                }
-                Some(replay_record) => {
-                    if reference_record.tick != replay_record.tick
-                        || reference_record.event != replay_record.event
-                    {
-                        return ReplayReport {
-                            start_seq: self.start,
-                            matched,
-                            divergence: Some(Divergence::Mismatch {
-                                seq: reference_record.seq,
-                                expected: describe(&reference_record.event),
-                                observed: describe(&replay_record.event),
-                            }),
-                        };
-                    }
-                    matched += 1;
-                }
-            }
-        }
-        if !allow_extra && replayed.len() > reference.len() {
-            return ReplayReport {
-                start_seq: self.start,
-                matched,
-                divergence: Some(Divergence::ExtraEvents {
-                    seq: self.start + reference.len() as u64,
-                    surplus: (replayed.len() - reference.len()) as u64,
-                }),
-            };
-        }
-        ReplayReport {
-            start_seq: self.start,
-            matched,
-            divergence: None,
-        }
+        let reference = self.reference.records().iter().skip(self.start as usize);
+        let replayed = replayed.records().iter().skip(usize::from(self.start > 0));
+        let Ok(report) = align(
+            self.start,
+            reference.map(|r| Ok::<_, Infallible>((r.seq, r))),
+            replayed.map(Ok),
+            allow_extra,
+        );
+        report
     }
 }
 
@@ -232,91 +193,88 @@ impl StreamReplayer {
         reference: impl IntoIterator<Item = &'a str>,
         replayed: impl IntoIterator<Item = &'b str>,
     ) -> Result<ReplayReport, LedgerError> {
-        self.align_lines(reference, replayed, false)
-    }
-
-    /// Like [`compare_lines`](StreamReplayer::compare_lines), but surplus
-    /// replay events past a torn reference's cut are not a divergence.
-    pub fn compare_lines_prefix<'a, 'b>(
-        &self,
-        reference: impl IntoIterator<Item = &'a str>,
-        replayed: impl IntoIterator<Item = &'b str>,
-    ) -> Result<ReplayReport, LedgerError> {
-        self.align_lines(reference, replayed, true)
-    }
-
-    fn align_lines<'a, 'b>(
-        &self,
-        reference: impl IntoIterator<Item = &'a str>,
-        replayed: impl IntoIterator<Item = &'b str>,
-        allow_extra: bool,
-    ) -> Result<ReplayReport, LedgerError> {
-        fn parse(line: &str, number: usize) -> Result<LedgerRecord, LedgerError> {
-            serde_json::from_str(line).map_err(|e| LedgerError::Parse {
-                line: number,
-                message: e.to_string(),
-            })
+        /// The non-blank lines of a stream, parsed lazily, past its first
+        /// `skip` records.
+        fn records<'l, L: IntoIterator<Item = &'l str>>(
+            lines: L,
+            skip: u64,
+        ) -> impl Iterator<Item = Result<LedgerRecord, LedgerError>> + use<'l, L> {
+            lines
+                .into_iter()
+                .enumerate()
+                .filter(|(_, l)| !l.trim().is_empty())
+                .skip(skip as usize)
+                .map(|(idx, l)| {
+                    serde_json::from_str(l).map_err(|e| LedgerError::Parse {
+                        line: idx + 1,
+                        message: e.to_string(),
+                    })
+                })
         }
-        let mut refs = reference
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(idx, l)| (idx + 1, l));
-        let mut reps = replayed
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(idx, l)| (idx + 1, l));
-        for _ in 0..self.start {
-            if refs.next().is_none() {
-                break;
+        let start = self.start;
+        let reference = (start..)
+            .zip(records(reference, start))
+            .map(|(position, record)| record.map(|r| (position, r)));
+        align(
+            start,
+            reference,
+            records(replayed, u64::from(start > 0)),
+            false,
+        )
+    }
+}
+
+/// The one alignment loop behind [`Replayer`] and [`StreamReplayer`]:
+/// walk both record streams in step — `reference` already past its first
+/// `start` records, `replayed` already past its own header on a
+/// from-snapshot replay — and report the first divergence. `reference`
+/// yields each record with the seq a divergence names. Unless
+/// `allow_extra`, a replay that outruns the reference diverges. Errs with
+/// the first `Err` either stream yields.
+fn align<R, P, E>(
+    start: u64,
+    mut reference: impl Iterator<Item = Result<(u64, R), E>>,
+    mut replayed: impl Iterator<Item = Result<P, E>>,
+    allow_extra: bool,
+) -> Result<ReplayReport, E>
+where
+    R: Borrow<LedgerRecord>,
+    P: Borrow<LedgerRecord>,
+{
+    let mut matched = 0u64;
+    let divergence = loop {
+        match (reference.next().transpose()?, replayed.next().transpose()?) {
+            (None, None) => break None,
+            (None, Some(_)) => {
+                break (!allow_extra).then(|| Divergence::ExtraEvents {
+                    seq: start + matched,
+                    surplus: 1 + replayed.count() as u64,
+                });
             }
-        }
-        if self.start > 0 {
-            reps.next();
-        }
-        let mut matched = 0u64;
-        let mut position = self.start;
-        let divergence = loop {
-            match (refs.next(), reps.next()) {
-                (None, None) => break None,
-                (None, Some(_)) => {
-                    break if allow_extra {
-                        None
-                    } else {
-                        Some(Divergence::ExtraEvents {
-                            seq: position,
-                            surplus: 1 + reps.count() as u64,
-                        })
-                    };
-                }
-                (Some(_), None) => {
-                    break Some(Divergence::MissingEvents {
-                        seq: position,
-                        missing: 1 + refs.count() as u64,
+            (Some((seq, _)), None) => {
+                break Some(Divergence::MissingEvents {
+                    seq,
+                    missing: 1 + reference.count() as u64,
+                });
+            }
+            (Some((seq, expected)), Some(observed)) => {
+                let (expected, observed) = (expected.borrow(), observed.borrow());
+                if expected.tick != observed.tick || expected.event != observed.event {
+                    break Some(Divergence::Mismatch {
+                        seq,
+                        expected: describe(&expected.event),
+                        observed: describe(&observed.event),
                     });
                 }
-                (Some((ref_line, ref_text)), Some((rep_line, rep_text))) => {
-                    let reference = parse(ref_text, ref_line)?;
-                    let replay = parse(rep_text, rep_line)?;
-                    if reference.tick != replay.tick || reference.event != replay.event {
-                        break Some(Divergence::Mismatch {
-                            seq: position,
-                            expected: describe(&reference.event),
-                            observed: describe(&replay.event),
-                        });
-                    }
-                    matched += 1;
-                    position += 1;
-                }
+                matched += 1;
             }
-        };
-        Ok(ReplayReport {
-            start_seq: self.start,
-            matched,
-            divergence,
-        })
-    }
+        }
+    };
+    Ok(ReplayReport {
+        start_seq: start,
+        matched,
+        divergence,
+    })
 }
 
 fn describe(event: &RunEvent) -> String {

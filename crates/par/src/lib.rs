@@ -332,31 +332,29 @@ pub fn static_schedule(
     ranges: &[(usize, usize)],
     costs: &[u64],
 ) -> VirtualSchedule {
-    let n = costs.len();
-    let threads = threads.clamp(1, n.max(1));
-    let home = home_workers(n, threads);
-    let mut free = vec![0u64; threads];
-    let chunks: Vec<ChunkSchedule> = ranges
-        .iter()
-        .zip(costs)
-        .enumerate()
-        .map(|(id, (&range, &cost))| {
-            let w = home[id];
-            let start = free[w];
-            free[w] = start.saturating_add(cost);
-            ChunkSchedule {
+    let mut items = ranges.iter().zip(costs);
+    let mut chunks = Vec::with_capacity(costs.len());
+    let mut makespan = 0u64;
+    // Worker `w` runs its contiguous block back to back from time 0.
+    for (worker, (first, end)) in shard_bounds(costs.len(), threads).into_iter().enumerate() {
+        let mut free = 0u64;
+        for (&range, &cost) in items.by_ref().take(end - first) {
+            let start = free;
+            free = start.saturating_add(cost);
+            chunks.push(ChunkSchedule {
                 range,
                 cost,
-                worker: w,
+                worker,
                 start,
-                finish: free[w],
+                finish: free,
                 stolen: false,
-            }
-        })
-        .collect();
+            });
+        }
+        makespan = makespan.max(free);
+    }
     VirtualSchedule {
-        makespan: free.into_iter().max().unwrap_or(0),
         chunks,
+        makespan,
         steals: 0,
     }
 }

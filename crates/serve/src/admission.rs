@@ -169,31 +169,50 @@ impl AdmissionQueue {
 
     /// Rebuild a queue from its [`lanes`](AdmissionQueue::lanes) and
     /// [`rotation`](AdmissionQueue::rotation) under the same bounds.
+    ///
+    /// The parts are untrusted (they come off disk), so they must be
+    /// consistent the way a live queue always is: each tenant has at most
+    /// one lane, every rotated tenant has a lane, and every non-empty lane
+    /// is in the rotation. `Err` names the first violation — a queue
+    /// without them could panic in [`dequeue`](AdmissionQueue::dequeue),
+    /// strand requests no dequeue reaches, or count requests it does not
+    /// hold.
     pub fn restore(
         cfg: AdmissionConfig,
         lanes: Vec<(TenantId, u32, Vec<DecisionRequest>)>,
         rotation: Vec<TenantId>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut pending = 0;
-        let lanes: BTreeMap<TenantId, TenantLane> = lanes
-            .into_iter()
-            .map(|(tenant, deficit, queue)| {
-                pending += queue.len();
-                (
-                    tenant,
-                    TenantLane {
-                        queue: queue.into(),
-                        deficit,
-                    },
-                )
-            })
-            .collect();
-        AdmissionQueue {
+        let mut restored: BTreeMap<TenantId, TenantLane> = BTreeMap::new();
+        for (tenant, deficit, queue) in lanes {
+            pending += queue.len();
+            let lane = TenantLane {
+                queue: queue.into(),
+                deficit,
+            };
+            if restored.insert(tenant, lane).is_some() {
+                return Err(format!("tenant {} has two lanes", tenant.0));
+            }
+        }
+        if let Some(tenant) = rotation.iter().find(|t| !restored.contains_key(t)) {
+            return Err(format!("rotated tenant {} has no lane", tenant.0));
+        }
+        if let Some(tenant) = restored
+            .iter()
+            .find(|(tenant, lane)| !lane.queue.is_empty() && !rotation.contains(tenant))
+            .map(|(tenant, _)| tenant)
+        {
+            return Err(format!(
+                "tenant {} has queued requests but is not in the rotation",
+                tenant.0
+            ));
+        }
+        Ok(AdmissionQueue {
             cfg,
-            lanes,
+            lanes: restored,
             rotation: rotation.into(),
             pending,
-        }
+        })
     }
 
     /// Dequeue the next request under DRR. Within a lane, FIFO order;

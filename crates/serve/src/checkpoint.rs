@@ -30,7 +30,7 @@
 //!
 //! What is deliberately *not* checkpointed, because it is telemetry rather
 //! than decision state: [`SchedSummary`](crate::SchedSummary) (its
-//! `makespan_units` / `virtual_steals` depend on the thread count, which a
+//! makespans and `virtual_steals` depend on the thread count, which a
 //! restarted process is free to change), the per-shard wait samples, and
 //! the SLO monitor. Restoring them would couple the ledger bytes to knobs
 //! the determinism contract says must not matter.

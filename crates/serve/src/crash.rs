@@ -40,11 +40,11 @@
 //! per crash point by the `e16` entry of the `apdm::experiments` registry,
 //! `apdm-experiments run e16`).
 //!
-//! Swept per cell: rotation budget × {static, balanced} scheduling; per
-//! cell: every `crash_stride`-th tick boundary, plus torn-write byte
-//! offsets through segment-head frames at rotation ticks and through the
-//! final record line elsewhere. Resumed services cycle worker thread
-//! counts {1, 3, 8} to prove the checkpoint is thread-portable.
+//! Swept: one cell per rotation budget; per cell: every `crash_stride`-th
+//! tick boundary, plus torn-write byte offsets through segment-head frames
+//! at rotation ticks and through the final record line elsewhere. Resumed
+//! services cycle worker thread counts {1, 3, 8} to prove the checkpoint
+//! is thread-portable.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -55,8 +55,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, ServeCheckpoint};
 use crate::request::Decision;
-use crate::service::{PolicyDecisionService, Scheduling, ServeConfig};
-use crate::skew::E15Config;
+use crate::service::{PolicyDecisionService, ServeConfig};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// The simulated durable store: one JSONL file per ledger segment, keyed
@@ -369,8 +368,8 @@ impl E16Config {
     }
 
     /// The workload driving one budget cell. Depends only on
-    /// `(seed, budget)` — never on scheduling — so the static and
-    /// balanced cells at a budget replay the identical request stream and
+    /// `(seed, budget)` — never on the worker thread count — so a resumed
+    /// run at any thread count replays the identical request stream and
     /// must seal byte-identical ledgers.
     pub fn spec(&self, budget: usize) -> WorkloadSpec {
         WorkloadSpec {
@@ -385,13 +384,12 @@ impl E16Config {
     }
 
     /// The service configuration of one cell (worker threads aside).
-    pub fn serve_config(&self, budget: usize, sched: Scheduling, threads: usize) -> ServeConfig {
+    pub fn serve_config(&self, budget: usize, threads: usize) -> ServeConfig {
         ServeConfig {
             seed: self.spec(budget).seed,
             threads,
             shards: self.shards,
             cache: true,
-            scheduling: sched,
             backpressure: true,
             rotation: Some(RotationPolicy {
                 max_records: budget,
@@ -414,19 +412,17 @@ impl E16Config {
     }
 
     /// The ledger name of one budget cell — shared by golden and resumed
-    /// runs, and deliberately free of scheduling/thread/crash parameters.
+    /// runs, and deliberately free of thread/crash parameters.
     pub fn run_name(&self, budget: usize) -> String {
         format!("e16/b{budget}")
     }
 }
 
-/// Measurements of one E16 cell (one budget × scheduling mode).
+/// Measurements of one E16 cell (one rotation budget).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E16CellReport {
     /// Rotation budget (records per segment).
     pub budget: usize,
-    /// `static` or `balanced`.
-    pub sched: String,
     /// Tick-boundary kill points tested.
     pub crash_points: u64,
     /// Torn-write byte-offset kill points tested.
@@ -450,8 +446,7 @@ pub struct E16CellReport {
     pub pruned: u64,
     /// Total records across the golden run's retained segments.
     pub ledger_records: u64,
-    /// Head digest of the golden run's final segment. Identical across
-    /// scheduling modes for a fixed budget.
+    /// Head digest of the golden run's final segment.
     pub final_head: u64,
     /// Requests offered by the generator.
     pub offered: u64,
@@ -468,8 +463,7 @@ pub struct E16CellReport {
 pub struct E16Report {
     /// The sweep configuration.
     pub config: E16Config,
-    /// One report per budget × scheduling cell, budget outer, static
-    /// before balanced.
+    /// One report per budget, in sweep order.
     pub cells: Vec<E16CellReport>,
     /// Wall-clock for the whole sweep. Not deterministic.
     pub wall_ns: u64,
@@ -498,10 +492,10 @@ struct GoldenRun {
     stats: crate::service::ServeStats,
 }
 
-fn golden_run(cfg: &E16Config, budget: usize, sched: Scheduling) -> GoldenRun {
+fn golden_run(cfg: &E16Config, budget: usize) -> GoldenRun {
     let spec = cfg.spec(budget);
     let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, sched, 1),
+        cfg.serve_config(budget, 1),
         standard_stacks(cfg.shards, true),
         WorkloadOracle,
         &cfg.run_name(budget),
@@ -545,12 +539,11 @@ fn golden_run(cfg: &E16Config, budget: usize, sched: Scheduling) -> GoldenRun {
 pub fn resume_run(
     cfg: &E16Config,
     budget: usize,
-    sched: Scheduling,
     threads: usize,
     disk: &SimDisk,
 ) -> Result<(SegmentedLedger, Vec<Decision>, u64, u64), CheckpointError> {
     let spec = cfg.spec(budget);
-    let serve_cfg = cfg.serve_config(budget, sched, threads);
+    let serve_cfg = cfg.serve_config(budget, threads);
     let policy = serve_cfg.rotation.expect("E16 always rotates");
     Ok(match recover_segments(disk)? {
         Recovery::Resume {
@@ -643,13 +636,11 @@ struct CrashOutcome {
 fn check_crash_point(
     cfg: &E16Config,
     budget: usize,
-    sched: Scheduling,
     threads: usize,
     disk: &SimDisk,
     golden: &GoldenRun,
 ) -> CrashOutcome {
-    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, sched, threads, disk)
-    {
+    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, threads, disk) {
         Ok(resumed) => resumed,
         Err(e) => {
             return CrashOutcome {
@@ -689,13 +680,9 @@ fn check_crash_point(
 /// Run one E16 cell: one golden run, then every kill point swept against
 /// it. Returns the report plus the golden sealed segments (the CLI writes
 /// them out for the byte-for-byte CI comparison).
-pub fn run_e16_cell(
-    cfg: &E16Config,
-    budget: usize,
-    sched: Scheduling,
-) -> (E16CellReport, SegmentedLedger) {
+pub fn run_e16_cell(cfg: &E16Config, budget: usize) -> (E16CellReport, SegmentedLedger) {
     let started = Instant::now();
-    let golden = golden_run(cfg, budget, sched);
+    let golden = golden_run(cfg, budget);
     let spec = cfg.spec(budget);
     let bound = cfg.discard_bound(budget);
     let resume_threads = [1usize, 3, 8];
@@ -713,9 +700,7 @@ pub fn run_e16_cell(
         }
         crash_points += 1;
         let threads = resume_threads[i % resume_threads.len()];
-        outcomes.push(check_crash_point(
-            cfg, budget, sched, threads, disk, &golden,
-        ));
+        outcomes.push(check_crash_point(cfg, budget, threads, disk, &golden));
     }
 
     // Kill mid-write: at rotation ticks the newest file holds exactly the
@@ -750,9 +735,7 @@ pub fn run_e16_cell(
             let mut torn = disk.clone();
             torn.tear_last(cut);
             let threads = resume_threads[cut % resume_threads.len()];
-            outcomes.push(check_crash_point(
-                cfg, budget, sched, threads, &torn, &golden,
-            ));
+            outcomes.push(check_crash_point(cfg, budget, threads, &torn, &golden));
         }
     }
 
@@ -764,7 +747,6 @@ pub fn run_e16_cell(
 
     let report = E16CellReport {
         budget,
-        sched: E15Config::sched_label(sched).to_string(),
         crash_points,
         torn_points,
         divergences,
@@ -785,22 +767,13 @@ pub fn run_e16_cell(
     (report, golden.ledger)
 }
 
-/// Run the full E16 sweep: every budget × {static, balanced}, fanned out
-/// across the worker pool with order-preserving collection.
+/// Run the full E16 sweep: one cell per budget, fanned out across the
+/// worker pool with order-preserving collection.
 pub fn run_e16(cfg: &E16Config) -> E16Report {
     let started = Instant::now();
-    let cells: Vec<(usize, Scheduling)> = cfg
-        .budgets
-        .iter()
-        .flat_map(|&b| {
-            [Scheduling::Static, Scheduling::Balanced]
-                .into_iter()
-                .map(move |s| (b, s))
-        })
-        .collect();
     let threads = resolve_threads(cfg.threads);
-    let cells = par_map(threads, cells, |_, (budget, sched)| {
-        run_e16_cell(cfg, budget, sched).0
+    let cells = par_map(threads, cfg.budgets.clone(), |_, budget| {
+        run_e16_cell(cfg, budget).0
     });
     E16Report {
         config: cfg.clone(),
@@ -829,16 +802,14 @@ mod tests {
     #[test]
     fn every_swept_crash_point_resumes_bit_identically() {
         let cfg = tiny();
-        for sched in [Scheduling::Static, Scheduling::Balanced] {
-            let (cell, ledger) = run_e16_cell(&cfg, 12, sched);
-            assert!(cell.crash_points > 0);
-            assert!(cell.torn_points > 0, "rotation ticks must be swept");
-            assert_eq!(cell.divergences, 0, "{:?}", cell.first_divergence);
-            assert_eq!(cell.verify_failures, 0);
-            assert_eq!(cell.unbounded_recoveries, 0);
-            assert!(cell.segments > 1, "budget 12 must rotate");
-            ledger.verify().unwrap();
-        }
+        let (cell, ledger) = run_e16_cell(&cfg, 12);
+        assert!(cell.crash_points > 0);
+        assert!(cell.torn_points > 0, "rotation ticks must be swept");
+        assert_eq!(cell.divergences, 0, "{:?}", cell.first_divergence);
+        assert_eq!(cell.verify_failures, 0);
+        assert_eq!(cell.unbounded_recoveries, 0);
+        assert!(cell.segments > 1, "budget 12 must rotate");
+        ledger.verify().unwrap();
     }
 
     #[test]
@@ -846,7 +817,7 @@ mod tests {
         let cfg = E16Config::smoke();
         let budget = cfg.budgets[0];
         let mut svc = PolicyDecisionService::new(
-            cfg.serve_config(budget, Scheduling::Balanced, 1),
+            cfg.serve_config(budget, 1),
             standard_stacks(cfg.shards, true),
             WorkloadOracle,
             &cfg.run_name(budget),
@@ -878,17 +849,35 @@ mod tests {
 
     #[test]
     fn golden_ledger_is_scheduling_invariant() {
+        // The golden run is driven on one worker; an uninterrupted run on
+        // eight workers, under another virtual schedule, seals the same
+        // segment bytes.
         let cfg = tiny();
-        let (a, la) = run_e16_cell(&cfg, 12, Scheduling::Static);
-        let (b, lb) = run_e16_cell(&cfg, 12, Scheduling::Balanced);
-        assert_eq!(a.final_head, b.final_head);
-        assert_eq!(la.to_jsonl_segments(), lb.to_jsonl_segments());
+        let golden = golden_run(&cfg, 12);
+        let mut svc = PolicyDecisionService::new(
+            cfg.serve_config(12, 8),
+            standard_stacks(cfg.shards, true),
+            WorkloadOracle,
+            &cfg.run_name(12),
+        );
+        let mut gen = WorkloadGen::new(cfg.spec(12));
+        let (decisions, now) = run_to_completion(
+            &mut svc,
+            &mut gen,
+            1,
+            cfg.arrival_ticks,
+            cfg.max_ticks,
+            |_, _| {},
+        );
+        let (ledger, _) = svc.finish_segmented(now);
+        assert_eq!(decisions, golden.decisions);
+        assert_eq!(ledger.to_jsonl_segments(), golden.segments);
     }
 
     #[test]
     fn torn_anchor_falls_back_to_the_previous_segment() {
         let cfg = tiny();
-        let golden = golden_run(&cfg, 12, Scheduling::Balanced);
+        let golden = golden_run(&cfg, 12);
         // Find a rotation tick: the newest file holds exactly the header.
         let (_, disk) = golden
             .snapshots
@@ -908,7 +897,7 @@ mod tests {
             }
             Recovery::Restart { .. } => panic!("predecessor header was intact"),
         }
-        let outcome = check_crash_point(&cfg, 12, Scheduling::Balanced, 3, &torn, &golden);
+        let outcome = check_crash_point(&cfg, 12, 3, &torn, &golden);
         assert!(outcome.diverged.is_none(), "{:?}", outcome.diverged);
         assert!(!outcome.verify_failed);
     }
@@ -920,7 +909,7 @@ mod tests {
             Ok(Recovery::Restart { discarded: 0 })
         ));
         let cfg = tiny();
-        let golden = golden_run(&cfg, 12, Scheduling::Balanced);
+        let golden = golden_run(&cfg, 12);
         // The first tick's disk holds only segment 0: no checkpoint yet.
         let (_, disk) = &golden.snapshots[0];
         assert_eq!(disk.files().len(), 1);

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::AdmissionConfig;
 use crate::batcher::BatchPolicy;
 use crate::request::Decision;
-use crate::service::{PolicyDecisionService, Scheduling, ServeConfig};
+use crate::service::{PolicyDecisionService, ServeConfig};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// Sweep configuration for experiment E13.
@@ -264,7 +264,6 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         cost: Default::default(),
         cache: knobs.cache,
         slo_every: 0,
-        scheduling: Scheduling::Balanced,
         backpressure: false,
         rotation: None,
     };

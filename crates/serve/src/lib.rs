@@ -21,10 +21,11 @@
 //! - [`WorkloadGen`] / [`run_e13`] — seeded open-loop workload generation
 //!   and experiment E13, the load sweep crossing batching × cache ×
 //!   shedding.
-//! - [`Scheduling`] / [`run_e15`] — skew-aware shard scheduling
+//! - [`SchedSummary`] / [`run_e15`] — skew-aware shard scheduling
 //!   (deterministic work stealing via [`apdm_par::run_sharded_balanced`]),
 //!   cross-shard admission backpressure, and experiment E15, the Zipf
-//!   device-skew sweep crossing {static, balanced} × threads.
+//!   device-skew sweep over skew × threads reporting each batch's static
+//!   and balanced virtual schedules side by side.
 //! - [`run_calibration`] — fits the virtual [`CostModel`] to measured
 //!   per-batch nanoseconds so shed curves track real hardware.
 //! - [`ServeCheckpoint`] / [`run_e16`] — crash tolerance: the service
@@ -109,9 +110,7 @@ pub use crash::{
 };
 pub use experiment::{run_e13, run_e13_cell, E13CellReport, E13Config, E13Report, Knobs};
 pub use request::{Decision, DecisionRequest, ShedReason, TenantId};
-pub use service::{
-    standard_slos, PolicyDecisionService, SchedSummary, Scheduling, ServeConfig, ServeStats,
-};
-pub use skew::{run_e15, run_e15_cell, E15CellReport, E15Config, E15Report};
+pub use service::{standard_slos, PolicyDecisionService, SchedSummary, ServeConfig, ServeStats};
+pub use skew::{run_e15, run_e15_cell, E15CellReport, E15Config, E15Report, ScheduleFigures};
 pub use traced::{run_e14, run_e14_mode, E14Config, E14ModeReport, E14Report, ServeMsg, TraceMode};
 pub use workload::{schema, standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};

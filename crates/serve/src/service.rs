@@ -71,15 +71,17 @@ struct EvalOutcome {
     hits: u64,
     /// Memo-cache misses across all shards.
     misses: u64,
-    /// Virtual makespan of the batch, in cost units (deterministic).
-    makespan: u64,
-    /// Chunks the virtual schedule moved off their home worker.
+    /// Virtual makespan of the batch under each schedule,
+    /// `[static, balanced]`, in cost units (deterministic).
+    makespan: [u64; 2],
+    /// Chunks the balanced schedule moved off their home worker.
     virtual_steals: u64,
     /// Chunks that actually ran elsewhere (wall-timing dependent).
     actual_steals: u64,
     /// Per-request virtual start offset (shard start + within-shard
-    /// prefix), indexed by batch position.
-    offsets: Vec<u64>,
+    /// prefix) under each schedule, `[static, balanced]`, indexed by batch
+    /// position.
+    offsets: Vec<[u64; 2]>,
 }
 
 thread_local! {
@@ -95,25 +97,6 @@ thread_local! {
 /// from the fleet's while staying a pure function of the service seed and
 /// the batch counter.
 const SERVE_STEAL_SEED: u64 = 0x5E4E_57EA;
-
-/// Which virtual schedule the service reports for batch evaluation.
-///
-/// Batches always execute through [`apdm_par::run_sharded_balanced`]; this
-/// setting selects only the deterministic *virtual* schedule behind the
-/// wait overlay, the makespan and the steal counts in [`SchedSummary`].
-/// The decision stream and the sealed ledger are byte-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Scheduling {
-    /// Contiguous static partition ([`apdm_par::static_schedule`]): worker
-    /// `w` owns a fixed block of shards, so hot shards queue behind their
-    /// block-mates. Reports zero virtual and actual steals. A comparison
-    /// baseline only.
-    Static,
-    /// Deterministic work-stealing: shards are claimed heaviest-first in a
-    /// seeded order, so a hot shard starts immediately instead of waiting
-    /// out its block.
-    Balanced,
-}
 
 /// Full configuration of one service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,10 +122,6 @@ pub struct ServeConfig {
     /// (burn-rate windows are delimited by the evaluations). `0` disables
     /// SLO monitoring; it is also inert unless telemetry is installed.
     pub slo_every: u64,
-    /// The virtual schedule reported for batch evaluation (see
-    /// [`Scheduling`]). Selects no execution code, and never affects the
-    /// decision stream or the ledger.
-    pub scheduling: Scheduling,
     /// Cross-shard admission backpressure: cap each batch's intake from
     /// shards whose estimated in-flight cost exceeds twice their fair
     /// share of the tick capacity, deferring the excess to the front of
@@ -172,7 +151,6 @@ impl Default for ServeConfig {
             cost: CostModel::default(),
             cache: true,
             slo_every: 0,
-            scheduling: Scheduling::Balanced,
             backpressure: false,
             rotation: None,
         }
@@ -261,8 +239,7 @@ pub struct ServeStats {
     pub cost_spent: u64,
     /// Requests pushed to a later batch by cross-shard backpressure (each
     /// one re-queued at the front of its lane). Computed from cost
-    /// *estimates*, so the count is identical at every thread count and
-    /// scheduling mode.
+    /// *estimates*, so the count is identical at every thread count.
     pub deferrals: u64,
 }
 
@@ -275,18 +252,33 @@ impl ServeStats {
 
 /// Aggregate scheduling telemetry over one service lifetime.
 ///
-/// `makespan_units` and `virtual_steals` come from the deterministic
-/// virtual schedule and are bit-reproducible for a given thread count.
-/// `actual_steals` observes real thread timing and may vary run to run —
-/// report it, never assert on it, and never let it near the ledger.
+/// Every batch executes once, through [`apdm_par::run_sharded_balanced`],
+/// and is described by two deterministic *virtual* schedules of the same
+/// shard costs:
+///
+/// * **static** ([`apdm_par::static_schedule`]): worker `w` owns a fixed
+///   contiguous block of shards, so a hot shard queues behind its
+///   block-mates. A comparison baseline; it never steals.
+/// * **balanced**: the work-stealing schedule the batch actually ran
+///   under — shards claimed heaviest-first in a seeded order, so a hot
+///   shard starts at once instead of waiting out its block.
+///
+/// The makespans and `virtual_steals` are bit-reproducible for a given
+/// thread count. `actual_steals` observes real thread timing and may vary
+/// run to run — report it, never assert on it, and never let it near the
+/// ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SchedSummary {
-    /// Sum of per-batch virtual makespans, in cost units.
-    pub makespan_units: u64,
-    /// Chunks the virtual schedule assigned away from their static home
+    /// Sum of per-batch virtual makespans under the static schedule, in
+    /// cost units.
+    pub static_makespan_units: u64,
+    /// Sum of per-batch virtual makespans under the balanced schedule, in
+    /// cost units.
+    pub balanced_makespan_units: u64,
+    /// Chunks the balanced schedule assigned away from their static home
     /// worker.
     pub virtual_steals: u64,
-    /// Chunks that actually ran on a different worker than the virtual
+    /// Chunks that actually ran on a different worker than the balanced
     /// schedule predicted (wall-timing dependent).
     pub actual_steals: u64,
 }
@@ -313,10 +305,11 @@ pub struct PolicyDecisionService<O> {
     /// share each tick — the backpressure signal.
     shard_inflight: Vec<u64>,
     /// Per-shard virtual queue-wait samples (cost units) since the last
-    /// [`drain_shard_waits`](Self::drain_shard_waits). Grows until drained;
+    /// [`drain_shard_waits`](Self::drain_shard_waits), one
+    /// `[static, balanced]` pair per decided request. Grows until drained;
     /// experiment drivers drain per run, long-lived embedders should drain
     /// periodically.
-    shard_waits: Vec<Vec<u64>>,
+    shard_waits: Vec<Vec<[u64; 2]>>,
     sched: SchedSummary,
 }
 
@@ -379,7 +372,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         self.stats
     }
 
-    /// Scheduling telemetry so far (see [`SchedSummary`] for what is safe
+    /// Schedule telemetry so far (see [`SchedSummary`] for what is safe
     /// to assert on).
     pub fn sched_summary(&self) -> SchedSummary {
         self.sched
@@ -387,11 +380,12 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 
     /// Take the per-shard virtual queue-wait samples accumulated since the
     /// last drain. Each sample is one decided request's wait in cost
-    /// units: `queue ticks × capacity_per_tick` + the virtual offset of
-    /// its batch within the tick + its shard's virtual start + its
-    /// position within the shard. Deterministic for a fixed thread count
-    /// and scheduling mode.
-    pub fn drain_shard_waits(&mut self) -> Vec<Vec<u64>> {
+    /// units under the static and the balanced schedule (see
+    /// [`SchedSummary`]), as `[static, balanced]`: `queue ticks ×
+    /// capacity_per_tick` + the virtual offset of its batch within the
+    /// tick + its shard's virtual start + its position within the shard.
+    /// Deterministic for a fixed thread count.
+    pub fn drain_shard_waits(&mut self) -> Vec<Vec<[u64; 2]>> {
         std::mem::replace(&mut self.shard_waits, vec![Vec::new(); self.cfg.shards])
     }
 
@@ -432,9 +426,10 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             *inflight = inflight.saturating_sub(fair_share);
         }
         let mut decisions = Vec::new();
-        // Virtual time already consumed by earlier batches this tick: the
-        // wait overlay's per-tick base offset.
-        let mut tick_offset = 0u64;
+        // Virtual time already consumed by earlier batches this tick under
+        // each schedule, `[static, balanced]`: the wait overlay's per-tick
+        // base offsets.
+        let mut tick_offset = [0u64; 2];
         loop {
             if !self.meter.can_dispatch() || self.queue.is_empty() {
                 break;
@@ -514,7 +509,8 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             self.stats.cache_hits += eval.hits;
             self.stats.cache_misses += eval.misses;
             self.stats.cost_spent = self.meter.spent();
-            self.sched.makespan_units += eval.makespan;
+            self.sched.static_makespan_units += eval.makespan[0];
+            self.sched.balanced_makespan_units += eval.makespan[1];
             self.sched.virtual_steals += eval.virtual_steals;
             self.sched.actual_steals += eval.actual_steals;
             if telemetry::enabled() {
@@ -525,12 +521,15 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             for ((req, verdict), offset) in batch.iter().zip(eval.verdicts).zip(eval.offsets) {
                 let s = (req.device % shards as u64) as usize;
                 self.shard_inflight[s] += self.cfg.cost.estimate(1);
-                let queue_ticks = now.saturating_sub(req.submitted_at);
-                self.shard_waits[s]
-                    .push(queue_ticks * self.cfg.cost.capacity_per_tick + tick_offset + offset);
+                let queued = now.saturating_sub(req.submitted_at) * self.cfg.cost.capacity_per_tick;
+                self.shard_waits[s].push([
+                    queued + tick_offset[0] + offset[0],
+                    queued + tick_offset[1] + offset[1],
+                ]);
                 decisions.push(self.decide(req, verdict, now));
             }
-            tick_offset += eval.makespan;
+            tick_offset[0] += eval.makespan[0];
+            tick_offset[1] += eval.makespan[1];
         }
         // Rotation is checked once per tick, after all of the tick's
         // dispatch work — a deterministic point, so an uninterrupted run
@@ -650,16 +649,19 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 
     /// Rebuild a service mid-run from a [`ServeCheckpoint`] and a resumed
     /// recorder (see [`SegmentedRecorder::resume`]). `cfg` and `stacks`
-    /// must match the crashed process's configuration; `cfg.threads` and
-    /// `cfg.scheduling` are free to differ — the restored service still
-    /// produces the identical decision stream. Telemetry-side state
-    /// (scheduling summary, wait samples, SLO windows) restarts fresh: it
-    /// was never part of the determinism contract.
+    /// must match the crashed process's configuration; `cfg.threads` is
+    /// free to differ — the restored service still produces the identical
+    /// decision stream. Telemetry-side state (scheduling summary, wait
+    /// samples, SLO windows) restarts fresh: it was never part of the
+    /// determinism contract.
     ///
     /// A checkpoint that does not fit `cfg` — another shard count, another
     /// number of memo caches, or a cache where `cfg.cache` has none (or the
     /// reverse) — is a [`CheckpointError::Mismatch`]: restoring it would
-    /// meter different costs than the run it came from.
+    /// meter different costs than the run it came from. An admission queue
+    /// no live queue could be in (see [`AdmissionQueue::restore`]) is
+    /// [`CheckpointError::Malformed`]: the restored service could panic or
+    /// spin forever on its first tick.
     ///
     /// # Panics
     ///
@@ -716,9 +718,11 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             })
             .collect();
         let rotation = checkpoint.rotation.iter().map(|&t| TenantId(t)).collect();
+        let queue = AdmissionQueue::restore(cfg.admission, lanes, rotation)
+            .map_err(|e| CheckpointError::Malformed(format!("admission queue: {e}")))?;
         Ok(PolicyDecisionService {
             threads: apdm_par::resolve_threads(cfg.threads),
-            queue: AdmissionQueue::restore(cfg.admission, lanes, rotation),
+            queue,
             meter: Meter::restore(&cfg.cost, checkpoint.meter_credit, checkpoint.meter_spent),
             stacks,
             oracle,
@@ -739,19 +743,19 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// Evaluate one batch: bucket requests by shard, run the shards across
     /// the worker pool, reassemble verdicts in batch order. Alongside the
     /// verdicts and the memo-cache `(hits, misses)`, returns the batch's
-    /// deterministic virtual schedule under the configured [`Scheduling`]
-    /// (makespan, steals) and each request's virtual start offset for the
-    /// wait overlay.
+    /// makespan under both deterministic virtual schedules (see
+    /// [`SchedSummary`]), the balanced schedule's steals and each request's
+    /// virtual start offset under both for the wait overlay.
     fn evaluate(&mut self, batch: &[DecisionRequest], now: u64) -> EvalOutcome {
         let shards = self.cfg.shards;
         let cost_model = self.cfg.cost;
         let mut buckets: Vec<Vec<(usize, &DecisionRequest)>> = vec![Vec::new(); shards];
         // A request's within-shard virtual offset is the estimated cost of
         // the same-shard requests queued ahead of it in this batch.
-        let mut offsets = vec![0u64; batch.len()];
+        let mut offsets = vec![[0u64; 2]; batch.len()];
         for (idx, req) in batch.iter().enumerate() {
             let bucket = &mut buckets[(req.device % shards as u64) as usize];
-            offsets[idx] = cost_model.estimate(bucket.len() as u64);
+            offsets[idx] = [cost_model.estimate(bucket.len() as u64); 2];
             bucket.push((idx, req));
         }
         let shard_costs: Vec<u64> = buckets
@@ -802,37 +806,25 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             |(_, items)| cost_model.estimate(items.len() as u64),
             run_slice,
         );
-        // The wait overlay, makespan and steal counts describe the
-        // configured virtual schedule; execution is always balanced, and
-        // the verdicts do not depend on which worker judged a shard.
-        let (makespan, virtual_steals, actual_steals, shard_starts) = match self.cfg.scheduling {
-            Scheduling::Static => {
-                let ranges: Vec<(usize, usize)> = (0..shards).map(|i| (i, i + 1)).collect();
-                let schedule = apdm_par::static_schedule(self.threads, &ranges, &shard_costs);
-                let starts = schedule.chunks.iter().map(|c| c.start).collect();
-                (schedule.makespan, 0, 0, starts)
+        // The wait overlay describes both virtual schedules of this one
+        // execution; the verdicts do not depend on which worker judged a
+        // shard. The static schedule gives each shard its own chunk.
+        let ranges: Vec<(usize, usize)> = (0..shards).map(|i| (i, i + 1)).collect();
+        let static_partition = apdm_par::static_schedule(self.threads, &ranges, &shard_costs);
+        // A balanced chunk may span several shards; shards inside it start
+        // back to back from the chunk's virtual start.
+        let mut balanced_starts = vec![0u64; shards];
+        for chunk in &run.schedule.chunks {
+            let mut t = chunk.start;
+            for s in chunk.range.0..chunk.range.1 {
+                balanced_starts[s] = t;
+                t += shard_costs[s];
             }
-            Scheduling::Balanced => {
-                // A chunk may span several shards; shards inside it
-                // start back to back from the chunk's virtual start.
-                let mut starts = vec![0u64; shards];
-                for chunk in &run.schedule.chunks {
-                    let mut t = chunk.start;
-                    for s in chunk.range.0..chunk.range.1 {
-                        starts[s] = t;
-                        t += shard_costs[s];
-                    }
-                }
-                (
-                    run.schedule.makespan,
-                    run.schedule.steals,
-                    run.actual_steals,
-                    starts,
-                )
-            }
-        };
-        for (idx, req) in batch.iter().enumerate() {
-            offsets[idx] += shard_starts[(req.device % shards as u64) as usize];
+        }
+        for (offset, req) in offsets.iter_mut().zip(batch) {
+            let s = (req.device % shards as u64) as usize;
+            offset[0] += static_partition.chunks[s].start;
+            offset[1] += balanced_starts[s];
         }
         let mut verdicts: Vec<Option<GuardVerdict>> = vec![None; batch.len()];
         let (mut hits, mut misses) = (0u64, 0u64);
@@ -852,9 +844,9 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             verdicts,
             hits,
             misses,
-            makespan,
-            virtual_steals,
-            actual_steals,
+            makespan: [static_partition.makespan, run.schedule.makespan],
+            virtual_steals: run.schedule.steals,
+            actual_steals: run.actual_steals,
             offsets,
         }
     }
@@ -1061,10 +1053,9 @@ mod tests {
 
     #[test]
     fn backpressure_defers_hot_shard_overflow_without_losing_requests() {
-        let run = |scheduling: Scheduling, threads: usize| {
+        let run = |threads: usize| {
             let mut svc = service(ServeConfig {
                 threads,
-                scheduling,
                 backpressure: true,
                 ..ServeConfig::default()
             });
@@ -1098,19 +1089,19 @@ mod tests {
             let (ledger, _) = svc.finish_segmented(200);
             (decisions, ledger.to_jsonl_segments(), stats, waits)
         };
-        let (d_bal, l_bal, s_bal, _) = run(Scheduling::Balanced, 1);
-        let (d_stat, l_stat, s_stat, _) = run(Scheduling::Static, 4);
-        assert!(s_bal.deferrals > 0, "a single hot shard must defer");
+        let (d1, l1, s1, _) = run(1);
+        let (d4, l4, s4, _) = run(4);
+        assert!(s1.deferrals > 0, "a single hot shard must defer");
         assert_eq!(
-            s_bal.decided + s_bal.shed_total(),
-            s_bal.submitted,
+            s1.decided + s1.shed_total(),
+            s1.submitted,
             "no request may be lost to deferral"
         );
-        // Scheduling mode and thread count change neither the decision
-        // stream, the ledger bytes, nor the (estimate-based) stats.
-        assert_eq!(d_bal, d_stat);
-        assert_eq!(l_bal, l_stat);
-        assert_eq!(s_bal, s_stat);
+        // The thread count changes neither the decision stream, the ledger
+        // bytes, nor the (estimate-based) stats.
+        assert_eq!(d1, d4);
+        assert_eq!(l1, l4);
+        assert_eq!(s1, s4);
     }
 
     #[test]
@@ -1133,7 +1124,8 @@ mod tests {
         let waits = svc.drain_shard_waits();
         let samples: usize = waits.iter().map(Vec::len).sum();
         assert_eq!(samples as u64, decided, "one wait sample per decision");
-        assert!(svc.sched_summary().makespan_units > 0);
+        let summary = svc.sched_summary();
+        assert!(summary.static_makespan_units > 0 && summary.balanced_makespan_units > 0);
         // Drained: a second drain is empty.
         let again = svc.drain_shard_waits();
         assert_eq!(again.iter().map(Vec::len).sum::<usize>(), 0);

@@ -1,28 +1,31 @@
-//! Experiment E15: device-skew × scheduling sweep.
+//! Experiment E15: device-skew × threads sweep of shard scheduling.
 //!
 //! Drives the [`PolicyDecisionService`] with Zipf-skewed device traffic —
 //! the hot device deliberately scrambled onto the *last* shard, the worst
-//! case for static contiguous scheduling — and crosses skew ×
-//! {[`Scheduling::Static`], [`Scheduling::Balanced`]} × worker threads,
-//! with cross-shard admission backpressure on everywhere. Reports per
-//! cell: the hot shard's virtual queue-wait percentiles (cost units, from
-//! the deterministic wait overlay), backpressure deferrals, virtual
-//! makespan/steal totals, and the sealed ledger digest.
+//! case for static contiguous scheduling — and crosses skew × worker
+//! threads, with cross-shard admission backpressure on everywhere. Every
+//! batch executes once and is described by both virtual schedules of
+//! [`SchedSummary`](crate::SchedSummary), so each cell reports the static
+//! and the balanced schedule side by side: the hot shard's virtual
+//! queue-wait percentiles (cost units, from the deterministic wait
+//! overlay), the all-shard p99 wait and the virtual makespan, plus the
+//! balanced schedule's steal count, backpressure deferrals and the sealed
+//! ledger digest.
 //!
 //! The claims E15 exists to demonstrate (asserted by the `e15` entry of the
 //! `apdm::experiments` registry, `apdm-experiments run e15`):
 //!
-//! 1. Under skew ≥ Zipf(1.0), balanced scheduling reduces the hot shard's
-//!    p99 virtual queue wait versus static scheduling at every thread
-//!    count.
-//! 2. Determinism survives the optimization: for a fixed skew, all
-//!    {scheduling × threads} cells seal **digest-identical** ledgers —
-//!    work stealing and backpressure never leak into decisions.
+//! 1. Under skew ≥ Zipf(1.0), the balanced schedule reduces the hot
+//!    shard's p99 virtual queue wait versus the static one at every
+//!    thread count (within each cell).
+//! 2. Determinism survives the optimization: for a fixed skew, every
+//!    thread count seals a **digest-identical** ledger — work stealing and
+//!    backpressure never leak into decisions.
 //! 3. Overload still fails closed: zero shed-allows in every cell.
 //!
 //! The workload seed, the recorder name, and therefore the ledger bytes
-//! depend only on `(seed, zipf)` — never on scheduling mode or thread
-//! count — which is what makes claim 2 checkable byte for byte.
+//! depend only on `(seed, zipf)` — never on the thread count — which is
+//! what makes claim 2 checkable byte for byte.
 
 use std::time::Instant;
 
@@ -34,7 +37,7 @@ use crate::admission::AdmissionConfig;
 use crate::batcher::{BatchPolicy, CostModel};
 use crate::experiment::percentile;
 use crate::request::Decision;
-use crate::service::{PolicyDecisionService, Scheduling, ServeConfig};
+use crate::service::{PolicyDecisionService, ServeConfig};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// Sweep configuration for experiment E15.
@@ -90,23 +93,27 @@ impl E15Config {
             ..E15Config::default()
         }
     }
-
-    /// Stable label for a scheduling mode (used in reports and CLI flags).
-    pub fn sched_label(sched: Scheduling) -> &'static str {
-        match sched {
-            Scheduling::Static => "static",
-            Scheduling::Balanced => "balanced",
-        }
-    }
 }
 
-/// Measurements of one E15 cell (one skew × scheduling × thread count).
+/// One virtual schedule's figures in an E15 cell. Deterministic for a
+/// fixed `(seed, zipf, threads)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ScheduleFigures {
+    /// Median virtual queue wait on the hot shard, in cost units.
+    pub hot_p50_wait: u64,
+    /// 99th-percentile virtual queue wait on the hot shard, in cost units.
+    pub hot_p99_wait: u64,
+    /// 99th-percentile virtual queue wait across all shards.
+    pub all_p99_wait: u64,
+    /// Sum of per-batch virtual makespans, in cost units.
+    pub makespan_units: u64,
+}
+
+/// Measurements of one E15 cell (one skew × thread count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E15CellReport {
     /// Zipf exponent of the device draw.
     pub zipf: f64,
-    /// `static` or `balanced`.
-    pub sched: String,
     /// Service worker threads for this cell.
     pub threads: usize,
     /// Requests offered by the generator.
@@ -127,22 +134,19 @@ pub struct E15CellReport {
     pub hot_requests: u64,
     /// Hot shard's share of all decided requests.
     pub hot_share: f64,
-    /// Median virtual queue wait on the hot shard, in cost units.
-    pub hot_p50_wait: u64,
-    /// 99th-percentile virtual queue wait on the hot shard, in cost units.
-    pub hot_p99_wait: u64,
-    /// 99th-percentile virtual queue wait across all shards.
-    pub all_p99_wait: u64,
+    /// Waits and makespan under the static contiguous schedule (the
+    /// comparison baseline, which never steals).
+    pub static_schedule: ScheduleFigures,
+    /// Waits and makespan under the balanced work-stealing schedule.
+    pub balanced_schedule: ScheduleFigures,
+    /// Chunks the balanced schedule moved off their static home worker.
+    pub virtual_steals: u64,
     /// 99th-percentile queue latency of decided requests, in ticks.
     pub p99_queue_ticks: u64,
-    /// Sum of per-batch virtual makespans, in cost units (deterministic).
-    pub makespan_units: u64,
-    /// Chunks the virtual schedule moved off their static home worker.
-    pub virtual_steals: u64,
     /// Records in the sealed run ledger.
     pub ledger_records: u64,
     /// Head digest of the sealed, verified run ledger. Identical across
-    /// scheduling modes and thread counts for a fixed `(seed, zipf)`.
+    /// thread counts for a fixed `(seed, zipf)`.
     pub ledger_digest: u64,
     /// Set when the drain watchdog tripped.
     pub watchdog: Option<String>,
@@ -155,8 +159,7 @@ pub struct E15CellReport {
 pub struct E15Report {
     /// The sweep configuration.
     pub config: E15Config,
-    /// One report per (zipf × scheduling × threads) cell, zipf outer,
-    /// scheduling middle (static then balanced), threads inner.
+    /// One report per (zipf × threads) cell, zipf outer, threads inner.
     pub cells: Vec<E15CellReport>,
     /// Wall-clock for the whole sweep. Not deterministic.
     pub wall_ns: u64,
@@ -174,18 +177,16 @@ impl E15Report {
         report
     }
 
-    /// The cell for `(zipf, sched, threads)`, if present.
-    pub fn cell(&self, zipf: f64, sched: Scheduling, threads: usize) -> Option<&E15CellReport> {
-        let label = E15Config::sched_label(sched);
+    /// The cell for `(zipf, threads)`, if present.
+    pub fn cell(&self, zipf: f64, threads: usize) -> Option<&E15CellReport> {
         self.cells
             .iter()
-            .find(|c| c.zipf == zipf && c.sched == label && c.threads == threads)
+            .find(|c| c.zipf == zipf && c.threads == threads)
     }
 }
 
 /// The workload driving one skew point. Depends only on `(seed, zipf)` so
-/// every (scheduling × threads) cell at this skew replays the identical
-/// request stream.
+/// every thread count at this skew replays the identical request stream.
 fn skew_spec(cfg: &E15Config, zipf: f64) -> WorkloadSpec {
     WorkloadSpec {
         seed: cfg.seed ^ ((zipf * 100.0) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -199,12 +200,7 @@ fn skew_spec(cfg: &E15Config, zipf: f64) -> WorkloadSpec {
 
 /// Run one E15 cell and return its report plus the sealed ledger (the CLI
 /// writes the ledger out for the byte-for-byte CI comparison).
-pub fn run_e15_cell(
-    cfg: &E15Config,
-    zipf: f64,
-    sched: Scheduling,
-    threads: usize,
-) -> (E15CellReport, Ledger) {
+pub fn run_e15_cell(cfg: &E15Config, zipf: f64, threads: usize) -> (E15CellReport, Ledger) {
     let started = Instant::now();
     let spec = skew_spec(cfg, zipf);
     let serve_cfg = ServeConfig {
@@ -216,12 +212,11 @@ pub fn run_e15_cell(
         cost: CostModel::default(),
         cache: true,
         slo_every: 0,
-        scheduling: sched,
         backpressure: true,
         rotation: None,
     };
-    // The recorder name must not mention scheduling or threads: the sealed
-    // ledger is asserted byte-identical across both.
+    // The recorder name must not mention threads: the sealed ledger is
+    // asserted byte-identical across thread counts.
     let mut svc = PolicyDecisionService::new(
         serve_cfg,
         standard_stacks(cfg.shards, true),
@@ -263,8 +258,8 @@ pub fn run_e15_cell(
             break;
         }
     }
-    let mut shard_waits = svc.drain_shard_waits();
-    let sched_summary = svc.sched_summary();
+    let shard_waits = svc.drain_shard_waits();
+    let summary = svc.sched_summary();
     let stats = svc.stats();
     let (ledger, _) = svc.finish_segmented(now);
     let ledger = ledger.into_single().expect("an E15 cell never rotates");
@@ -276,14 +271,20 @@ pub fn run_e15_cell(
         .max_by_key(|&s| (shard_waits[s].len(), usize::MAX - s))
         .unwrap_or(0);
     let hot_requests = shard_waits[hot_shard].len() as u64;
-    let hot_p50_wait = percentile(&mut shard_waits[hot_shard], 0.50);
-    let hot_p99_wait = percentile(&mut shard_waits[hot_shard], 0.99);
-    let mut all_waits: Vec<u64> = shard_waits.iter().flatten().copied().collect();
-    let all_p99_wait = percentile(&mut all_waits, 0.99);
+    // Schedule `i` of the `[static, balanced]` wait pairs.
+    let figures = |i: usize, makespan_units: u64| {
+        let mut hot: Vec<u64> = shard_waits[hot_shard].iter().map(|w| w[i]).collect();
+        let mut all: Vec<u64> = shard_waits.iter().flatten().map(|w| w[i]).collect();
+        ScheduleFigures {
+            hot_p50_wait: percentile(&mut hot, 0.50),
+            hot_p99_wait: percentile(&mut hot, 0.99),
+            all_p99_wait: percentile(&mut all, 0.99),
+            makespan_units,
+        }
+    };
 
     let report = E15CellReport {
         zipf,
-        sched: E15Config::sched_label(sched).to_string(),
         threads,
         offered,
         decided: stats.decided,
@@ -294,12 +295,10 @@ pub fn run_e15_cell(
         hot_shard,
         hot_requests,
         hot_share: hot_requests as f64 / stats.decided.max(1) as f64,
-        hot_p50_wait,
-        hot_p99_wait,
-        all_p99_wait,
+        static_schedule: figures(0, summary.static_makespan_units),
+        balanced_schedule: figures(1, summary.balanced_makespan_units),
+        virtual_steals: summary.virtual_steals,
         p99_queue_ticks: percentile(&mut latencies, 0.99),
-        makespan_units: sched_summary.makespan_units,
-        virtual_steals: sched_summary.virtual_steals,
         ledger_records: ledger.len() as u64,
         ledger_digest: ledger.head_digest(),
         watchdog,
@@ -308,27 +307,22 @@ pub fn run_e15_cell(
     (report, ledger)
 }
 
-/// Run the full E15 sweep: every zipf × {static, balanced} × threads,
-/// fanned out across the worker pool with order-preserving collection.
+/// Run the full E15 sweep: every zipf × threads, fanned out across the
+/// worker pool with order-preserving collection.
 pub fn run_e15(cfg: &E15Config) -> E15Report {
     let started = Instant::now();
-    let cells: Vec<(f64, Scheduling, usize)> = cfg
+    let cells: Vec<(f64, usize)> = cfg
         .zipfs
         .iter()
         .flat_map(|&zipf| {
-            [Scheduling::Static, Scheduling::Balanced]
-                .into_iter()
-                .flat_map(move |sched| {
-                    cfg.threads_sweep
-                        .iter()
-                        .map(move |&threads| (zipf, sched, threads))
-                        .collect::<Vec<_>>()
-                })
+            cfg.threads_sweep
+                .iter()
+                .map(move |&threads| (zipf, threads))
         })
         .collect();
     let threads = resolve_threads(cfg.threads);
-    let cells = par_map(threads, cells, |_, (zipf, sched, cell_threads)| {
-        run_e15_cell(cfg, zipf, sched, cell_threads).0
+    let cells = par_map(threads, cells, |_, (zipf, cell_threads)| {
+        run_e15_cell(cfg, zipf, cell_threads).0
     });
     E15Report {
         config: cfg.clone(),
@@ -353,26 +347,25 @@ mod tests {
 
     #[test]
     fn skewed_cells_share_one_ledger_across_sched_and_threads() {
+        // Both schedules are reported from one execution, so one ledger
+        // per cell covers them; across thread counts it must not move.
         let cfg = tiny();
         let mut digests = std::collections::BTreeMap::new();
         for &zipf in &cfg.zipfs {
-            for sched in [Scheduling::Static, Scheduling::Balanced] {
-                for &threads in &cfg.threads_sweep {
-                    let (cell, ledger) = run_e15_cell(&cfg, zipf, sched, threads);
-                    assert_eq!(cell.watchdog, None);
-                    assert_eq!(cell.shed_allows, 0);
-                    assert_eq!(cell.decided + cell.shed, cell.offered);
-                    let bytes = ledger.to_jsonl();
-                    let entry = digests
-                        .entry(format!("{zipf}"))
-                        .or_insert_with(|| (cell.ledger_digest, bytes.clone()));
-                    assert_eq!(
-                        (entry.0, &entry.1),
-                        (cell.ledger_digest, &bytes),
-                        "zipf={zipf} sched={:?} threads={threads}: ledger diverged",
-                        sched
-                    );
-                }
+            for &threads in &cfg.threads_sweep {
+                let (cell, ledger) = run_e15_cell(&cfg, zipf, threads);
+                assert_eq!(cell.watchdog, None);
+                assert_eq!(cell.shed_allows, 0);
+                assert_eq!(cell.decided + cell.shed, cell.offered);
+                let bytes = ledger.to_jsonl();
+                let entry = digests
+                    .entry(format!("{zipf}"))
+                    .or_insert_with(|| (cell.ledger_digest, bytes.clone()));
+                assert_eq!(
+                    (entry.0, &entry.1),
+                    (cell.ledger_digest, &bytes),
+                    "zipf={zipf} threads={threads}: ledger diverged"
+                );
             }
         }
     }
@@ -383,8 +376,8 @@ mod tests {
             arrival_ticks: 60,
             ..tiny()
         };
-        let (uniform, _) = run_e15_cell(&cfg, 0.0, Scheduling::Balanced, 1);
-        let (skewed, _) = run_e15_cell(&cfg, 1.2, Scheduling::Balanced, 1);
+        let (uniform, _) = run_e15_cell(&cfg, 0.0, 1);
+        let (skewed, _) = run_e15_cell(&cfg, 1.2, 1);
         assert!(
             skewed.hot_share > uniform.hot_share * 2.0,
             "Zipf(1.2) hot share {} should dwarf uniform {}",
@@ -394,16 +387,15 @@ mod tests {
         // The hot device scrambles onto the last shard.
         assert_eq!(skewed.hot_shard, cfg.shards - 1);
         assert!(skewed.deferrals > 0, "hot shard must trip backpressure");
-        let (stat, _) = run_e15_cell(&cfg, 1.2, Scheduling::Static, 3);
-        let (bal, _) = run_e15_cell(&cfg, 1.2, Scheduling::Balanced, 3);
-        assert_eq!(stat.ledger_digest, bal.ledger_digest);
+        // Static and balanced compared within one cell.
+        let (cell, _) = run_e15_cell(&cfg, 1.2, 3);
+        let (stat, bal) = (cell.static_schedule, cell.balanced_schedule);
         assert!(
             bal.hot_p99_wait < stat.hot_p99_wait,
             "balanced hot p99 {} should beat static {}",
             bal.hot_p99_wait,
             stat.hot_p99_wait
         );
-        assert!(bal.virtual_steals > 0);
-        assert_eq!(stat.virtual_steals, 0);
+        assert!(cell.virtual_steals > 0);
     }
 }

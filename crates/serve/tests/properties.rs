@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use apdm_serve::{
     resume_run, run_e14_mode, run_to_completion, standard_stacks, AdmissionConfig, BatchPolicy,
-    Decision, E14Config, E16Config, PolicyDecisionService, Scheduling, ServeConfig, SimDisk,
-    TraceMode, WorkloadGen, WorkloadOracle, WorkloadSpec,
+    Decision, E14Config, E16Config, PolicyDecisionService, ServeConfig, SimDisk, TraceMode,
+    WorkloadGen, WorkloadOracle, WorkloadSpec,
 };
 
 /// Drive one service to completion over a generated workload; returns the
@@ -141,7 +141,7 @@ proptest! {
 }
 
 /// A Zipf-skewed spec for the scheduling-invariance property: small like
-/// [`arb_small_spec`] (it runs each case six times), plus a skew exponent
+/// [`arb_small_spec`] (it runs each case four times), plus a skew exponent
 /// in {0.0, 0.7, 1.4} so both the uniform control and hot-device regimes
 /// are exercised.
 fn arb_skew_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -158,38 +158,30 @@ fn arb_skew_spec() -> impl Strategy<Value = WorkloadSpec> {
 
 proptest! {
     /// The skew-aware optimizations must be invisible in results: for any
-    /// Zipf-skewed workload, every {static, balanced} × {1, 3, 8}-thread
-    /// service — cross-shard backpressure on — produces a byte-identical
-    /// decision stream and ledger. Work stealing and deferral may only
-    /// change *when* work runs, never what is decided.
+    /// Zipf-skewed workload, every {1, 3, 8}-thread service — each under
+    /// its own work-stealing schedule, cross-shard backpressure on —
+    /// produces a byte-identical decision stream and ledger. Work stealing
+    /// and deferral may only change *when* work runs, never what is
+    /// decided.
     #[test]
     fn scheduling_mode_and_threads_never_change_decisions(spec in arb_skew_spec()) {
-        let cfg = |threads, scheduling| ServeConfig {
+        let cfg = |threads| ServeConfig {
             seed: spec.seed,
             threads,
-            scheduling,
             backpressure: true,
             ..ServeConfig::default()
         };
-        let (base_d, base_l) = run_service(spec, cfg(1, Scheduling::Static));
-        for scheduling in [Scheduling::Static, Scheduling::Balanced] {
-            for threads in [1usize, 3, 8] {
-                let (d, l) = run_service(spec, cfg(threads, scheduling));
-                prop_assert_eq!(
-                    &base_d, &d,
-                    "decision stream diverged at {:?} x {} threads", scheduling, threads
-                );
-                prop_assert_eq!(
-                    &base_l, &l,
-                    "ledger bytes diverged at {:?} x {} threads", scheduling, threads
-                );
-            }
+        let (base_d, base_l) = run_service(spec, cfg(1));
+        for threads in [3usize, 8] {
+            let (d, l) = run_service(spec, cfg(threads));
+            prop_assert_eq!(&base_d, &d, "decision stream diverged at {} threads", threads);
+            prop_assert_eq!(&base_l, &l, "ledger bytes diverged at {} threads", threads);
         }
     }
 }
 
 /// A rotating-ledger crash case: a small Zipf-skewed cell (the property
-/// replays it at six scheduling × thread combinations), a rotation budget
+/// replays it at three thread counts), a rotation budget
 /// small enough to force several segments, a retention depth, and the
 /// crash position as a percentage through the run's persisted ticks.
 fn arb_crash_case() -> impl Strategy<Value = (E16Config, usize)> {
@@ -220,14 +212,14 @@ proptest! {
     /// Crash tolerance is total: kill the service at any persisted tick,
     /// restore from whatever the simulated disk holds (a checkpoint-headed
     /// open segment, or nothing usable at all), and the resumed run — at
-    /// worker thread counts {1, 3, 8}, under either scheduling mode, with
-    /// cross-shard backpressure on — reseals a byte-identical segmented
+    /// worker thread counts {1, 3, 8}, with cross-shard backpressure
+    /// on — reseals a byte-identical segmented
     /// ledger and regenerates exactly the golden decision suffix.
     #[test]
     fn checkpoint_restore_resume_is_bit_identical((cfg, frac) in arb_crash_case()) {
         let budget = cfg.budgets[0];
         let mut svc = PolicyDecisionService::new(
-            cfg.serve_config(budget, Scheduling::Static, 1),
+            cfg.serve_config(budget, 1),
             standard_stacks(cfg.shards, true),
             WorkloadOracle,
             &cfg.run_name(budget),
@@ -247,29 +239,23 @@ proptest! {
         let golden_segments = golden.to_jsonl_segments();
 
         let (_, crash_disk) = &snapshots[frac * (snapshots.len() - 1) / 100];
-        for sched in [Scheduling::Static, Scheduling::Balanced] {
-            for threads in [1usize, 3, 8] {
-                let (ledger, decisions, start, _) =
-                    resume_run(&cfg, budget, sched, threads, crash_disk)
-                        .expect("a current-format checkpoint resumes");
-                prop_assert!(
-                    ledger.verify().is_ok(),
-                    "resumed ledger corrupt at {:?} x {} threads", sched, threads
-                );
-                prop_assert_eq!(
-                    &golden_segments, &ledger.to_jsonl_segments(),
-                    "segment bytes diverged at {:?} x {} threads", sched, threads
-                );
-                let suffix: Vec<&Decision> = golden_decisions
-                    .iter()
-                    .filter(|d| d.decided_at >= start)
-                    .collect();
-                let resumed: Vec<&Decision> = decisions.iter().collect();
-                prop_assert_eq!(
-                    suffix, resumed,
-                    "decision suffix diverged at {:?} x {} threads", sched, threads
-                );
-            }
+        for threads in [1usize, 3, 8] {
+            let (ledger, decisions, start, _) = resume_run(&cfg, budget, threads, crash_disk)
+                .expect("a current-format checkpoint resumes");
+            prop_assert!(ledger.verify().is_ok(), "resumed ledger corrupt at {} threads", threads);
+            prop_assert_eq!(
+                &golden_segments, &ledger.to_jsonl_segments(),
+                "segment bytes diverged at {} threads", threads
+            );
+            let suffix: Vec<&Decision> = golden_decisions
+                .iter()
+                .filter(|d| d.decided_at >= start)
+                .collect();
+            let resumed: Vec<&Decision> = decisions.iter().collect();
+            prop_assert_eq!(
+                suffix, resumed,
+                "decision suffix diverged at {} threads", threads
+            );
         }
     }
 }

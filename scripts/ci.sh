@@ -84,30 +84,6 @@ print(f"e12 smoke: contained at tick {cell['containment_tick']} under loss=0.3, 
       f"ledger byte-identical at 1 and 4 threads")
 PY
 
-echo "==> serving smoke (E13 sweep, micro-batching decision service)"
-./target/release/apdm-experiments serve-bench --smoke --seed 42 --json --quiet \
-    > "$trace_dir/e13-smoke.json"
-python3 - "$trace_dir/e13-smoke.json" <<'PY'
-import json, sys
-
-report = json.load(open(sys.argv[1]))
-cells = report["cells"]
-low = min(report["config"]["loads"])
-for c in cells:
-    if c["watchdog"] is not None:
-        sys.exit(f"e13 smoke: watchdog tripped in {c['label']} load={c['load']}")
-    if c["throughput"] <= 0:
-        sys.exit(f"e13 smoke: zero throughput in {c['label']} load={c['load']}")
-    if c["decided"] + c["shed"] != c["offered"]:
-        sys.exit(f"e13 smoke: requests lost in {c['label']} load={c['load']}")
-    if c["shed_allows"] != 0:
-        sys.exit(f"e13 smoke: a shed request was ALLOWED in {c['label']} load={c['load']}")
-    if c["load"] == low and c["shed"] != 0:
-        sys.exit(f"e13 smoke: shed at low load in {c['label']}")
-print(f"e13 smoke: {len(cells)} cells, non-zero throughput, no sheds at load={low}, "
-      f"all sheds fail closed")
-PY
-
 echo "==> distributed-tracing smoke (E14 traced run + trace-analyze round trip)"
 ./target/release/apdm-experiments run e14 --seed 42 \
     --out "$trace_dir/e14-trace.jsonl" --json --quiet > "$trace_dir/e14-report.json"
@@ -139,41 +115,45 @@ print(f"e14 smoke: {report['traces']} traces span all {len(stages)} pipeline sta
       f"device timeline covers {len(devices)} devices")
 PY
 
-echo "==> skew-scheduling smoke (E15 cell, zipf=1.2: static vs balanced)"
-./target/release/apdm-experiments run e15 --seed 42 --sched static --threads 1 \
-    --out "$trace_dir/e15-static.jsonl" --json --quiet > "$trace_dir/e15-static.json"
-./target/release/apdm-experiments run e15 --seed 42 --sched balanced --threads 3 \
-    --out "$trace_dir/e15-balanced.jsonl" --json --quiet > "$trace_dir/e15-balanced.json"
-cmp -s "$trace_dir/e15-static.jsonl" "$trace_dir/e15-balanced.jsonl" \
-    || { echo "e15 smoke: balanced sealed ledger diverges from static"; exit 1; }
-./target/release/apdm-experiments verify "$trace_dir/e15-static.jsonl" --quiet >/dev/null \
+echo "==> skew-scheduling smoke (E15 cell, zipf=1.2: 1 vs 3 threads, static vs balanced)"
+./target/release/apdm-experiments run e15 --seed 42 --threads 1 \
+    --out "$trace_dir/e15-t1.jsonl" --json --quiet > "$trace_dir/e15-t1.json"
+./target/release/apdm-experiments run e15 --seed 42 --threads 3 \
+    --out "$trace_dir/e15-t3.jsonl" --json --quiet > "$trace_dir/e15-t3.json"
+cmp -s "$trace_dir/e15-t1.jsonl" "$trace_dir/e15-t3.jsonl" \
+    || { echo "e15 smoke: 3-thread sealed ledger diverges from 1-thread"; exit 1; }
+./target/release/apdm-experiments verify "$trace_dir/e15-t1.jsonl" --quiet >/dev/null \
     || { echo "e15 smoke: sealed cell ledger failed verification"; exit 1; }
-python3 - "$trace_dir/e15-static.json" "$trace_dir/e15-balanced.json" <<'PY'
+python3 - "$trace_dir/e15-t1.json" "$trace_dir/e15-t3.json" <<'PY'
 import json, sys
 
-stat = json.load(open(sys.argv[1]))
-bal = json.load(open(sys.argv[2]))
-for cell in (stat, bal):
+cells = [json.load(open(path)) for path in sys.argv[1:]]
+for cell in cells:
+    t = cell["threads"]
     if cell["watchdog"] is not None:
-        sys.exit(f"e15 smoke: watchdog tripped in {cell['sched']}: {cell['watchdog']}")
+        sys.exit(f"e15 smoke: watchdog tripped at t={t}: {cell['watchdog']}")
     if cell["shed_allows"] != 0:
-        sys.exit(f"e15 smoke: a shed request was ALLOWED in {cell['sched']}")
+        sys.exit(f"e15 smoke: a shed request was ALLOWED at t={t}")
     if cell["decided"] + cell["shed"] != cell["offered"]:
-        sys.exit(f"e15 smoke: requests lost in {cell['sched']}")
-if stat["ledger_digest"] != bal["ledger_digest"]:
-    sys.exit("e15 smoke: ledger digests diverge between static and balanced")
-if not bal["hot_p99_wait"] < stat["hot_p99_wait"]:
-    sys.exit(f"e15 smoke: balanced hot p99 wait {bal['hot_p99_wait']} "
-             f"did not beat static {stat['hot_p99_wait']}")
-if bal["deferrals"] == 0:
-    sys.exit("e15 smoke: backpressure never deferred under zipf=1.2")
-print(f"e15 smoke: ledger byte-identical across scheduling, balanced hot-shard "
-      f"p99 wait {bal['hot_p99_wait']} < static {stat['hot_p99_wait']}, "
-      f"{bal['deferrals']} deferrals")
+        sys.exit(f"e15 smoke: requests lost at t={t}")
+    if cell["deferrals"] == 0:
+        sys.exit(f"e15 smoke: backpressure never deferred under zipf=1.2 at t={t}")
+    # Both schedules describe the same batches: compare them in one report.
+    stat, bal = cell["static_schedule"], cell["balanced_schedule"]
+    if not bal["hot_p99_wait"] < stat["hot_p99_wait"]:
+        sys.exit(f"e15 smoke: balanced hot p99 wait {bal['hot_p99_wait']} "
+                 f"did not beat static {stat['hot_p99_wait']} at t={t}")
+if cells[0]["ledger_digest"] != cells[1]["ledger_digest"]:
+    sys.exit("e15 smoke: ledger digests diverge between 1 and 3 threads")
+waits = ", ".join(f"{c['balanced_schedule']['hot_p99_wait']} < "
+                  f"{c['static_schedule']['hot_p99_wait']} at t={c['threads']}"
+                  for c in cells)
+print(f"e15 smoke: ledger byte-identical at 1 and 3 threads, balanced vs static "
+      f"hot-shard p99 wait {waits}, {cells[1]['deferrals']} deferrals")
 PY
 
-echo "==> cost-model calibration smoke (serve-bench --calibrate)"
-./target/release/apdm-experiments serve-bench --calibrate --seed 42 --json --quiet \
+echo "==> cost-model calibration smoke (calibrate)"
+./target/release/apdm-experiments calibrate --seed 42 --json --quiet \
     > "$trace_dir/calibration.json"
 python3 - "$trace_dir/calibration.json" <<'PY'
 import json, sys
@@ -317,14 +297,13 @@ print(f"e11: {len(report['cells'])} cells, all ledgers bit-identical "
       f"(hardware_threads={report['hardware_threads']})")
 PY
 
-# Every deterministic experiment whose table configuration runs in a few
-# seconds, checked against its acceptance predicate (`run` exits non-zero
-# and names each broken claim): f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8
-# a1 a2 a3 e9 g1 e11 e12 e13 e17. Left out: e10 and e14, whose claims are
-# wall-clock; e15 (~10 s) and e16 (~1 min), whose smoke configurations
-# tier-1 checks and whose cells the smokes above compare byte for byte.
+# Every deterministic experiment whose table configuration runs in well
+# under a minute, checked against its acceptance predicate (`run` exits
+# non-zero and names each broken claim): f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n
+# e6 e7 e8 a1 a2 a3 e9 g1 e11 e12 e13 e15 e16 e17. Left out: e10 and e14,
+# whose claims are wall-clock.
 echo "==> experiment acceptance predicates (table configurations)"
-for id in f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8 a1 a2 a3 e9 g1 e11 e12 e13 e17; do
+for id in f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8 a1 a2 a3 e9 g1 e11 e12 e13 e15 e16 e17; do
     ./target/release/apdm-experiments run "$id" --quiet >/dev/null \
         || { echo "experiment $id failed its acceptance predicate"; exit 1; }
 done

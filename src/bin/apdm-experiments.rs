@@ -10,8 +10,7 @@
 //! apdm-experiments verify run.jsonl
 //! apdm-experiments replay run.jsonl [--seed 42] [--from-snapshot]
 //! apdm-experiments trace [--seed 42] [--out trace.jsonl]
-//! apdm-experiments serve-bench [--seed 42] [--smoke] [--out report.json]
-//! apdm-experiments serve-bench --calibrate [--seed 42]
+//! apdm-experiments calibrate [--seed 42] [--json]
 //! apdm-experiments trace-analyze trace.jsonl [--chrome out.json]
 //! apdm-experiments checkpoint [--kill-tick T] [--seed 42] --out base
 //! apdm-experiments resume base [--seed 42] [--out base2]
@@ -31,8 +30,7 @@
 //! order, and recorded ledgers are bit-identical at any thread count.
 //! `--no-cache` disables the guard-verdict memo cache. `run` rejects a flag
 //! the chosen experiment never reads (`--out` outside e12/e14/e15/e16,
-//! `--sched` outside their e15/e16 `--out` cells, `--no-cache` outside e11)
-//! before anything runs.
+//! `--no-cache` outside e11) before anything runs.
 //!
 //! `record` runs the canonical guarded-striker scenario under the
 //! `apdm-ledger` flight recorder and writes the hash-chained ledger as
@@ -49,13 +47,14 @@
 //! (per-guard latency, per-tick phase timings). The `trace` subcommand does
 //! this for the canonical recorded scenario in one step.
 //!
-//! Skew scheduling: `run e15` sweeps Zipf device skew × {static, balanced}
-//! shard scheduling (experiment E15); `run e15 --out cell.jsonl` runs the
-//! canonical skewed cell and writes its sealed ledger, with `--sched
-//! static|balanced` picking the scheduling mode — CI compares the two
-//! files byte for byte. `serve-bench --calibrate` measures real per-batch
-//! guard-stack nanoseconds and prints the least-squares-fitted `CostModel`
-//! constants with their residual error.
+//! Skew scheduling: `run e15` sweeps Zipf device skew × worker threads
+//! (experiment E15), each cell reporting the static and the balanced
+//! virtual schedule of the same batches side by side; `run e15 --out
+//! cell.jsonl` runs the canonical skewed cell and writes its sealed
+//! ledger — CI runs it at two thread counts and compares the files byte
+//! for byte. `calibrate` measures real per-batch guard-stack nanoseconds
+//! and prints the least-squares-fitted `CostModel` constants with their
+//! residual error.
 //!
 //! Distributed tracing: `run e14 --out traced.jsonl` records the full-mode
 //! causally-traced serve run (experiment E14) as JSONL, and
@@ -97,16 +96,14 @@ use std::fs;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use apdm::experiments::{
-    self, print_e13_table, write_segments, Env, Experiment, Scale, EXPERIMENTS,
-};
+use apdm::experiments::{self, write_segments, Env, Experiment, Scale, EXPERIMENTS};
 use apdm::ledger::{Ledger, SegmentedLedger};
 use apdm::net::{
     golden_segments, run_chaos_client, run_workload_client, serve, ChaosKind, E17Config,
 };
 use apdm::serve::{
-    resume_run, run_calibration, run_e13, run_to_completion, standard_stacks, E13Config, E16Config,
-    PolicyDecisionService, Scheduling, SimDisk, WorkloadGen, WorkloadOracle,
+    resume_run, run_calibration, run_to_completion, standard_stacks, E16Config,
+    PolicyDecisionService, SimDisk, WorkloadGen, WorkloadOracle,
 };
 use apdm::sim::recorder::{
     replay_recorded, replay_recorded_prefix, run_recorded, RecordSpec, ReplayStart,
@@ -122,15 +119,14 @@ commands:
   run <id|all> [--seed N] [--json]
       [--no-cache]                        e11 only
       [--out path]                        e12, e14, e15, e16: one cell, written to path
-      [--sched static|balanced]           e15, e16 with --out
   record [--seed N] [--out run.jsonl]
   verify <ledger.jsonl | run.segNNNN.jsonl>
   replay <ledger.jsonl> [--seed N] [--from-snapshot]
   trace [--seed N] [--out trace.jsonl]
-  serve-bench [--seed N] [--smoke] [--calibrate] [--json] [--out report.json]
+  calibrate [--seed N] [--json]
   trace-analyze <trace.jsonl> [--chrome out.json]
-  checkpoint [--seed N] [--kill-tick T] [--sched static|balanced] [--out base]
-  resume <base> [--seed N] [--sched static|balanced] [--out base2]
+  checkpoint [--seed N] [--kill-tick T] [--out base]
+  resume <base> [--seed N] [--out base2]
   serve-net serve [--listen addr] [--addr-file path] [--clients N] [--smoke] [--out base]
   serve-net client (--connect addr | --addr-file path) --index I --clients N [--smoke]
   serve-net chaos (--connect addr | --addr-file path) --kind k [--smoke]
@@ -147,7 +143,7 @@ global flags:
 /// included; `None` for an unknown command.
 fn positional_limit(command: &str) -> Option<usize> {
     match command {
-        "list" | "record" | "trace" | "serve-bench" | "checkpoint" => Some(1),
+        "list" | "record" | "trace" | "calibrate" | "checkpoint" => Some(1),
         "run" | "verify" | "replay" | "trace-analyze" | "resume" | "serve-net" => Some(2),
         _ => None,
     }
@@ -195,9 +191,7 @@ struct Flags {
     threads: usize,
     cache: bool,
     smoke: bool,
-    calibrate: bool,
     kill_tick: Option<u64>,
-    sched: Scheduling,
     net: NetFlags,
     /// The flags given, in command-line order.
     given: Vec<String>,
@@ -216,9 +210,7 @@ impl Default for Flags {
             threads: 0,
             cache: true,
             smoke: false,
-            calibrate: false,
             kill_tick: None,
-            sched: Scheduling::Balanced,
             net: NetFlags {
                 clients: 1,
                 ..NetFlags::default()
@@ -266,14 +258,6 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Flags), ExitCode> {
             "--from-snapshot" => f.from_snapshot = true,
             "--no-cache" => f.cache = false,
             "--smoke" => f.smoke = true,
-            "--calibrate" => f.calibrate = true,
-            "--sched" => {
-                f.sched = match iter.next().map(String::as_str) {
-                    Some("static") => Scheduling::Static,
-                    Some("balanced") => Scheduling::Balanced,
-                    _ => return Err(fail("--sched requires `static` or `balanced`")),
-                }
-            }
             "--seed" => f.seed = value(&mut iter, arg, "an integer")?,
             "--threads" => f.threads = value(&mut iter, arg, "an integer (0 = auto)")?,
             "--kill-tick" => f.kill_tick = Some(value(&mut iter, arg, "a tick number")?),
@@ -362,9 +346,7 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
         threads,
         cache,
         smoke,
-        calibrate,
         kill_tick,
-        sched,
         ..
     } = *flags;
     let (out, net) = (flags.out.clone(), &flags.net);
@@ -375,7 +357,6 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
             .any(|f| f == "--threads")
             .then_some(threads),
         cache,
-        sched,
     };
     match positional.first().map(String::as_str) {
         Some("list") => {
@@ -535,68 +516,37 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
                 }
             }
         }
-        Some("serve-bench") => {
-            // `--calibrate` replaces the sweep with the wall-clock cost
-            // model fit: measure real per-batch guard-stack nanoseconds and
-            // print the least-squares constants plus residual error.
-            if calibrate {
-                let report = run_calibration(seed, 8, 1_000_000);
-                if json {
-                    emit(true, &report);
-                } else {
-                    println!(
-                        "calibration: {} timed batches (seed {seed})",
-                        report.samples
-                    );
-                    println!(
-                        "  fit: batch_ns ~= {:.1} + {:.1}*hits + {:.1}*misses",
-                        report.overhead_ns, report.hit_ns, report.miss_ns
-                    );
-                    println!(
-                        "  residual: {:.1} ns rms ({:.1}% of mean batch)",
-                        report.residual_rms_ns,
-                        report.residual_rel * 100.0
-                    );
-                    let m = &report.fitted;
-                    println!(
-                        "fitted CostModel (1 unit = one cache hit, tick budget {} ns):",
-                        report.tick_budget_ns
-                    );
-                    println!(
-                        "  capacity_per_tick={} batch_overhead={} cost_hit={} cost_miss={}",
-                        m.capacity_per_tick, m.batch_overhead, m.cost_hit, m.cost_miss
-                    );
-                }
-                return ExitCode::SUCCESS;
-            }
-            // The serving-layer load sweep (experiment E13), runnable
-            // without the criterion harness. `--smoke` is the CI shape:
-            // short arrival window, one underloaded and one overloaded
-            // point.
-            let cfg = E13Config {
-                seed,
-                threads,
-                ..if smoke {
-                    E13Config::smoke()
-                } else {
-                    E13Config::default()
-                }
-            };
-            let report = run_e13(&cfg);
+        Some("calibrate") => {
+            // The wall-clock cost model fit: measure real per-batch
+            // guard-stack nanoseconds and print the least-squares constants
+            // plus residual error.
+            let report = run_calibration(seed, 8, 1_000_000);
             if json {
                 emit(true, &report);
-            } else {
-                print_e13_table(&report);
+                return ExitCode::SUCCESS;
             }
-            if let Some(path) = out {
-                let body = serde_json::to_string_pretty(&report).expect("serializable report");
-                if let Err(e) = fs::write(&path, body) {
-                    return fail(&format!("cannot write {path}: {e}"));
-                }
-                if !json {
-                    println!("report written to {path}");
-                }
-            }
+            println!(
+                "calibration: {} timed batches (seed {seed})",
+                report.samples
+            );
+            println!(
+                "  fit: batch_ns ~= {:.1} + {:.1}*hits + {:.1}*misses",
+                report.overhead_ns, report.hit_ns, report.miss_ns
+            );
+            println!(
+                "  residual: {:.1} ns rms ({:.1}% of mean batch)",
+                report.residual_rms_ns,
+                report.residual_rel * 100.0
+            );
+            let m = &report.fitted;
+            println!(
+                "fitted CostModel (1 unit = one cache hit, tick budget {} ns):",
+                report.tick_budget_ns
+            );
+            println!(
+                "  capacity_per_tick={} batch_overhead={} cost_hit={} cost_miss={}",
+                m.capacity_per_tick, m.batch_overhead, m.cost_hit, m.cost_miss
+            );
             ExitCode::SUCCESS
         }
         Some("trace-analyze") => {
@@ -613,7 +563,7 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
                 ..E16Config::smoke()
             };
             let base = out.unwrap_or_else(|| format!("e16-{seed}"));
-            checkpoint_cmd(&cfg, sched, kill_tick, &base)
+            checkpoint_cmd(&cfg, kill_tick, &base)
         }
         Some("resume") => {
             let Some(base) = positional.get(1) else {
@@ -624,7 +574,7 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
                 ..E16Config::smoke()
             };
             let out_base = out.unwrap_or_else(|| format!("{base}-resumed"));
-            resume_cmd(&cfg, sched, base, &out_base)
+            resume_cmd(&cfg, base, &out_base)
         }
         Some("serve-net") => {
             let cfg = E17Config {
@@ -639,7 +589,7 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
         }
         _ => fail(
             "usage: apdm-experiments \
-                 <list|run|record|verify|replay|trace|serve-bench|trace-analyze\
+                 <list|run|record|verify|replay|trace|calibrate|trace-analyze\
                  |checkpoint|resume|serve-net> ...",
         ),
     }
@@ -916,15 +866,10 @@ fn verify_segmented(base: &str, segs: &[(u64, String)]) -> ExitCode {
 /// Run the canonical rotating serve cell (E16 smoke shape) and write its
 /// segment files: the sealed golden run, or — with a kill tick — the
 /// exact bytes a SIGKILLed process would leave behind.
-fn checkpoint_cmd(
-    cfg: &E16Config,
-    sched: Scheduling,
-    kill_tick: Option<u64>,
-    base: &str,
-) -> ExitCode {
+fn checkpoint_cmd(cfg: &E16Config, kill_tick: Option<u64>, base: &str) -> ExitCode {
     let budget = cfg.budgets[0];
     let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, sched, 1),
+        cfg.serve_config(budget, 1),
         standard_stacks(cfg.shards, true),
         WorkloadOracle,
         &cfg.run_name(budget),
@@ -989,7 +934,7 @@ fn checkpoint_cmd(
 
 /// Recover a crashed run from its `base.segNNNN.jsonl` files, replay the
 /// suffix to completion, and write the resumed run's sealed segments.
-fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) -> ExitCode {
+fn resume_cmd(cfg: &E16Config, base: &str, out_base: &str) -> ExitCode {
     let segs = match discover_segments(base) {
         Ok(segs) if !segs.is_empty() => segs,
         Ok(_) => return fail(&format!("no {base}.seg*.jsonl files found")),
@@ -1000,7 +945,7 @@ fn resume_cmd(cfg: &E16Config, sched: Scheduling, base: &str, out_base: &str) ->
         disk.insert(index, text);
     }
     let budget = cfg.budgets[0];
-    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, sched, 1, &disk) {
+    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, 1, &disk) {
         Ok(resumed) => resumed,
         Err(e) => return fail(&format!("cannot resume {base}: {e}")),
     };
@@ -1138,13 +1083,10 @@ fn check_run_flags(id: Option<&str>, given: &[String]) -> Result<(), String> {
             None => return Ok(()),
         },
     };
-    let artifact = exp.and_then(|e| e.artifact.as_ref());
-    let out = given.iter().any(|f| f == "--out");
     for flag in given {
         let read = match flag.as_str() {
             "--seed" | "--json" | "--threads" | "--quiet" | "--trace" => true,
-            "--out" => artifact.is_some(),
-            "--sched" => out && artifact.is_some_and(|a| a.sched),
+            "--out" => exp.is_some_and(|e| e.artifact.is_some()),
             "--no-cache" => exp.is_some_and(|e| e.reads_cache),
             _ => false,
         };
@@ -1174,10 +1116,9 @@ fn run_one(
             seed = seed
         );
     }
-    let (report, verdict) = match (out, &exp.artifact) {
+    let (report, verdict) = match (out, exp.artifact) {
         (Some(path), Some(artifact)) => {
-            let report =
-                (artifact.write)(seed, env, path).map_err(|e| format!("{id} failed: {e}"))?;
+            let report = artifact(seed, env, path).map_err(|e| format!("{id} failed: {e}"))?;
             if !json {
                 println!(
                     "{}",

@@ -32,8 +32,7 @@ use crate::net::{run_e17, E17Config, E17Report};
 use crate::policy::{Action, Condition, EcaRule, Event, PolicyEngine};
 use crate::serve::{
     run_e13, run_e14, run_e14_mode, run_e15, run_e15_cell, run_e16, run_e16_cell, E13Config,
-    E13Report, E14Config, E14Report, E15Config, E15Report, E16Config, E16Report, Knobs, Scheduling,
-    TraceMode,
+    E13Report, E14Config, E14Report, E15Config, E15Report, E16Config, E16Report, Knobs, TraceMode,
 };
 use crate::sim::contagion::{
     run_contagion, run_contagion_on, ContagionArm, ContagionReport, TopologyKind,
@@ -64,8 +63,6 @@ pub struct Env {
     pub threads: Option<usize>,
     /// The guard-verdict memo cache (read by E11).
     pub cache: bool,
-    /// Shard scheduling of the E15/E16 artifact cells.
-    pub sched: Scheduling,
 }
 
 impl Default for Env {
@@ -73,7 +70,6 @@ impl Default for Env {
         Env {
             threads: None,
             cache: true,
-            sched: Scheduling::Balanced,
         }
     }
 }
@@ -107,14 +103,9 @@ pub struct Outcome {
 }
 
 /// A single-cell run of an experiment that writes a file for byte-level
-/// comparison (`apdm-experiments run <id> --out <path>`).
-pub struct Artifact {
-    /// Whether the cell reads [`Env::sched`].
-    pub sched: bool,
-    /// Run the cell at a seed, write its artifact to the path, and return
-    /// the cell's report.
-    pub write: fn(u64, &Env, &str) -> Result<Value, String>,
-}
+/// comparison (`apdm-experiments run <id> --out <path>`): run the cell at
+/// a seed, write its artifact to the path, and return the cell's report.
+pub type Artifact = fn(u64, &Env, &str) -> Result<Value, String>;
 
 /// One registry entry.
 pub struct Experiment {
@@ -281,10 +272,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         bench_file: Some("BENCH_e12_comms.json"),
-        artifact: Some(Artifact {
-            sched: false,
-            write: e12_artifact,
-        }),
+        artifact: Some(e12_artifact),
         ..entry("e12", &E12)
     },
     Experiment {
@@ -293,26 +281,17 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         bench_file: Some("BENCH_e14_tracing.json"),
-        artifact: Some(Artifact {
-            sched: false,
-            write: e14_artifact,
-        }),
+        artifact: Some(e14_artifact),
         ..entry("e14", &E14)
     },
     Experiment {
         bench_file: Some("BENCH_e15_skew.json"),
-        artifact: Some(Artifact {
-            sched: true,
-            write: e15_artifact,
-        }),
+        artifact: Some(e15_artifact),
         ..entry("e15", &E15)
     },
     Experiment {
         bench_file: Some("BENCH_e16_crash.json"),
-        artifact: Some(Artifact {
-            sched: true,
-            write: e16_artifact,
-        }),
+        artifact: Some(e16_artifact),
         ..entry("e16", &E16)
     },
     Experiment {
@@ -1721,11 +1700,16 @@ static E13: Spec<E13Config, E13Report> = Spec {
             (Some(&l), Some(&h)) => (l, h),
             _ => return Err("E13: empty sweep".into()),
         };
-        // Fail-closed everywhere, and full accounting: every cell resolves
-        // every offered request, and no shed ever permits execution.
+        // Fail-closed everywhere, and full accounting: every cell serves
+        // work, resolves every offered request, and no shed ever permits
+        // execution.
         for cell in &report.cells {
             let (label, load) = (&cell.label, cell.load);
             ensure!(cell.watchdog.is_none(), "{label}: watchdog tripped");
+            ensure!(
+                cell.throughput > 0.0,
+                "{label} load={load}: zero throughput"
+            );
             ensure!(
                 cell.shed_allows == 0,
                 "{label} load={load}: a shed request was allowed"
@@ -1795,7 +1779,7 @@ static E13: Spec<E13Config, E13Report> = Spec {
 };
 
 /// The E13 sweep table: one row per (load × knobs) cell.
-pub fn print_e13_table(report: &E13Report) {
+fn print_e13_table(report: &E13Report) {
     println!("load   knobs                   decided     shed   shed%   thruput    p50    p99   p99.9     hit%");
     for c in &report.cells {
         let lookups = c.cache_hits + c.cache_misses;
@@ -1976,20 +1960,26 @@ static E15: Spec<E15Config, E15Report> = Spec {
         }))
     },
     table: |report| {
-        println!("zipf   sched       t  decided    shed   defer   hot%   hotP50w   hotP99w  makespan  steals             ledger");
+        println!("                                            ----------- static -----------  ---------- balanced ----------");
+        println!("zipf     t  decided    shed   defer   hot%  hotP50w  hotP99w  allP99w makespan  hotP50w  hotP99w  allP99w makespan  steals             ledger");
         for c in &report.cells {
+            let (s, b) = (&c.static_schedule, &c.balanced_schedule);
             println!(
-                "{:<6} {:<9} {:>3} {:>8} {:>7} {:>7} {:>6.3} {:>9} {:>9} {:>9} {:>7} {:>18x}",
+                "{:<6} {:>3} {:>8} {:>7} {:>7} {:>6.3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>18x}",
                 c.zipf,
-                c.sched,
                 c.threads,
                 c.decided,
                 c.shed,
                 c.deferrals,
                 c.hot_share,
-                c.hot_p50_wait,
-                c.hot_p99_wait,
-                c.makespan_units,
+                s.hot_p50_wait,
+                s.hot_p99_wait,
+                s.all_p99_wait,
+                s.makespan_units,
+                b.hot_p50_wait,
+                b.hot_p99_wait,
+                b.all_p99_wait,
+                b.makespan_units,
                 c.virtual_steals,
                 c.ledger_digest,
             );
@@ -1999,7 +1989,7 @@ static E15: Spec<E15Config, E15Report> = Spec {
         let cfg = &report.config;
         // Fail-closed and fully accounted, in every cell.
         for cell in &report.cells {
-            let label = format!("zipf={} {} t={}", cell.zipf, cell.sched, cell.threads);
+            let label = format!("zipf={} t={}", cell.zipf, cell.threads);
             ensure!(cell.watchdog.is_none(), "{label}: watchdog tripped");
             ensure!(cell.shed_allows == 0, "{label}: a shed request was allowed");
             ensure!(
@@ -2007,8 +1997,7 @@ static E15: Spec<E15Config, E15Report> = Spec {
                 "{label}: requests lost"
             );
         }
-        // One ledger per skew point: digest identical across scheduling
-        // modes and thread counts.
+        // One ledger per skew point: digest identical across thread counts.
         for &zipf in &cfg.zipfs {
             let digests: Vec<u64> = report
                 .cells
@@ -2019,19 +2008,17 @@ static E15: Spec<E15Config, E15Report> = Spec {
             ensure!(!digests.is_empty(), "zipf={zipf}: no cells");
             ensure!(
                 digests.windows(2).all(|w| w[0] == w[1]),
-                "zipf={zipf}: ledger digests diverged across sched/threads ({digests:?})"
+                "zipf={zipf}: ledger digests diverged across threads ({digests:?})"
             );
         }
         // Balanced beats static on hot-shard p99 virtual wait wherever the
-        // skew is strong enough to matter.
+        // skew is strong enough to matter, within each cell.
         for &zipf in cfg.zipfs.iter().filter(|&&z| z >= 1.0) {
             for &threads in &cfg.threads_sweep {
-                let cell = |s: Scheduling| {
-                    report
-                        .cell(zipf, s, threads)
-                        .ok_or(format!("E15: no cell at zipf={zipf} t={threads}"))
-                };
-                let (stat, bal) = (cell(Scheduling::Static)?, cell(Scheduling::Balanced)?);
+                let cell = report
+                    .cell(zipf, threads)
+                    .ok_or(format!("E15: no cell at zipf={zipf} t={threads}"))?;
+                let (stat, bal) = (&cell.static_schedule, &cell.balanced_schedule);
                 ensure!(
                     bal.hot_p99_wait < stat.hot_p99_wait,
                     "zipf={zipf} t={threads}: balanced hot p99 wait {} must beat static {}",
@@ -2041,12 +2028,8 @@ static E15: Spec<E15Config, E15Report> = Spec {
                 // A lone worker has nowhere to steal from; the balanced
                 // schedule degenerates to LPT ordering on one worker.
                 ensure!(
-                    threads == 1 || bal.virtual_steals > 0,
-                    "zipf={zipf} t={threads}: balanced cell never stole"
-                );
-                ensure!(
-                    stat.virtual_steals == 0,
-                    "zipf={zipf} t={threads}: static cell must not steal"
+                    threads == 1 || cell.virtual_steals > 0,
+                    "zipf={zipf} t={threads}: the balanced schedule never stole"
                 );
             }
         }
@@ -2055,8 +2038,7 @@ static E15: Spec<E15Config, E15Report> = Spec {
         for cell in report.cells.iter().filter(|c| c.zipf == top) {
             ensure!(
                 cell.deferrals > 0,
-                "zipf={top} {} t={}: hot shard never deferred",
-                cell.sched,
+                "zipf={top} t={}: hot shard never deferred",
                 cell.threads
             );
         }
@@ -2065,9 +2047,9 @@ static E15: Spec<E15Config, E15Report> = Spec {
     },
 };
 
-/// The canonical skewed E15 cell (Zipf 1.2, smoke shape) under
-/// [`Env::sched`]; writes its sealed ledger so the static and balanced
-/// files can be compared byte for byte.
+/// The canonical skewed E15 cell (Zipf 1.2, smoke shape); writes its
+/// sealed ledger so runs at different thread counts can be compared byte
+/// for byte.
 fn e15_artifact(seed: u64, env: &Env, path: &str) -> Result<Value, String> {
     let threads = env.threads_or(0);
     let cfg = E15Config {
@@ -2076,7 +2058,7 @@ fn e15_artifact(seed: u64, env: &Env, path: &str) -> Result<Value, String> {
         ..E15Config::smoke()
     };
     let cell_threads = if threads == 0 { 3 } else { threads };
-    let (report, ledger) = run_e15_cell(&cfg, 1.2, env.sched, cell_threads);
+    let (report, ledger) = run_e15_cell(&cfg, 1.2, cell_threads);
     write_file(path, ledger.to_jsonl())?;
     to_value(&report)
 }
@@ -2095,12 +2077,11 @@ static E16: Spec<E16Config, E16Report> = Spec {
         }))
     },
     table: |report| {
-        println!("budget  sched       kills   torn diverge  badver  maxdisc   segs  pruned   records               head");
+        println!("budget    kills   torn diverge  badver  maxdisc   segs  pruned   records               head");
         for c in &report.cells {
             println!(
-                "{:<7} {:<9} {:>7} {:>6} {:>7} {:>7} {:>8} {:>6} {:>7} {:>9} {:>18x}",
+                "{:<7} {:>7} {:>6} {:>7} {:>7} {:>8} {:>6} {:>7} {:>9} {:>18x}",
                 c.budget,
-                c.sched,
                 c.crash_points,
                 c.torn_points,
                 c.divergences,
@@ -2116,7 +2097,7 @@ static E16: Spec<E16Config, E16Report> = Spec {
     check: |_, c, report, env| {
         let cfg = &report.config;
         for cell in &report.cells {
-            let label = format!("budget={} {}", cell.budget, cell.sched);
+            let label = format!("budget={}", cell.budget);
             // Zero divergence across every crash point.
             ensure!(cell.crash_points > 0, "{label}: no crash points swept");
             ensure!(cell.torn_points > 0, "{label}: no torn writes swept");
@@ -2145,34 +2126,20 @@ static E16: Spec<E16Config, E16Report> = Spec {
                 "{label}: requests lost"
             );
         }
-        // The golden ledger is scheduling-invariant per budget.
-        for &budget in &cfg.budgets {
-            let heads: Vec<u64> = report
-                .cells
-                .iter()
-                .filter(|c| c.budget == budget)
-                .map(|c| c.final_head)
-                .collect();
-            ensure!(
-                heads.windows(2).all(|w| w[0] == w[1]),
-                "budget={budget}: golden head digests diverged across scheduling ({heads:?})"
-            );
-        }
         let rerun = (E16.run)(c, env)?;
         same_modulo_wall_clock("E16", &report.normalized(), &rerun.normalized())
     },
 };
 
-/// The canonical rotating E16 cell (one budget, smoke shape) under
-/// [`Env::sched`]: sweeps every kill point and writes the golden sealed
-/// segment files.
+/// The canonical rotating E16 cell (one budget, smoke shape): sweeps every
+/// kill point and writes the golden sealed segment files.
 fn e16_artifact(seed: u64, env: &Env, path: &str) -> Result<Value, String> {
     let cfg = E16Config {
         seed,
         threads: env.threads_or(0),
         ..E16Config::smoke()
     };
-    let (report, ledger) = run_e16_cell(&cfg, cfg.budgets[0], env.sched);
+    let (report, ledger) = run_e16_cell(&cfg, cfg.budgets[0]);
     write_segments(path, &ledger.to_jsonl_segments())?;
     to_value(&report)
 }

@@ -16,8 +16,8 @@ use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, Snapshot
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
     run_to_completion, standard_stacks, CacheSnap, CtxSnap, E16Config, LaneSnap,
-    PolicyDecisionService, ReqSnap, Scheduling, ServeCheckpoint, ServeStats, WorkloadGen,
-    WorkloadOracle, CHECKPOINT_FORMAT,
+    PolicyDecisionService, ReqSnap, ServeCheckpoint, ServeStats, WorkloadGen, WorkloadOracle,
+    CHECKPOINT_FORMAT,
 };
 use apdm::statespace::{State, StateDelta, StateSchema, VarId};
 
@@ -38,7 +38,7 @@ fn fixture(name: &str) -> String {
 }
 
 /// The canonical rotating serve cell `apdm-experiments checkpoint --seed 42`
-/// writes: E16's smoke shape, balanced scheduling, one worker thread.
+/// writes: E16's smoke shape, one worker thread.
 fn golden_segments() -> (Vec<(u64, String)>, u64) {
     let cfg = E16Config {
         seed: 42,
@@ -46,7 +46,7 @@ fn golden_segments() -> (Vec<(u64, String)>, u64) {
     };
     let budget = cfg.budgets[0];
     let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, Scheduling::Balanced, 1),
+        cfg.serve_config(budget, 1),
         standard_stacks(cfg.shards, true),
         WorkloadOracle,
         &cfg.run_name(budget),

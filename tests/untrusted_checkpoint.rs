@@ -6,15 +6,17 @@
 //! [`PolicyDecisionService::restore`] for every frame that decodes — and
 //! each must end in an error, a ledger whose chain fails, or a restored
 //! service. None may panic, and none may abort the process (deep nesting
-//! once overflowed the parser's stack).
+//! once overflowed the parser's stack). A restored service must also be
+//! able to run: an admission queue no live service could hold is refused
+//! by `restore`, not left to panic or spin in the first tick.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use apdm::ledger::{Ledger, RunEvent, SegmentedRecorder};
 use apdm::serve::{
-    standard_stacks, CheckpointError, E16Config, PolicyDecisionService, Scheduling,
-    ServeCheckpoint, WorkloadOracle,
+    standard_stacks, CheckpointError, E16Config, PolicyDecisionService, ReqSnap, ServeCheckpoint,
+    WorkloadGen, WorkloadOracle,
 };
 use serde::Value;
 
@@ -43,6 +45,9 @@ struct Tally {
     /// Decoded checkpoints `restore` refused as not fitting the
     /// configuration.
     mismatches: usize,
+    /// Decoded checkpoints `restore` refused as inconsistent in
+    /// themselves (an admission queue no live service could hold).
+    malformed: usize,
     /// Frames `from_frame` refused inside a chain that verifies: the
     /// service wrote every verified byte, so this must never happen.
     verified_but_undecodable: usize,
@@ -83,12 +88,9 @@ impl Tally {
     /// Restore the configuration the fixture was written under (the
     /// canonical `checkpoint --seed 42` cell) from `checkpoint`.
     fn restore(&mut self, checkpoint: &ServeCheckpoint) {
-        let e16 = E16Config {
-            seed: 42,
-            ..E16Config::smoke()
-        };
+        let e16 = fixture_config();
         let budget = e16.budgets[0];
-        let cfg = e16.serve_config(budget, Scheduling::Balanced, 1);
+        let cfg = e16.serve_config(budget, 1);
         let recorder = SegmentedRecorder::new(
             &e16.run_name(budget),
             cfg.seed,
@@ -99,9 +101,28 @@ impl Tally {
         match PolicyDecisionService::restore(cfg, stacks, WorkloadOracle, checkpoint, recorder) {
             Ok(_) => self.restored += 1,
             Err(CheckpointError::Mismatch(_)) => self.mismatches += 1,
-            Err(e) => panic!("restore returned a decode error: {e}"),
+            Err(CheckpointError::Malformed(_)) => self.malformed += 1,
+            Err(e) => panic!("restore returned a format error: {e}"),
         }
     }
+}
+
+/// The E16 configuration the fixture was written under.
+fn fixture_config() -> E16Config {
+    E16Config {
+        seed: 42,
+        ..E16Config::smoke()
+    }
+}
+
+/// A queued request of tenant 0 as a checkpoint holds it: the fixture's
+/// own first request.
+fn queued_request() -> Value {
+    let e16 = fixture_config();
+    let mut gen = WorkloadGen::new(e16.spec(e16.budgets[0]));
+    let mut req = gen.tick_requests(1).remove(0);
+    req.tenant.0 = 0;
+    serde_json::to_value(&ReqSnap::from(&req)).expect("a request serializes")
 }
 
 /// SplitMix64, for seeded offsets and flip masks.
@@ -173,12 +194,17 @@ fn checkpoint_of(record: &mut Value) -> &mut Fields {
     fields
 }
 
-/// Checkpoints that decode but do not fit the configuration: a shard's
+/// Checkpoints that decode but do not fit the configuration — a shard's
 /// backpressure counter dropped, a memo cache dropped, one cache turned
-/// off, and a shard added.
+/// off, and a shard added — and checkpoints whose admission queue no live
+/// service could hold (the fixture's lanes are all empty and its rotation
+/// too): a rotated tenant without a lane (`dequeue` would panic), queued
+/// requests outside the rotation (`tick` would spin on them forever), and
+/// a tenant with two lanes (the dropped lane's requests still counted, so
+/// the queue would claim work it cannot find).
 fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
     let record: Value = serde_json::from_str(line).expect("the checkpoint line parses");
-    let edits: [(&str, Edit); 4] = [
+    let edits: [(&str, Edit); INCONSISTENT_QUEUES + 4] = [
         ("one backpressure counter short", |cp| {
             pop(cp, "shard_inflight")
         }),
@@ -191,6 +217,19 @@ fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
             let caches = field(cp, "caches");
             caches.push(caches[0].clone());
         }),
+        ("a rotated tenant without a lane", |cp| {
+            field(cp, "rotation").push(Value::Int(99));
+        }),
+        ("queued requests outside the rotation", |cp| {
+            queue_of(&mut field(cp, "lanes")[0]).push(queued_request());
+        }),
+        ("a tenant with two lanes", |cp| {
+            let lanes = field(cp, "lanes");
+            let mut twin = lanes[0].clone();
+            queue_of(&mut twin).push(queued_request());
+            lanes.insert(0, twin);
+            field(cp, "rotation").push(Value::Int(0));
+        }),
     ];
     edits
         .into_iter()
@@ -201,6 +240,18 @@ fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
             (label.to_string(), text.into_bytes())
         })
         .collect()
+}
+
+/// How many of [`reshaped`]'s mutants come last and hold an inconsistent
+/// admission queue.
+const INCONSISTENT_QUEUES: usize = 3;
+
+/// The request queue of one lane.
+fn queue_of(lane: &mut Value) -> &mut Vec<Value> {
+    let Value::Map(fields) = lane else {
+        panic!("a lane is a map")
+    };
+    field(fields, "queue")
 }
 
 /// The list under `key` in a checkpoint map.
@@ -249,11 +300,37 @@ fn mutated_checkpoint_lines_never_panic_on_the_resume_path() {
     assert!(tally.checkpoints > 0, "{tally:?}");
     assert_eq!(tally.verified_but_undecodable, 0, "{tally:?}");
     assert_eq!(
-        tally.restored + tally.mismatches,
+        tally.restored + tally.mismatches + tally.malformed,
         tally.checkpoints,
         "{tally:?}"
     );
-    assert!(tally.restored > 0 && tally.mismatches > 0, "{tally:?}");
+    assert!(
+        tally.restored > 0 && tally.mismatches > 0 && tally.malformed > 0,
+        "{tally:?}"
+    );
+}
+
+#[test]
+fn inconsistent_admission_queues_are_refused_by_restore() {
+    let lines = fixture_lines();
+    let reshaped = reshaped(&lines[1]);
+    for (label, bytes) in &reshaped[reshaped.len() - INCONSISTENT_QUEUES..] {
+        let mutant = String::from_utf8(bytes.clone()).expect("a reshaped mutant is UTF-8");
+        let text = [&lines[0], &mutant]
+            .into_iter()
+            .chain(&lines[2..])
+            .map(String::as_str)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut tally = Tally::default();
+        catch_unwind(AssertUnwindSafe(|| tally.feed(&text)))
+            .unwrap_or_else(|_| panic!("mutant `{label}` panicked"));
+        assert_eq!(
+            (tally.checkpoints, tally.malformed),
+            (1, 1),
+            "mutant `{label}`: {tally:?}"
+        );
+    }
 }
 
 #[test]
