@@ -27,18 +27,10 @@
 //! instead hits and misses are counted exactly, both locally and through
 //! the `guard.cache.hit` / `guard.cache.miss` registry counters.
 //!
-//! **Checkpoints hold fingerprints, not verdicts.** By rule 1 a verdict is
-//! a pure function of its fingerprint, so the only effect of the memo
-//! store a restarted process must reproduce is *which* checks hit — the
-//! serving layer meters hits and misses at different costs. A checkpoint
-//! is therefore the sorted key set ([`VerdictCache::fingerprints`]) plus
-//! the lifetime counters, and [`VerdictCache::restore`] rebuilds a store
-//! whose keys are known but whose verdicts are not. A lookup of such a
-//! *restored* key counts as a hit, exactly as it would have in the
-//! uninterrupted run; the stack then evaluates the live request (which
-//! records the same audit entry a replay would) and stores the verdict in
-//! place. Restored keys count toward the entry cap, so the epoch flush
-//! fires on the same request it would have without the restart.
+//! The cache is a speed device only. What a check decides, audits and
+//! costs a serving layer is the same with the cache on, off, cold or warm,
+//! so nothing about it needs to survive a restart: a restarted process
+//! starts with an empty cache and counts its own hits and misses.
 //!
 //! [`GuardStack`]: crate::GuardStack
 
@@ -144,15 +136,9 @@ pub(crate) fn fingerprint(
 }
 
 /// The memo store plus its exact hit/miss accounting.
-///
-/// Keys are kept in a [`BTreeMap`], so [`fingerprints`](Self::fingerprints)
-/// lists them in ascending order by construction and a checkpoint of the
-/// same state is always the same bytes. A value is `None` for a key
-/// [`restore`](Self::restore)d from a checkpoint whose verdict has not been
-/// recomputed yet (see the module docs).
 #[derive(Debug)]
 pub struct VerdictCache {
-    map: BTreeMap<u64, Option<GuardVerdict>>,
+    map: BTreeMap<u64, GuardVerdict>,
     hits: u64,
     misses: u64,
     hit_counter: telemetry::CachedCounter,
@@ -178,17 +164,16 @@ impl VerdictCache {
     }
 
     /// Look up a fingerprint, counting the outcome. Returns the verdict to
-    /// replay, or `None` when the caller must evaluate and
-    /// [`store`](Self::store): on a miss, and on the first lookup of a
-    /// restored key, which counts as a hit.
+    /// replay, or `None` on a miss, when the caller must evaluate and
+    /// [`store`](Self::store).
     pub(crate) fn lookup(&mut self, fp: u64) -> Option<GuardVerdict> {
         match self.map.get(&fp) {
-            Some(slot) => {
+            Some(verdict) => {
                 self.hits += 1;
                 if telemetry::enabled() {
                     self.hit_counter.inc();
                 }
-                slot.clone()
+                Some(verdict.clone())
             }
             None => {
                 self.misses += 1;
@@ -200,17 +185,13 @@ impl VerdictCache {
         }
     }
 
-    /// Store a freshly computed verdict. A restored key is filled in place;
-    /// a new key first flushes the map if it is at the entry cap.
+    /// Store a freshly computed verdict, first flushing the map if it is at
+    /// the entry cap.
     pub(crate) fn store(&mut self, fp: u64, verdict: GuardVerdict) {
-        if let Some(slot) = self.map.get_mut(&fp) {
-            *slot = Some(verdict);
-            return;
-        }
         if self.map.len() >= MAX_ENTRIES {
             self.map.clear();
         }
-        self.map.insert(fp, Some(verdict));
+        self.map.insert(fp, verdict);
     }
 
     /// Drop every entry (state/policy mutation invalidation). Counters
@@ -224,29 +205,7 @@ impl VerdictCache {
         (self.hits, self.misses)
     }
 
-    /// Every memoized fingerprint, ascending, restored ones included. With
-    /// the lifetime counters of [`stats`](Self::stats) this is all a
-    /// checkpoint needs: [`restore`](Self::restore) rebuilds a cache that
-    /// hits and misses on exactly the requests this one would, which the
-    /// serving layer's crash recovery needs — hits and misses steer its
-    /// work meter.
-    pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.map.keys().copied()
-    }
-
-    /// Rebuild a cache from its [`fingerprints`](Self::fingerprints) and
-    /// [`stats`](Self::stats). Each restored key's verdict is recomputed on
-    /// its first lookup.
-    pub fn restore(fps: impl IntoIterator<Item = u64>, hits: u64, misses: u64) -> Self {
-        VerdictCache {
-            map: fps.into_iter().map(|fp| (fp, None)).collect(),
-            hits,
-            misses,
-            ..VerdictCache::default()
-        }
-    }
-
-    /// Number of memoized fingerprints, restored ones included.
+    /// Number of memoized fingerprints.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -330,37 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn restored_keys_hit_then_fill_in_place() {
-        let mut cache = VerdictCache::restore([9, 3], 4, 5);
-        assert_eq!(cache.fingerprints().collect::<Vec<_>>(), [3, 9]);
-        // A restored key hits, but has no verdict to replay yet.
-        assert!(cache.lookup(3).is_none());
-        assert_eq!(cache.stats(), (5, 5));
-        cache.store(3, GuardVerdict::Allow);
-        assert_eq!(cache.lookup(3), Some(GuardVerdict::Allow));
-        assert!(cache.lookup(7).is_none());
-        assert_eq!(cache.stats(), (6, 6));
-        assert_eq!(cache.len(), 2, "filling a restored key adds nothing");
-    }
-
-    #[test]
     fn store_flushes_at_capacity_instead_of_growing() {
         let mut cache = VerdictCache::new();
         for fp in 0..(MAX_ENTRIES as u64) {
             cache.store(fp, GuardVerdict::Allow);
         }
         assert_eq!(cache.len(), MAX_ENTRIES);
-        cache.store(u64::MAX, GuardVerdict::Allow);
-        assert_eq!(cache.len(), 1, "epoch flush on overflow");
-    }
-
-    #[test]
-    fn restored_keys_count_toward_the_cap() {
-        let mut cache = VerdictCache::restore(0..(MAX_ENTRIES as u64), 0, 0);
-        // Filling a restored key at the cap is not an insertion...
-        cache.store(0, GuardVerdict::Allow);
-        assert_eq!(cache.len(), MAX_ENTRIES);
-        // ...but a new key flushes, as in the run the keys came from.
         cache.store(u64::MAX, GuardVerdict::Allow);
         assert_eq!(cache.len(), 1, "epoch flush on overflow");
     }

@@ -191,23 +191,6 @@ impl GuardStack {
         self.cache.as_ref().map(VerdictCache::stats)
     }
 
-    /// The verdict cache, for a serving-layer checkpoint of its memo state
-    /// ([`VerdictCache::fingerprints`] and [`VerdictCache::stats`]), or
-    /// `None` when memoization is off.
-    pub fn verdict_cache(&self) -> Option<&VerdictCache> {
-        self.cache.as_ref()
-    }
-
-    /// Replace the verdict cache with checkpointed state (the inverse of
-    /// reading [`verdict_cache`](Self::verdict_cache)). A restored stack
-    /// must resume with the exact memo keys and counters the checkpointed
-    /// one had, or a recovered serving process would meter different costs
-    /// than the uninterrupted run. Verdicts are not needed: each restored
-    /// key's is recomputed on its first check.
-    pub fn restore_cache(&mut self, fps: impl IntoIterator<Item = u64>, hits: u64, misses: u64) {
-        self.cache = Some(VerdictCache::restore(fps, hits, misses));
-    }
-
     /// Drop every memoized verdict. Called automatically whenever a
     /// sub-guard is mutably accessed; public for callers that mutate
     /// guard-relevant state the stack cannot see.
@@ -282,9 +265,7 @@ impl GuardStack {
     ///
     /// With memoization enabled (and the stack [cacheable](Self::with_cache))
     /// a repeated context replays the memoized verdict — including the audit
-    /// entry a Deny/Replace records — without running the sub-guards. A
-    /// context whose fingerprint was [restored](Self::restore_cache) counts
-    /// as a hit too; its verdict is computed once, then memoized.
+    /// entry a Deny/Replace records — without running the sub-guards.
     pub fn check<O: HarmOracle + Copy>(
         &mut self,
         ctx: &GuardContext<'_>,
@@ -312,8 +293,6 @@ impl GuardStack {
             }
             return verdict;
         }
-        // A miss, or a restored key: evaluating records the same audit
-        // entry a replay would, since the verdict depends only on `fp`.
         let verdict = self.check_uncached(ctx, proposed, oracle);
         if let Some(cache) = &mut self.cache {
             cache.store(fp, verdict.clone());

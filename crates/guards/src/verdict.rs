@@ -5,8 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// The outcome of a guard evaluating a proposed action.
 ///
-/// Serializable so a serving process can checkpoint its verdict memo cache
-/// through an `apdm-ledger` snapshot frame and restore it after a crash.
+/// Serializable so a decision travels over the wire with its verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GuardVerdict {
     /// Execute the action as proposed.

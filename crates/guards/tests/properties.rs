@@ -384,43 +384,4 @@ proptest! {
         let checks = steps.iter().filter(|s| matches!(s, Step::Check { .. })).count() as u64;
         prop_assert_eq!(hits + misses, checks);
     }
-
-    /// A checkpoint of fingerprints plus counters is enough: a stack
-    /// restored from `fingerprints()` and `stats()` at any cut point
-    /// renders the verdicts, audit entries and `(hits, misses)` of the
-    /// uninterrupted cached stack from that point on.
-    #[test]
-    fn stack_restored_from_fingerprints_matches_the_uninterrupted_one(
-        pre in arb_tamper(),
-        sc in arb_tamper(),
-        steps in proptest::collection::vec(arb_step(), 1..40),
-    ) {
-        for cut in 0..=steps.len() {
-            let (prefix, suffix) = steps.split_at(cut);
-            let mut whole = grid_stack(pre, sc, true);
-            run_steps(&mut whole, prefix, 0);
-            let audited = whole.audit().entries().len();
-            let cache = whole.verdict_cache().unwrap();
-            let (hits, misses) = cache.stats();
-            // The restarted process rebuilds its guards from configuration
-            // (tamper changes included) and restores only the memo keys.
-            let mut restored = grid_stack(pre, sc, true);
-            for step in prefix {
-                if let Step::Tamper { .. } = step {
-                    run_steps(&mut restored, std::slice::from_ref(step), 0);
-                }
-            }
-            restored.restore_cache(cache.fingerprints().collect::<Vec<_>>(), hits, misses);
-
-            let expect = run_steps(&mut whole, suffix, cut);
-            let got = run_steps(&mut restored, suffix, cut);
-            prop_assert_eq!(expect, got, "verdicts after cut {}", cut);
-            prop_assert_eq!(
-                audit_trail(&whole.audit().entries()[audited..]),
-                audit_trail(restored.audit().entries()),
-                "audit after cut {}", cut
-            );
-            prop_assert_eq!(whole.cache_stats(), restored.cache_stats(), "stats after cut {}", cut);
-        }
-    }
 }

@@ -59,16 +59,19 @@ impl BatchPolicy {
 }
 
 /// Unit charges for the deterministic work meter.
+///
+/// Every evaluated request costs `cost_miss`, whether the guard stack's
+/// memo cache answered it or not. The cache is a speed device: pricing its
+/// hits would make its state — and so its contents across a restart —
+/// part of what gets decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Work units the evaluation backend absorbs per tick.
     pub capacity_per_tick: u64,
     /// Fixed dispatch cost per batch — the overhead batching amortizes.
     pub batch_overhead: u64,
-    /// Cost of a full guard-stack evaluation (verdict-cache miss).
+    /// Cost of evaluating one request through a guard stack.
     pub cost_miss: u64,
-    /// Cost of replaying a memoized verdict (verdict-cache hit).
-    pub cost_hit: u64,
 }
 
 impl Default for CostModel {
@@ -77,23 +80,19 @@ impl Default for CostModel {
             capacity_per_tick: 64,
             batch_overhead: 4,
             cost_miss: 2,
-            cost_hit: 1,
         }
     }
 }
 
 impl CostModel {
-    /// Charge for one evaluated batch.
-    pub fn batch_cost(&self, hits: u64, misses: u64) -> u64 {
-        self.batch_overhead + hits * self.cost_hit + misses * self.cost_miss
+    /// Charge for one evaluated batch of `n` requests.
+    pub fn batch_cost(&self, n: u64) -> u64 {
+        self.batch_overhead + self.estimate(n)
     }
 
-    /// *A-priori* estimate for `n` not-yet-evaluated requests, used by the
-    /// scheduler and the backpressure tracker before hit/miss outcomes are
-    /// known. Conservatively assumes every request misses the verdict
-    /// cache, so the estimate — unlike [`batch_cost`](Self::batch_cost) —
-    /// never depends on cache state and stays identical across scheduling
-    /// modes and thread counts.
+    /// Cost of evaluating `n` requests, without the batch overhead: what
+    /// the scheduler and the backpressure tracker plan with before a batch
+    /// runs. The same at every scheduling mode and thread count.
     pub fn estimate(&self, n: u64) -> u64 {
         n * self.cost_miss
     }
@@ -188,13 +187,12 @@ mod tests {
     #[test]
     fn batch_cost_amortizes_overhead() {
         let m = CostModel::default();
-        // 16 misses in one batch vs 16 singleton batches.
-        let batched = m.batch_cost(0, 16);
-        let unbatched = 16 * m.batch_cost(0, 1);
+        // 16 requests in one batch vs 16 singleton batches.
+        let batched = m.batch_cost(16);
+        let unbatched = 16 * m.batch_cost(1);
         assert!(batched < unbatched);
         assert_eq!(unbatched - batched, 15 * m.batch_overhead);
-        // Cache hits are strictly cheaper than misses.
-        assert!(m.batch_cost(16, 0) < m.batch_cost(0, 16));
+        assert_eq!(batched, m.batch_overhead + m.estimate(16));
     }
 
     #[test]

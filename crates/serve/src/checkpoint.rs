@@ -2,38 +2,33 @@
 //!
 //! A [`ServeCheckpoint`] freezes everything the decision stream depends on
 //! — admission-queue lanes and DRR deficits, the work meter, per-shard
-//! backpressure costs, the batch cursor (inside [`ServeStats`]) and every
-//! shard's guard-verdict memo cache — as one serializable value that rides
-//! the run ledger as a [`SnapshotFrame`] at segment-rotation points. A
-//! restarted process restores from the latest frame and resumes mid-run,
-//! producing a decision stream and a sealed ledger **bit-identical** to an
-//! uninterrupted run at any thread count (experiment E16 sweeps this).
-//!
-//! **Memo caches are checkpointed as fingerprints.** A shard's
-//! [`CacheSnap`] is its cache's key set in ascending order plus its
-//! lifetime `hits`/`misses`, not the memoized verdicts: a verdict is a pure
-//! function of its fingerprint, and the cache's only effect that must
-//! survive a restart is which checks hit, because hits and misses are
-//! metered at different costs (`cost_hit` / `cost_miss`). On resume a
-//! restored fingerprint counts as a hit, and its verdict is recomputed from
-//! the live request on first use (see
-//! [`VerdictCache`]). This keeps a checkpoint to roughly 20 bytes per
-//! memoized context, where repeating each verdict (Deny/Replace reason
-//! text included) cost several times that.
+//! backpressure costs and the batch cursor (inside [`ServeStats`]) — as one
+//! serializable value that rides the run ledger as a [`SnapshotFrame`] at
+//! segment-rotation points. A restarted process restores from the latest
+//! frame and resumes mid-run, producing a decision stream and a sealed
+//! ledger **bit-identical** to an uninterrupted run at any thread count
+//! (experiment E16 sweeps this).
 //!
 //! **Format version.** Every checkpoint starts with a `format` field,
-//! [`CHECKPOINT_FORMAT`] (2: fingerprint caches). Format 1, which stored
-//! `{fp, verdict}` entries, had no such field. [`ServeCheckpoint::from_frame`]
-//! checks the field before decoding anything else and refuses any other
-//! format with [`CheckpointError::Format`], so recovery can say why it
-//! will not resume instead of quietly restarting the run.
+//! [`CHECKPOINT_FORMAT`] (3: no memo caches). Format 2 stored each shard's
+//! memo-cache fingerprints and hit/miss counters; format 1, which stored
+//! `{fp, verdict}` entries, had no `format` field.
+//! [`ServeCheckpoint::from_frame`] checks the field before decoding
+//! anything else and refuses any other format with
+//! [`CheckpointError::Format`], so recovery can say why it will not resume
+//! instead of quietly restarting the run.
 //!
-//! What is deliberately *not* checkpointed, because it is telemetry rather
-//! than decision state: [`SchedSummary`](crate::SchedSummary) (its
-//! makespans and `virtual_steals` depend on the thread count, which a
-//! restarted process is free to change), the per-shard wait samples, and
-//! the SLO monitor. Restoring them would couple the ledger bytes to knobs
-//! the determinism contract says must not matter.
+//! What is deliberately *not* checkpointed, because it is telemetry or a
+//! speed device rather than decision state: [`SchedSummary`](crate::SchedSummary)
+//! (its makespans and `virtual_steals` depend on the thread count, which a
+//! restarted process is free to change), the per-shard wait counts, the
+//! SLO monitor, and the guard stacks' verdict memo caches with their
+//! hit/miss counters. The meter charges every evaluated request the same,
+//! hit or miss, so a restored process starts with cold caches and decides
+//! exactly as the uninterrupted one would. Restoring any of these would
+//! couple the ledger bytes to knobs the determinism contract says must not
+//! matter. The checkpointed [`ServeStats`] therefore always has
+//! `cache_hits` and `cache_misses` at 0.
 //!
 //! The serving layer has no RNG and no world model, so the frame's `rng`,
 //! `metrics` and `devices` fields are zeroed/empty; the checkpoint rides
@@ -42,7 +37,6 @@
 
 use std::fmt;
 
-use apdm_guards::VerdictCache;
 use apdm_ledger::{RawJson, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::State;
@@ -156,35 +150,10 @@ pub struct LaneSnap {
     pub queue: Vec<ReqSnap>,
 }
 
-/// One shard's guard-verdict memo cache: its fingerprints in ascending
-/// order plus the hit/miss counters (the counters feed the deterministic
-/// cost model, so they are decision state, not telemetry). Verdicts are
-/// not stored; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheSnap {
-    /// Memoized request fingerprints, ascending.
-    pub fps: Vec<u64>,
-    /// Lifetime cache hits.
-    pub hits: u64,
-    /// Lifetime cache misses.
-    pub misses: u64,
-}
-
-impl From<&VerdictCache> for CacheSnap {
-    fn from(cache: &VerdictCache) -> Self {
-        let (hits, misses) = cache.stats();
-        CacheSnap {
-            fps: cache.fingerprints().collect(),
-            hits,
-            misses,
-        }
-    }
-}
-
-/// The checkpoint format this build writes and reads: 2, memo caches as
-/// fingerprints. Format 1 (memo caches as `{fp, verdict}` entries) carried
-/// no `format` field.
-pub const CHECKPOINT_FORMAT: u32 = 2;
+/// The checkpoint format this build writes and reads: 3, no memo caches.
+/// Format 2 stored memo caches as fingerprints; format 1 stored them as
+/// `{fp, verdict}` entries and carried no `format` field.
+pub const CHECKPOINT_FORMAT: u32 = 3;
 
 /// Why a checkpoint cannot be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +171,7 @@ pub enum CheckpointError {
     /// The frame does not decode as a checkpoint.
     Malformed(String),
     /// The checkpoint decodes but does not fit the service configuration
-    /// it is restored into (shard count, cache count, cache on/off).
+    /// it is restored into (another shard count).
     Mismatch(String),
 }
 
@@ -224,7 +193,7 @@ impl fmt::Display for CheckpointError {
                 write!(
                     f,
                     ", but this build reads only format {CHECKPOINT_FORMAT} \
-                     (memo caches stored as fingerprints)"
+                     (no memo caches)"
                 )
             }
             CheckpointError::Malformed(e) => write!(f, "malformed serve checkpoint: {e}"),
@@ -260,9 +229,8 @@ pub struct ServeCheckpoint {
     pub shard_inflight: Vec<u64>,
     /// Lifetime counters. `stats.batches` doubles as the steal-plan cursor,
     /// so it must be restored exactly for balanced scheduling to replay.
+    /// The cache counters are 0: they are not decision state.
     pub stats: ServeStats,
-    /// Per-shard memo caches; `None` for shards running with the cache off.
-    pub caches: Vec<Option<CacheSnap>>,
 }
 
 /// A ledger [`SnapshotFrame`] carrying a checkpoint as its `world` text.
@@ -311,7 +279,7 @@ impl ServeCheckpoint {
 }
 
 // Borrowed mirrors of the checkpoint types over a live service. A rotation
-// writes these straight from the admission lanes and memo caches into the
+// writes these straight from the admission lanes into the
 // frame's `world` text, so no copy of that state is built on the way. Each
 // mirror lists the same fields in the same order as its owned counterpart,
 // which makes the two serialize identically (the service tests check this
@@ -366,7 +334,6 @@ pub(crate) struct CheckpointView<'a> {
     pub(crate) meter_spent: u64,
     pub(crate) shard_inflight: &'a [u64],
     pub(crate) stats: ServeStats,
-    pub(crate) caches: Vec<Option<CacheSnap>>,
 }
 
 impl CheckpointView<'_> {
@@ -423,14 +390,6 @@ mod tests {
                 batches: 7,
                 ..ServeStats::default()
             },
-            caches: vec![
-                Some(CacheSnap {
-                    fps: vec![7, 0xfeed_f00d],
-                    hits: 5,
-                    misses: 9,
-                }),
-                None,
-            ],
         }
     }
 
@@ -488,15 +447,23 @@ mod tests {
         let Value::Map(fields) = current else {
             panic!("a checkpoint is a map")
         };
-        // Format 1 had no `format` field; a future format has another value.
+        // Format 1 had no `format` field; format 2 and a future format have
+        // another value.
         let v1 = Value::Map(fields[1..].to_vec());
-        let mut v3 = fields.clone();
-        v3[0].1 = Value::Int(3);
-        for (world, found) in [(v1, None), (Value::Map(v3), Some(3))] {
+        let with_format = |v: i64| {
+            let mut fields = fields.clone();
+            fields[0].1 = Value::Int(v);
+            Value::Map(fields)
+        };
+        for (world, found) in [
+            (v1, None),
+            (with_format(2), Some(2)),
+            (with_format(4), Some(4)),
+        ] {
             let err = ServeCheckpoint::from_frame(&frame(17, RawJson::of(&world))).unwrap_err();
             assert_eq!(err, CheckpointError::Format { tick: 17, found });
             assert!(
-                err.to_string().contains("this build reads only format 2"),
+                err.to_string().contains("this build reads only format 3"),
                 "{err}"
             );
         }

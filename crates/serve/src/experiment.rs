@@ -5,8 +5,8 @@
 //! the verdict memo cache, and load shedding — fully (2³ configurations per
 //! load). Reports per cell: throughput (decided requests per tick of the
 //! deterministic cost model), queue-latency percentiles (p50/p99/p99.9/max
-//! in ticks), shed rates by reason, cache hit rates, and the sealed run
-//! ledger's head digest.
+//! in ticks), shed rates by reason, cache hits and full guard evaluations,
+//! and the sealed run ledger's head digest.
 //!
 //! The claims E13 exists to demonstrate (asserted by the `e13` entry of the
 //! `apdm::experiments` registry, `apdm-experiments run e13`):
@@ -17,6 +17,9 @@
 //!    offered load crosses the service rate.
 //! 3. Overload never weakens safety: every shed request resolves to a
 //!    denial — the fail-closed property, checked over every cell.
+//! 4. The memo cache saves work without changing what is served: each
+//!    cache cell decides, sheds and sustains exactly what its nocache twin
+//!    does, with fewer full guard evaluations wherever it hits.
 //!
 //! Everything except the `wall_ns` fields is deterministic in the seed;
 //! [`E13Report::normalized`] strips those fields for run-to-run equality
@@ -30,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::AdmissionConfig;
 use crate::batcher::BatchPolicy;
 use crate::request::Decision;
-use crate::service::{PolicyDecisionService, ServeConfig};
+use crate::service::{PolicyDecisionService, ServeConfig, WaitCounts};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// Sweep configuration for experiment E13.
@@ -160,7 +163,7 @@ pub struct E13CellReport {
     pub mean_batch: f64,
     /// Verdict-cache hits across shards.
     pub cache_hits: u64,
-    /// Verdict-cache misses across shards.
+    /// Verdict-cache misses across shards (0 with the cache off).
     pub cache_misses: u64,
     /// Ticks the cell ran (arrival window + drain).
     pub ticks: u64,
@@ -203,6 +206,14 @@ pub struct E13Report {
     pub wall_ns: u64,
 }
 
+impl E13CellReport {
+    /// Full guard-stack evaluations: decided requests the memo cache did
+    /// not answer. A deterministic count of the work the cache saves.
+    pub fn evaluations(&self) -> u64 {
+        self.decided - self.cache_hits
+    }
+}
+
 impl E13Report {
     /// A copy with every wall-clock field zeroed: two sweeps over the same
     /// config must compare equal under this projection.
@@ -232,6 +243,22 @@ pub(crate) fn percentile(latencies: &mut [u64], q: f64) -> u64 {
     latencies.sort_unstable();
     let rank = ((latencies.len() as f64) * q).ceil() as usize;
     latencies[rank.clamp(1, latencies.len()) - 1]
+}
+
+/// [`percentile`] of a sample held as exact counts (`value → occurrences`):
+/// the same rank rule over the cumulative counts. Returns 0 for an empty
+/// sample.
+pub(crate) fn count_percentile(counts: &WaitCounts, q: f64) -> u64 {
+    let n: u64 = counts.values().sum();
+    let rank = ((n as f64) * q).ceil() as u64;
+    let mut seen = 0;
+    for (&value, &count) in counts {
+        seen += count;
+        if seen >= rank.clamp(1, n) {
+            return value;
+        }
+    }
+    0
 }
 
 /// Run one E13 cell: one service instance, one workload, one knob setting.
@@ -396,6 +423,32 @@ mod tests {
         assert_eq!(percentile(&mut sample, 0.999), 100);
         assert_eq!(percentile(&mut [], 0.5), 0);
         assert_eq!(percentile(&mut [7], 0.999), 7);
+    }
+
+    #[test]
+    fn count_percentiles_equal_percentiles_of_the_expanded_sample() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in [0usize, 1, 2, 7, 100, 333] {
+            let mut sample: Vec<u64> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (state >> 33) % 40
+                })
+                .collect();
+            let mut counts = WaitCounts::new();
+            for &v in &sample {
+                *counts.entry(v).or_default() += 1;
+            }
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                assert_eq!(
+                    count_percentile(&counts, q),
+                    percentile(&mut sample, q),
+                    "len {len}, q {q}"
+                );
+            }
+        }
     }
 
     #[test]

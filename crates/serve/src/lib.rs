@@ -16,8 +16,8 @@
 //!   backend absorbs per tick, so saturation is bit-reproducible.
 //! - [`PolicyDecisionService`] — the assembled service: admission →
 //!   micro-batch → shard by device across [`apdm_par`]'s pool → per-shard
-//!   [`apdm_guards::GuardStack`] evaluation (reusing the verdict memo
-//!   cache) → hash-chained [`apdm_ledger`] audit of **every** verdict.
+//!   [`apdm_guards::GuardStack`] evaluation (the verdict memo cache makes
+//!   it cheaper, never different) → hash-chained [`apdm_ledger`] audit of **every** verdict.
 //! - [`WorkloadGen`] / [`run_e13`] — seeded open-loop workload generation
 //!   and experiment E13, the load sweep crossing batching × cache ×
 //!   shedding.
@@ -102,7 +102,7 @@ pub use admission::{AdmissionConfig, AdmissionQueue};
 pub use batcher::{BatchPolicy, CostModel, Meter};
 pub use calibrate::{run_calibration, CalibrationReport};
 pub use checkpoint::{
-    CacheSnap, CheckpointError, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
+    CheckpointError, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
 };
 pub use crash::{
     recover_segments, resume_run, run_e16, run_e16_cell, run_to_completion, segment_header,
@@ -110,7 +110,9 @@ pub use crash::{
 };
 pub use experiment::{run_e13, run_e13_cell, E13CellReport, E13Config, E13Report, Knobs};
 pub use request::{Decision, DecisionRequest, ShedReason, TenantId};
-pub use service::{standard_slos, PolicyDecisionService, SchedSummary, ServeConfig, ServeStats};
+pub use service::{
+    standard_slos, PolicyDecisionService, SchedSummary, ServeConfig, ServeStats, WaitCounts,
+};
 pub use skew::{run_e15, run_e15_cell, E15CellReport, E15Config, E15Report, ScheduleFigures};
 pub use traced::{run_e14, run_e14_mode, E14Config, E14ModeReport, E14Report, ServeMsg, TraceMode};
 pub use workload::{schema, standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};

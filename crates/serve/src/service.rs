@@ -42,6 +42,7 @@
 //! construct a denial. Overload makes the service refuse work — it can
 //! never make it approve work it did not evaluate.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
@@ -54,23 +55,21 @@ use serde::{Deserialize, Serialize};
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::batcher::{BatchPolicy, CostModel, Meter};
 use crate::checkpoint::{
-    CacheSnap, CheckpointError, CheckpointView, LaneView, ReqView, ServeCheckpoint,
-    CHECKPOINT_FORMAT,
+    CheckpointError, CheckpointView, LaneView, ReqView, ServeCheckpoint, CHECKPOINT_FORMAT,
 };
 use crate::request::{Decision, DecisionRequest, ShedReason, TenantId};
 
-/// One shard's contribution to a batch: `(batch_index, verdict)` pairs plus
-/// the shard's memo-cache `(hits, misses)` deltas.
-type ShardOutput = (Vec<(usize, GuardVerdict)>, u64, u64);
+/// One shard's contribution to a batch: `(batch_index, verdict)` pairs.
+type ShardOutput = Vec<(usize, GuardVerdict)>;
+
+/// Exact counts of virtual queue waits: `wait (cost units) → requests`.
+/// Memory is bounded by the number of distinct waits, not of requests.
+pub type WaitCounts = BTreeMap<u64, u64>;
 
 /// Everything [`PolicyDecisionService::evaluate`] learns about one batch.
 struct EvalOutcome {
     /// Verdicts in batch order.
     verdicts: Vec<GuardVerdict>,
-    /// Memo-cache hits across all shards.
-    hits: u64,
-    /// Memo-cache misses across all shards.
-    misses: u64,
     /// Virtual makespan of the batch under each schedule,
     /// `[static, balanced]`, in cost units (deterministic).
     makespan: [u64; 2],
@@ -229,9 +228,11 @@ pub struct ServeStats {
     pub shed_deadline: u64,
     /// Micro-batches dispatched.
     pub batches: u64,
-    /// Verdict-cache hits summed over all shards.
+    /// Verdict-cache hits summed over all shards' stacks since this
+    /// process built them (0 with the cache off). Telemetry: the meter
+    /// charges a hit like a miss, and a checkpoint does not carry it.
     pub cache_hits: u64,
-    /// Verdict-cache misses summed over all shards.
+    /// Verdict-cache misses, counted like `cache_hits`.
     pub cache_misses: u64,
     /// High-water mark of the admission queue.
     pub max_queue_depth: u64,
@@ -304,12 +305,11 @@ pub struct PolicyDecisionService<O> {
     /// Estimated in-flight cost per shard, decayed by the shard's fair
     /// share each tick — the backpressure signal.
     shard_inflight: Vec<u64>,
-    /// Per-shard virtual queue-wait samples (cost units) since the last
-    /// [`drain_shard_waits`](Self::drain_shard_waits), one
-    /// `[static, balanced]` pair per decided request. Grows until drained;
-    /// experiment drivers drain per run, long-lived embedders should drain
-    /// periodically.
-    shard_waits: Vec<Vec<[u64; 2]>>,
+    /// Per-shard virtual queue-wait counts since the last
+    /// [`drain_shard_waits`](Self::drain_shard_waits), `[static,
+    /// balanced]`. Bounded by the distinct wait values, so a service that
+    /// is never drained does not grow with the requests it decides.
+    shard_waits: Vec<[WaitCounts; 2]>,
     sched: SchedSummary,
 }
 
@@ -346,7 +346,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
             shard_inflight: vec![0; cfg.shards],
-            shard_waits: vec![Vec::new(); cfg.shards],
+            shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
             cfg,
         }
@@ -367,9 +367,14 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         self.queue.len()
     }
 
-    /// Counters so far.
+    /// Counters so far, with the cache counters summed over the stacks.
     pub fn stats(&self) -> ServeStats {
-        self.stats
+        let mut stats = self.stats;
+        for (hits, misses) in self.stacks.iter().filter_map(GuardStack::cache_stats) {
+            stats.cache_hits += hits;
+            stats.cache_misses += misses;
+        }
+        stats
     }
 
     /// Schedule telemetry so far (see [`SchedSummary`] for what is safe
@@ -378,15 +383,18 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         self.sched
     }
 
-    /// Take the per-shard virtual queue-wait samples accumulated since the
-    /// last drain. Each sample is one decided request's wait in cost
-    /// units under the static and the balanced schedule (see
-    /// [`SchedSummary`]), as `[static, balanced]`: `queue ticks ×
-    /// capacity_per_tick` + the virtual offset of its batch within the
-    /// tick + its shard's virtual start + its position within the shard.
-    /// Deterministic for a fixed thread count.
-    pub fn drain_shard_waits(&mut self) -> Vec<Vec<[u64; 2]>> {
-        std::mem::replace(&mut self.shard_waits, vec![Vec::new(); self.cfg.shards])
+    /// Take the per-shard virtual queue-wait counts accumulated since the
+    /// last drain, `[static, balanced]` per shard. Each decided request
+    /// counts once in each, at its wait in cost units under that schedule
+    /// (see [`SchedSummary`]): `queue ticks × capacity_per_tick` + the
+    /// virtual offset of its batch within the tick + its shard's virtual
+    /// start + its position within the shard. Deterministic for a fixed
+    /// thread count.
+    pub fn drain_shard_waits(&mut self) -> Vec<[WaitCounts; 2]> {
+        std::mem::replace(
+            &mut self.shard_waits,
+            vec![Default::default(); self.cfg.shards],
+        )
     }
 
     /// Offer a request. `None` means admitted (the decision will come out
@@ -503,11 +511,8 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                     &[("shard", req.device % shards as u64)],
                 );
             }
-            let cost = self.cfg.cost.batch_cost(eval.hits, eval.misses);
-            self.meter.charge(cost);
+            self.meter.charge(self.cfg.cost.batch_cost(size));
             self.stats.batches += 1;
-            self.stats.cache_hits += eval.hits;
-            self.stats.cache_misses += eval.misses;
             self.stats.cost_spent = self.meter.spent();
             self.sched.static_makespan_units += eval.makespan[0];
             self.sched.balanced_makespan_units += eval.makespan[1];
@@ -522,10 +527,11 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 let s = (req.device % shards as u64) as usize;
                 self.shard_inflight[s] += self.cfg.cost.estimate(1);
                 let queued = now.saturating_sub(req.submitted_at) * self.cfg.cost.capacity_per_tick;
-                self.shard_waits[s].push([
-                    queued + tick_offset[0] + offset[0],
-                    queued + tick_offset[1] + offset[1],
-                ]);
+                for (i, counts) in self.shard_waits[s].iter_mut().enumerate() {
+                    *counts
+                        .entry(queued + tick_offset[i] + offset[i])
+                        .or_default() += 1;
+                }
                 decisions.push(self.decide(req, verdict, now));
             }
             tick_offset[0] += eval.makespan[0];
@@ -571,9 +577,10 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// [`SegmentedLedger::into_single`] recovers the plain ledger.
     pub fn finish_segmented(mut self, now: u64) -> (SegmentedLedger, ServeStats) {
         self.publish_stats();
+        let stats = self.stats();
         // The service executes nothing itself, so the ledger's harm count
         // is structurally zero: only verdicts flow through here.
-        (self.recorder.finish(now, 0), self.stats)
+        (self.recorder.finish(now, 0), stats)
     }
 
     /// Add the growth of [`ServeStats`] since the last publish to the
@@ -610,15 +617,14 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 
     /// Freeze everything the decision stream depends on — admission lanes
     /// and deficits, the DRR rotation, the work meter, per-shard
-    /// backpressure costs, the batch cursor and the per-shard verdict memo
-    /// caches — as of the end of tick `now`, as the ledger frame a rotation
-    /// records. The frame's `world` is JSON text written straight from the
-    /// live state, with no intermediate copy. [`ServeCheckpoint::from_frame`]
-    /// reads it back, and a service [`restore`](Self::restore)d from that
+    /// backpressure costs and the batch cursor — as of the end of tick
+    /// `now`, as the ledger frame a rotation records. The frame's `world`
+    /// is JSON text written straight from the live state, with no
+    /// intermediate copy. [`ServeCheckpoint::from_frame`] reads it back, and a service [`restore`](Self::restore)d from that
     /// resumes at `now + 1` with a bit-identical decision and ledger
-    /// future. Thread count, scheduling telemetry and SLO state are
-    /// deliberately excluded: they must not influence results, so they
-    /// must not ride the checkpoint.
+    /// future. Thread count, scheduling telemetry, SLO state and the memo
+    /// caches are deliberately excluded: they must not influence results,
+    /// so they must not ride the checkpoint.
     pub fn checkpoint_frame(&self, now: u64) -> SnapshotFrame {
         let (meter_credit, meter_spent) = self.meter.export();
         CheckpointView {
@@ -638,11 +644,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             meter_spent,
             shard_inflight: &self.shard_inflight,
             stats: self.stats,
-            caches: self
-                .stacks
-                .iter()
-                .map(|stack| stack.verdict_cache().map(CacheSnap::from))
-                .collect(),
         }
         .to_frame()
     }
@@ -652,14 +653,13 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// must match the crashed process's configuration; `cfg.threads` is
     /// free to differ — the restored service still produces the identical
     /// decision stream. Telemetry-side state (scheduling summary, wait
-    /// samples, SLO windows) restarts fresh: it was never part of the
-    /// determinism contract.
+    /// counts, SLO windows) and the memo caches restart fresh, as in
+    /// [`new`](Self::new): they were never part of the determinism
+    /// contract, so `cfg.cache` may differ from the crashed process's too.
     ///
-    /// A checkpoint that does not fit `cfg` — another shard count, another
-    /// number of memo caches, or a cache where `cfg.cache` has none (or the
-    /// reverse) — is a [`CheckpointError::Mismatch`]: restoring it would
-    /// meter different costs than the run it came from. An admission queue
-    /// no live queue could be in (see [`AdmissionQueue::restore`]) is
+    /// A checkpoint for another shard count is a
+    /// [`CheckpointError::Mismatch`]. An admission queue no live queue
+    /// could be in (see [`AdmissionQueue::restore`]) is
     /// [`CheckpointError::Malformed`]: the restored service could panic or
     /// spin forever on its first tick.
     ///
@@ -678,29 +678,15 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             stacks.len(),
             "cfg.shards must match the stack count"
         );
-        let (counters, caches) = (checkpoint.shard_inflight.len(), checkpoint.caches.len());
-        if (counters, caches) != (cfg.shards, cfg.shards) {
+        let counters = checkpoint.shard_inflight.len();
+        if counters != cfg.shards {
             return Err(CheckpointError::Mismatch(format!(
-                "{counters} backpressure counters and {caches} memo caches for {} shards",
+                "{counters} backpressure counters for {} shards",
                 cfg.shards
             )));
         }
-        if let Some(shard) = checkpoint
-            .caches
-            .iter()
-            .position(|cache| cache.is_some() != cfg.cache)
-        {
-            return Err(CheckpointError::Mismatch(format!(
-                "shard {shard} has its memo cache {} but the configuration turns caching {}",
-                if cfg.cache { "off" } else { "on" },
-                if cfg.cache { "on" } else { "off" },
-            )));
-        }
-        for (stack, cache) in stacks.iter_mut().zip(&checkpoint.caches) {
-            match cache {
-                Some(snap) => stack.restore_cache(snap.fps.iter().copied(), snap.hits, snap.misses),
-                None => stack.set_cache_enabled(false),
-            }
+        for stack in &mut stacks {
+            stack.set_cache_enabled(cfg.cache);
         }
         let lanes = checkpoint
             .lanes
@@ -720,6 +706,12 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         let rotation = checkpoint.rotation.iter().map(|&t| TenantId(t)).collect();
         let queue = AdmissionQueue::restore(cfg.admission, lanes, rotation)
             .map_err(|e| CheckpointError::Malformed(format!("admission queue: {e}")))?;
+        // The stacks count their own cache hits and misses.
+        let stats = ServeStats {
+            cache_hits: 0,
+            cache_misses: 0,
+            ..checkpoint.stats
+        };
         Ok(PolicyDecisionService {
             threads: apdm_par::resolve_threads(cfg.threads),
             queue,
@@ -727,14 +719,14 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             stacks,
             oracle,
             recorder,
-            stats: checkpoint.stats,
+            stats,
             // The registry counts this process's work, not the crashed one's.
-            published: checkpoint.stats,
+            published: stats,
             slo: standard_slos()
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
             shard_inflight: checkpoint.shard_inflight.clone(),
-            shard_waits: vec![Vec::new(); cfg.shards],
+            shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
             cfg,
         })
@@ -742,7 +734,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 
     /// Evaluate one batch: bucket requests by shard, run the shards across
     /// the worker pool, reassemble verdicts in batch order. Alongside the
-    /// verdicts and the memo-cache `(hits, misses)`, returns the batch's
+    /// verdicts, returns the batch's
     /// makespan under both deterministic virtual schedules (see
     /// [`SchedSummary`]), the balanced schedule's steals and each request's
     /// virtual start offset under both for the wait overlay.
@@ -769,12 +761,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                          slice: &mut [(&mut GuardStack, Vec<(usize, &DecisionRequest)>)]|
          -> ShardOutput {
             let mut out = Vec::new();
-            let (mut hits, mut misses) = (0u64, 0u64);
             for (stack, items) in slice.iter_mut() {
-                if items.is_empty() {
-                    continue;
-                }
-                let before = stack.cache_stats();
                 for &(idx, req) in items.iter() {
                     let subject = format!("d{}", req.device);
                     let alternatives: Vec<&Action> = req.alternatives.iter().collect();
@@ -787,16 +774,8 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                     };
                     out.push((idx, stack.check(&ctx, &req.proposed, oracle)));
                 }
-                match (before, stack.cache_stats()) {
-                    (Some((h0, m0)), Some((h1, m1))) => {
-                        hits += h1 - h0;
-                        misses += m1 - m0;
-                    }
-                    // Cache off: every evaluation pays full freight.
-                    _ => misses += items.len() as u64,
-                }
             }
-            (out, hits, misses)
+            out
         };
         let plan = apdm_par::StealPlan::new(self.cfg.seed ^ SERVE_STEAL_SEED, self.stats.batches);
         let run = apdm_par::run_sharded_balanced(
@@ -827,10 +806,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             offset[1] += balanced_starts[s];
         }
         let mut verdicts: Vec<Option<GuardVerdict>> = vec![None; batch.len()];
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (pairs, h, m) in run.results {
-            hits += h;
-            misses += m;
+        for pairs in run.results {
             for (idx, verdict) in pairs {
                 debug_assert!(verdicts[idx].is_none(), "duplicate verdict slot {idx}");
                 verdicts[idx] = Some(verdict);
@@ -842,8 +818,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             .collect();
         EvalOutcome {
             verdicts,
-            hits,
-            misses,
             makespan: [static_partition.makespan, run.schedule.makespan],
             virtual_steals: run.schedule.steals,
             actual_steals: run.actual_steals,
@@ -899,7 +873,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 mod tests {
     use super::*;
     use crate::request::TenantId;
-    use crate::workload::{standard_stacks, WorkloadOracle};
+    use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
     use apdm_policy::Action;
     use apdm_statespace::{StateDelta, StateSchema, VarId};
 
@@ -1122,13 +1096,57 @@ mod tests {
             decided += svc.tick(now).len() as u64;
         }
         let waits = svc.drain_shard_waits();
-        let samples: usize = waits.iter().map(Vec::len).sum();
-        assert_eq!(samples as u64, decided, "one wait sample per decision");
+        for schedule in 0..2 {
+            let samples: u64 = waits.iter().flat_map(|w| w[schedule].values()).sum();
+            assert_eq!(samples, decided, "one wait per decision and schedule");
+        }
         let summary = svc.sched_summary();
         assert!(summary.static_makespan_units > 0 && summary.balanced_makespan_units > 0);
         // Drained: a second drain is empty.
         let again = svc.drain_shard_waits();
-        assert_eq!(again.iter().map(Vec::len).sum::<usize>(), 0);
+        assert!(again.iter().flatten().all(WaitCounts::is_empty));
+    }
+
+    #[test]
+    fn wait_counts_stay_bounded_on_a_long_steady_run() {
+        // A steady, cache-friendly stream below capacity, like a hot fleet:
+        // the wait counts of 8N ticks hold no more distinct waits than a
+        // fixed bound, however many requests they count.
+        let mut svc = service(ServeConfig {
+            backpressure: true,
+            ..ServeConfig::default()
+        });
+        let mut gen = WorkloadGen::new(WorkloadSpec {
+            per_tick: 16,
+            arrival_ticks: u64::MAX / 2,
+            ..WorkloadSpec::default()
+        });
+        let entries = |svc: &PolicyDecisionService<WorkloadOracle>| -> usize {
+            svc.shard_waits.iter().flatten().map(WaitCounts::len).sum()
+        };
+        let n = 50u64;
+        let mut at_n = 0;
+        for now in 1..=8 * n {
+            for r in gen.tick_requests(now) {
+                svc.submit(r, now);
+            }
+            svc.tick(now);
+            if now == n {
+                at_n = entries(&svc);
+            }
+        }
+        let decided = svc.stats().decided;
+        assert!(
+            decided > 8 * n * 8,
+            "the run must decide most of its stream"
+        );
+        let at_8n = entries(&svc);
+        assert!(at_n > 0);
+        assert!(
+            at_8n <= 2 * at_n,
+            "{at_n} distinct waits after {n} ticks, {at_8n} after {}",
+            8 * n
+        );
     }
 
     /// The registry's `serve.*` counters, by name.
@@ -1232,7 +1250,7 @@ mod tests {
             backpressure: true,
             ..ServeConfig::default()
         });
-        let (mut backlog_seen, mut cache_seen) = (false, false);
+        let mut backlog_seen = false;
         let mut id = 0;
         for now in 1..=10u64 {
             for device in 0..30u64 {
@@ -1263,13 +1281,8 @@ mod tests {
             let owned = ServeCheckpoint::from_frame(&frame).expect("frame decodes");
             assert_eq!(owned.to_frame(), frame, "tick {now}");
             backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
-            cache_seen |= owned.caches.iter().flatten().any(|c| !c.fps.is_empty());
         }
         assert!(backlog_seen, "the checkpoint must cover queued requests");
-        assert!(
-            cache_seen,
-            "the checkpoint must cover memoized fingerprints"
-        );
     }
 
     #[test]
@@ -1280,8 +1293,11 @@ mod tests {
             let action = Action::adjust("patrol", StateDelta::empty());
             svc.submit(req(id, id % 5, action, 1, None), 1);
         }
-        svc.tick(1);
-        let good = ServeCheckpoint::from_frame(&svc.checkpoint_frame(1)).unwrap();
+        // The batch closes on age at tick 3.
+        for now in 1..=3 {
+            svc.tick(now);
+        }
+        let good = ServeCheckpoint::from_frame(&svc.checkpoint_frame(3)).unwrap();
         let restore = |cfg: ServeConfig, checkpoint: &ServeCheckpoint| {
             let recorder = SegmentedRecorder::new(
                 "test",
@@ -1298,29 +1314,30 @@ mod tests {
             )
             .map(|svc| svc.stats())
         };
-        assert_eq!(restore(cfg, &good), Ok(svc.stats()));
-        let mut fewer_shards = good.clone();
-        fewer_shards.shard_inflight.pop();
-        let mut fewer_caches = good.clone();
-        fewer_caches.caches.pop();
-        let mut one_cold = good.clone();
-        one_cold.caches[1] = None;
+        // The restored process starts with cold caches and counts its own
+        // hits and misses, with the cache on or off.
+        let cold = ServeStats {
+            cache_hits: 0,
+            cache_misses: 0,
+            ..svc.stats()
+        };
+        assert!(svc.stats().cache_misses > 0);
         let uncached = ServeConfig {
             cache: false,
             ..cfg
         };
-        for (cfg, checkpoint) in [
-            (cfg, &fewer_shards),
-            (cfg, &fewer_caches),
-            (cfg, &one_cold),
-            (uncached, &good),
-        ] {
-            assert!(
-                matches!(restore(cfg, checkpoint), Err(CheckpointError::Mismatch(_))),
-                "{:?}",
-                restore(cfg, checkpoint)
-            );
-        }
+        assert_eq!(restore(cfg, &good), Ok(cold));
+        assert_eq!(restore(uncached, &good), Ok(cold));
+        let mut fewer_shards = good.clone();
+        fewer_shards.shard_inflight.pop();
+        assert!(
+            matches!(
+                restore(cfg, &fewer_shards),
+                Err(CheckpointError::Mismatch(_))
+            ),
+            "{:?}",
+            restore(cfg, &fewer_shards)
+        );
     }
 
     #[test]

@@ -35,9 +35,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
 use crate::batcher::{BatchPolicy, CostModel};
-use crate::experiment::percentile;
+use crate::experiment::{count_percentile, percentile};
 use crate::request::Decision;
-use crate::service::{PolicyDecisionService, ServeConfig};
+use crate::service::{PolicyDecisionService, ServeConfig, WaitCounts};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// Sweep configuration for experiment E15.
@@ -267,18 +267,22 @@ pub fn run_e15_cell(cfg: &E15Config, zipf: f64, threads: usize) -> (E15CellRepor
 
     // Hot shard = most decided requests; ties go to the lowest index so
     // the pick is deterministic.
+    let decided_on = |s: usize| shard_waits[s][0].values().sum::<u64>();
     let hot_shard = (0..shard_waits.len())
-        .max_by_key(|&s| (shard_waits[s].len(), usize::MAX - s))
+        .max_by_key(|&s| (decided_on(s), usize::MAX - s))
         .unwrap_or(0);
-    let hot_requests = shard_waits[hot_shard].len() as u64;
-    // Schedule `i` of the `[static, balanced]` wait pairs.
+    let hot_requests = decided_on(hot_shard);
+    // Schedule `i` of the `[static, balanced]` wait counts.
     let figures = |i: usize, makespan_units: u64| {
-        let mut hot: Vec<u64> = shard_waits[hot_shard].iter().map(|w| w[i]).collect();
-        let mut all: Vec<u64> = shard_waits.iter().flatten().map(|w| w[i]).collect();
+        let hot = &shard_waits[hot_shard][i];
+        let mut all = WaitCounts::new();
+        for (&wait, &count) in shard_waits.iter().flat_map(|w| &w[i]) {
+            *all.entry(wait).or_default() += count;
+        }
         ScheduleFigures {
-            hot_p50_wait: percentile(&mut hot, 0.50),
-            hot_p99_wait: percentile(&mut hot, 0.99),
-            all_p99_wait: percentile(&mut all, 0.99),
+            hot_p50_wait: count_percentile(hot, 0.50),
+            hot_p99_wait: count_percentile(hot, 0.99),
+            all_p99_wait: count_percentile(&all, 0.99),
             makespan_units,
         }
     };

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use apdm_ledger::RotationPolicy;
 use apdm_serve::{
     resume_run, run_e14_mode, run_to_completion, standard_stacks, AdmissionConfig, BatchPolicy,
     Decision, E14Config, E16Config, PolicyDecisionService, ServeConfig, SimDisk, TraceMode,
@@ -14,6 +15,14 @@ use apdm_serve::{
 /// full decision stream (submit-sheds interleaved in submit order) plus the
 /// sealed ledger's JSONL bytes.
 fn run_service(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, String) {
+    let (decisions, mut segments) = run_segmented(spec, cfg);
+    assert_eq!(segments.len(), 1, "rotation off");
+    (decisions, segments.remove(0).1)
+}
+
+/// [`run_service`] for any rotation policy: the decision stream plus every
+/// retained segment's JSONL bytes, checkpoint frames included.
+fn run_segmented(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, Vec<(u64, String)>) {
     let mut svc = PolicyDecisionService::new(
         cfg,
         standard_stacks(cfg.shards, cfg.cache),
@@ -37,9 +46,8 @@ fn run_service(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, String) 
         }
     }
     let (ledger, _) = svc.finish_segmented(now);
-    let ledger = ledger.into_single().expect("rotation off");
     ledger.verify().expect("sealed ledger verifies");
-    (decisions, ledger.to_jsonl())
+    (decisions, ledger.to_jsonl_segments())
 }
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -97,6 +105,43 @@ proptest! {
         let (d1b, l1b) = run_service(spec, cfg(1));
         prop_assert_eq!(&d1, &d1b);
         prop_assert_eq!(&l1, &l1b);
+    }
+
+    /// The memo cache is a speed device: under load that sheds, with or
+    /// without batching and backpressure, a service with the cache off
+    /// renders the decision stream and writes the segment bytes —
+    /// rotation checkpoints included — of one with the cache on, at every
+    /// thread count.
+    #[test]
+    fn cache_on_and_off_give_identical_decisions_and_segments(
+        spec in arb_small_spec(),
+        per_tick in 4usize..48,
+        batching in any::<bool>(),
+        backpressure in any::<bool>(),
+        rotate_every in 4usize..16,
+    ) {
+        let spec = WorkloadSpec { per_tick, ..spec };
+        let cfg = |threads, cache| ServeConfig {
+            seed: spec.seed,
+            threads,
+            batch: if batching { BatchPolicy::default() } else { BatchPolicy::unbatched() },
+            cache,
+            backpressure,
+            rotation: Some(RotationPolicy::by_records(rotate_every)),
+            ..ServeConfig::default()
+        };
+        let (decisions, segments) = run_segmented(spec, cfg(1, true));
+        prop_assert!(segments.len() > 1, "the run must rotate");
+        for threads in [1usize, 3, 8] {
+            for cache in [true, false] {
+                if (threads, cache) == (1, true) {
+                    continue;
+                }
+                let (d, s) = run_segmented(spec, cfg(threads, cache));
+                prop_assert_eq!(&decisions, &d, "decisions: {} threads, cache {}", threads, cache);
+                prop_assert_eq!(&segments, &s, "segments: {} threads, cache {}", threads, cache);
+            }
+        }
     }
 
     /// Fail-closed under overload: whatever the load and bounds, a shed
@@ -240,7 +285,7 @@ proptest! {
 
         let (_, crash_disk) = &snapshots[frac * (snapshots.len() - 1) / 100];
         for threads in [1usize, 3, 8] {
-            let (ledger, decisions, start, _) = resume_run(&cfg, budget, threads, crash_disk)
+            let (ledger, decisions, start, _) = resume_run(&cfg, budget, threads, true, crash_disk)
                 .expect("a current-format checkpoint resumes");
             prop_assert!(ledger.verify().is_ok(), "resumed ledger corrupt at {} threads", threads);
             prop_assert_eq!(

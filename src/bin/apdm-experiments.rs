@@ -2,35 +2,19 @@
 //! `apdm::experiments` registry, print its table (or, with `--json`, its
 //! report) and exit non-zero when it breaks an acceptance claim.
 //!
-//! ```text
-//! apdm-experiments list
-//! apdm-experiments run e1 [--seed 42] [--json] [--trace out.jsonl] [--quiet]
-//! apdm-experiments run all              # every experiment; lists each failure
-//! apdm-experiments record [--seed 42] [--out run.jsonl]
-//! apdm-experiments verify run.jsonl
-//! apdm-experiments replay run.jsonl [--seed 42] [--from-snapshot]
-//! apdm-experiments trace [--seed 42] [--out trace.jsonl]
-//! apdm-experiments calibrate [--seed 42] [--json]
-//! apdm-experiments trace-analyze trace.jsonl [--chrome out.json]
-//! apdm-experiments checkpoint [--kill-tick T] [--seed 42] --out base
-//! apdm-experiments resume base [--seed 42] [--out base2]
-//! apdm-experiments serve-net serve [--listen 127.0.0.1:0] [--addr-file p] \
-//!     [--clients N] [--smoke] [--out base]
-//! apdm-experiments serve-net client (--connect addr | --addr-file p) \
-//!     --index I --clients N [--smoke]
-//! apdm-experiments serve-net chaos (--connect addr | --addr-file p) --kind k
-//! apdm-experiments serve-net golden [--smoke] [--out base]
-//! ```
+//! `apdm-experiments --help` lists every command with the flags it reads.
 //!
-//! Parallelism: the global `--threads N` flag sets the worker count for
-//! both the two-phase fleet tick and the experiment fan-out (`0` = one
-//! per hardware thread, the default; `1` = fully sequential; the
-//! `APDM_THREADS` env var overrides auto-detection). Experiment sweeps
-//! distribute their cells across the pool but always print in table
-//! order, and recorded ledgers are bit-identical at any thread count.
-//! `--no-cache` disables the guard-verdict memo cache. `run` rejects a flag
-//! the chosen experiment never reads (`--out` outside e12/e14/e15/e16,
-//! `--no-cache` outside e11) before anything runs.
+//! Parallelism: `--threads N` (`run`, `record`, `trace`, `replay`) sets the
+//! worker count for both the two-phase fleet tick and the experiment
+//! fan-out (`0` = one per hardware thread, the default; `1` = fully
+//! sequential; the `APDM_THREADS` env var overrides auto-detection).
+//! Experiment sweeps distribute their cells across the pool but always
+//! print in table order, and recorded ledgers are bit-identical at any
+//! thread count. `--no-cache` disables the guard-verdict memo cache.
+//! Every command rejects a flag it never reads before anything runs
+//! (`--quiet` and `--trace` are read by all); `run` checks against the
+//! chosen experiment (`--out` outside e12/e14/e15/e16, `--no-cache`
+//! outside e11 are refused).
 //!
 //! `record` runs the canonical guarded-striker scenario under the
 //! `apdm-ledger` flight recorder and writes the hash-chained ledger as
@@ -72,9 +56,9 @@
 //! full restart if nothing survived — replays the suffix, and writes the
 //! resumed run's sealed segments; CI `cmp`s them byte for byte against
 //! the golden files. A verified checkpoint of another format than this
-//! build's (e.g. a format-1 checkpoint, which stored memo-cache verdicts)
-//! is refused: `resume` names the format and exits nonzero rather than
-//! restarting the run from tick 1. `verify` recognizes rotated runs: pointed at any
+//! build's (format 1 stored memo-cache verdicts, format 2 memo-cache
+//! fingerprints) is refused: `resume` names the format and exits nonzero
+//! rather than restarting the run from tick 1. `verify` recognizes rotated runs: pointed at any
 //! `.segNNNN.jsonl` file (or the family's base path), it checks every
 //! retained segment's hash chain *and* the cross-segment anchors, prints
 //! a per-segment report, and exits nonzero if any segment fails.
@@ -116,28 +100,33 @@ usage: apdm-experiments <command> [flags]
 
 commands:
   list
-  run <id|all> [--seed N] [--json]
+  run <id|all> [--seed N] [--json] [--threads N]
       [--no-cache]                        e11 only
       [--out path]                        e12, e14, e15, e16: one cell, written to path
-  record [--seed N] [--out run.jsonl]
+  record [--seed N] [--json] [--threads N] [--no-cache] [--out run.jsonl]
   verify <ledger.jsonl | run.segNNNN.jsonl>
-  replay <ledger.jsonl> [--seed N] [--from-snapshot]
-  trace [--seed N] [--out trace.jsonl]
+  replay <ledger.jsonl> [--seed N] [--json] [--threads N] [--no-cache] [--from-snapshot]
+  trace [--seed N] [--json] [--threads N] [--no-cache] [--out trace.jsonl]
   calibrate [--seed N] [--json]
   trace-analyze <trace.jsonl> [--chrome out.json]
   checkpoint [--seed N] [--kill-tick T] [--out base]
   resume <base> [--seed N] [--out base2]
-  serve-net serve [--listen addr] [--addr-file path] [--clients N] [--smoke] [--out base]
-  serve-net client (--connect addr | --addr-file path) --index I --clients N [--smoke]
-  serve-net chaos (--connect addr | --addr-file path) --kind k [--smoke]
-  serve-net golden [--smoke] [--out base]
+  serve-net serve [--seed N] [--smoke] [--listen addr] [--addr-file path] [--clients N]
+                  [--out base]
+  serve-net client [--seed N] [--smoke] (--connect addr | --addr-file path)
+                   --index I --clients N
+  serve-net chaos (--connect addr | --addr-file path) --kind k
+  serve-net golden [--seed N] [--smoke] [--out base]
 
-global flags:
   --threads N   worker threads (0 = one per hardware thread)
   --no-cache    disable the guard-verdict memo cache
+
+flags every command reads:
   --quiet       silence progress lines on stderr
   --trace path  capture spans and events to path (JSONL) and path.chrome.json
-  --help, -h    print this text";
+  --help, -h    print this text
+
+A flag the command never reads is rejected.";
 
 /// How many positional words `command` takes, the command itself
 /// included; `None` for an unknown command.
@@ -287,10 +276,8 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Flags), ExitCode> {
                 )));
             }
         }
-        if command == "run" {
-            check_run_flags(positional.get(1).map(String::as_str), &f.given)
-                .map_err(|e| usage_error(&e))?;
-        }
+        check_flags(command, positional.get(1).map(String::as_str), &f.given)
+            .map_err(|e| usage_error(&e))?;
     }
     Ok((positional, f))
 }
@@ -544,8 +531,8 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
                 report.tick_budget_ns
             );
             println!(
-                "  capacity_per_tick={} batch_overhead={} cost_hit={} cost_miss={}",
-                m.capacity_per_tick, m.batch_overhead, m.cost_hit, m.cost_miss
+                "  capacity_per_tick={} batch_overhead={} cost_miss={}",
+                m.capacity_per_tick, m.batch_overhead, m.cost_miss
             );
             ExitCode::SUCCESS
         }
@@ -945,7 +932,7 @@ fn resume_cmd(cfg: &E16Config, base: &str, out_base: &str) -> ExitCode {
         disk.insert(index, text);
     }
     let budget = cfg.budgets[0];
-    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, 1, &disk) {
+    let (ledger, decisions, start, discarded) = match resume_run(cfg, budget, 1, true, &disk) {
         Ok(resumed) => resumed,
         Err(e) => return fail(&format!("cannot resume {base}: {e}")),
     };
@@ -1073,28 +1060,71 @@ fn emit<T: serde::Serialize + std::fmt::Debug>(json: bool, value: &T) {
     }
 }
 
-/// Reject a `run` flag the chosen experiment never reads (with `all`: any
-/// flag not every experiment reads). An unknown id is left to `run` itself.
-fn check_run_flags(id: Option<&str>, given: &[String]) -> Result<(), String> {
-    let exp = match id {
-        Some("all") | None => None,
-        Some(id) => match experiments::find(id) {
-            Some(e) => Some(e),
-            None => return Ok(()),
-        },
+/// The flags each command reads besides `--quiet` and `--trace`, which
+/// every command reads; `serve-net` by mode. `run` is checked per
+/// experiment (see [`check_flags`]).
+const READS: &[(&str, &str)] = &[
+    ("list", ""),
+    ("verify", ""),
+    ("record", "--seed --json --threads --no-cache --out"),
+    ("trace", "--seed --json --threads --no-cache --out"),
+    (
+        "replay",
+        "--seed --json --threads --no-cache --from-snapshot",
+    ),
+    ("calibrate", "--seed --json"),
+    ("trace-analyze", "--chrome"),
+    ("checkpoint", "--seed --kill-tick --out"),
+    ("resume", "--seed --out"),
+    (
+        "serve-net serve",
+        "--seed --smoke --listen --addr-file --clients --out",
+    ),
+    (
+        "serve-net client",
+        "--seed --smoke --connect --addr-file --index --clients",
+    ),
+    ("serve-net chaos", "--connect --addr-file --kind"),
+    ("serve-net golden", "--seed --smoke --out"),
+];
+
+/// Reject a flag `command` never reads. `arg` is the word after the
+/// command: `run`'s experiment id (with `all`: a flag not every experiment
+/// reads is refused), `serve-net`'s mode. An unknown command, mode or
+/// experiment id is left to the command itself.
+fn check_flags(command: &str, arg: Option<&str>, given: &[String]) -> Result<(), String> {
+    let name = match (command, arg) {
+        ("run" | "serve-net", Some(arg)) => format!("{command} {arg}"),
+        _ => command.to_string(),
     };
-    for flag in given {
-        let read = match flag.as_str() {
-            "--seed" | "--json" | "--threads" | "--quiet" | "--trace" => true,
-            "--out" => exp.is_some_and(|e| e.artifact.is_some()),
-            "--no-cache" => exp.is_some_and(|e| e.reads_cache),
-            _ => false,
+    let reads: Vec<&str> = if command == "run" {
+        let exp = match arg {
+            Some("all") | None => None,
+            Some(id) => match experiments::find(id) {
+                Some(e) => Some(e),
+                None => return Ok(()),
+            },
         };
-        if !read {
-            return Err(format!("`run {}` does not read `{flag}`", id.unwrap_or("")));
+        let mut reads = vec!["--seed", "--json", "--threads"];
+        if exp.is_some_and(|e| e.artifact.is_some()) {
+            reads.push("--out");
         }
+        if exp.is_some_and(|e| e.reads_cache) {
+            reads.push("--no-cache");
+        }
+        reads
+    } else {
+        match READS.iter().find(|(key, _)| *key == name) {
+            Some((_, reads)) => reads.split_whitespace().collect(),
+            None => return Ok(()),
+        }
+    };
+    match given.iter().find(|flag| {
+        !matches!(flag.as_str(), "--quiet" | "--trace") && !reads.contains(&flag.as_str())
+    }) {
+        Some(flag) => Err(format!("`{name}` does not read `{flag}`")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Run one experiment: its table configuration at `seed`, or with `out`

@@ -31,8 +31,9 @@ use crate::guards::{GuardStack, PreActionCheck};
 use crate::net::{run_e17, E17Config, E17Report};
 use crate::policy::{Action, Condition, EcaRule, Event, PolicyEngine};
 use crate::serve::{
-    run_e13, run_e14, run_e14_mode, run_e15, run_e15_cell, run_e16, run_e16_cell, E13Config,
-    E13Report, E14Config, E14Report, E15Config, E15Report, E16Config, E16Report, Knobs, TraceMode,
+    run_e13, run_e14, run_e14_mode, run_e15, run_e15_cell, run_e16, run_e16_cell, E13CellReport,
+    E13Config, E13Report, E14Config, E14Report, E15Config, E15Report, E16Config, E16Report, Knobs,
+    TraceMode,
 };
 use crate::sim::contagion::{
     run_contagion, run_contagion_on, ContagionArm, ContagionReport, TopologyKind,
@@ -1723,52 +1724,78 @@ static E13: Spec<E13Config, E13Report> = Spec {
                 "{label} load={load}: shedding-off cell refused work"
             );
         }
-        let cell = |load: usize, batching: bool, cache: bool| {
-            let knobs = Knobs {
-                batching,
-                cache,
-                shedding: true,
-            };
+        let cell = |load: usize, knobs: Knobs| {
             report
                 .cell(load, knobs)
                 .ok_or(format!("E13: no {} cell at load {load}", knobs.label()))
         };
-        // Batching beats unbatched at the highest offered load, cache on or
-        // off (shedding on, so both serve at their sustainable rate).
-        for cache in [true, false] {
-            let (batched, unbatched) = (cell(highest, true, cache)?, cell(highest, false, cache)?);
+        // The memo cache is a speed device: it changes how many full guard
+        // evaluations a cell runs, never what the cell decides, sheds or
+        // sustains.
+        for cached in report.cells.iter().filter(|c| c.cache) {
+            let uncached = cell(
+                cached.load,
+                Knobs {
+                    batching: cached.batching,
+                    cache: false,
+                    shedding: cached.shedding,
+                },
+            )?;
+            let served = |c: &E13CellReport| (c.decided, c.shed, c.throughput);
+            let (label, load) = (&cached.label, cached.load);
             ensure!(
-                batched.throughput > unbatched.throughput,
-                "E13 load={highest} cache={cache}: batching must raise throughput \
-                 (batched={:.2} unbatched={:.2})",
-                batched.throughput,
-                unbatched.throughput
+                served(cached) == served(uncached),
+                "{label} load={load}: the cache changed (decided, shed, throughput) \
+                 from {:?} to {:?}",
+                served(uncached),
+                served(cached)
+            );
+            ensure!(
+                cached.cache_hits == 0 || cached.evaluations() < uncached.evaluations(),
+                "{label} load={load}: {} hits but no fewer evaluations than nocache",
+                cached.cache_hits
             );
         }
+        let shedding = |batching: bool| Knobs {
+            batching,
+            cache: true,
+            shedding: true,
+        };
+        // Batching beats unbatched at the highest offered load (shedding
+        // on, so both serve at their sustainable rate).
+        let (batched, unbatched) = (
+            cell(highest, shedding(true))?,
+            cell(highest, shedding(false))?,
+        );
+        ensure!(
+            batched.throughput > unbatched.throughput,
+            "E13 load={highest}: batching must raise throughput \
+             (batched={:.2} unbatched={:.2})",
+            batched.throughput,
+            unbatched.throughput
+        );
         // Shed-rate curves: zero at the lowest load, non-zero at the
         // highest, and strictly increasing once the queue bound binds.
         for batching in [true, false] {
-            for cache in [true, false] {
-                let curve = loads
-                    .iter()
-                    .map(|&l| cell(l, batching, cache).map(|c| c.shed_rate))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                let label = cell(lowest, batching, cache)?.label.clone();
+            let curve = loads
+                .iter()
+                .map(|&l| cell(l, shedding(batching)).map(|c| c.shed_rate))
+                .collect::<Result<Vec<f64>, _>>()?;
+            let label = shedding(batching).label();
+            ensure!(
+                curve[0] == 0.0,
+                "{label}: must not shed at load {lowest} (curve {curve:?})"
+            );
+            ensure!(
+                curve[curve.len() - 1] > 0.0,
+                "{label}: must shed at load {highest} (curve {curve:?})"
+            );
+            for w in curve.windows(2) {
                 ensure!(
-                    curve[0] == 0.0,
-                    "{label}: must not shed at load {lowest} (curve {curve:?})"
+                    w[1] >= w[0] && (w[0] == 0.0 || w[1] > w[0]),
+                    "{label}: shed rate must keep rising once the bound binds \
+                     (curve {curve:?})"
                 );
-                ensure!(
-                    curve[curve.len() - 1] > 0.0,
-                    "{label}: must shed at load {highest} (curve {curve:?})"
-                );
-                for w in curve.windows(2) {
-                    ensure!(
-                        w[1] >= w[0] && (w[0] == 0.0 || w[1] > w[0]),
-                        "{label}: shed rate must keep rising once the bound binds \
-                         (curve {curve:?})"
-                    );
-                }
             }
         }
         // Determinism: a second identical sweep reproduces the report once
@@ -1780,7 +1807,7 @@ static E13: Spec<E13Config, E13Report> = Spec {
 
 /// The E13 sweep table: one row per (load × knobs) cell.
 fn print_e13_table(report: &E13Report) {
-    println!("load   knobs                   decided     shed   shed%   thruput    p50    p99   p99.9     hit%");
+    println!("load   knobs                   decided     shed   shed%   thruput    p50    p99   p99.9     hit%    evals");
     for c in &report.cells {
         let lookups = c.cache_hits + c.cache_misses;
         let hit_rate = if lookups == 0 {
@@ -1789,7 +1816,7 @@ fn print_e13_table(report: &E13Report) {
             c.cache_hits as f64 / lookups as f64
         };
         println!(
-            "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3}",
+            "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3} {:>8}",
             c.load,
             c.label,
             c.decided,
@@ -1800,6 +1827,7 @@ fn print_e13_table(report: &E13Report) {
             c.p99_queue_ticks,
             c.p999_queue_ticks,
             hit_rate,
+            c.evaluations(),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The experiment CLI's exit status: `run <id>` fails when the experiment
 //! fails or its `--out` file cannot be written, and a malformed command
-//! line, or a flag the chosen experiment never reads, is rejected before
-//! anything runs.
+//! line, or a flag the chosen command or experiment never reads, is
+//! rejected before anything runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,6 +76,19 @@ fn malformed_command_lines_are_rejected_without_running() {
         &["record", "extra", "--quiet"],
         &["verify", "a.jsonl", "b.jsonl"],
         &["list", "extra"],
+        // Known flags the subcommand never reads.
+        &[
+            "calibrate",
+            "--kill-tick",
+            "3",
+            "--out",
+            "nowhere.json",
+            "--json",
+        ],
+        &["verify", "a.jsonl", "--seed", "7"],
+        &["resume", "base", "--kill-tick", "3"],
+        &["checkpoint", "--json"],
+        &["serve-net", "chaos", "--smoke", "--kind", "garbage"],
     ] {
         let run = run_in(&dir, args);
         assert!(
@@ -91,6 +104,12 @@ fn malformed_command_lines_are_rejected_without_running() {
     let stderr =
         String::from_utf8_lossy(&run_in(&dir, &["record", "--sed", "7"]).stderr).into_owned();
     assert!(stderr.contains("unknown flag `--sed`"), "stderr: {stderr}");
+    let stderr = String::from_utf8_lossy(&run_in(&dir, &["calibrate", "--kill-tick", "3"]).stderr)
+        .into_owned();
+    assert!(
+        stderr.contains("`calibrate` does not read `--kill-tick`"),
+        "stderr: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -149,21 +168,23 @@ fn run_rejects_flags_the_experiment_never_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn resume_refuses_a_format_1_checkpoint_by_name() {
-    // A segment written before checkpoints carried a `format` field: its
-    // chain verifies, so refusing it is not the torn-header fallback.
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/e16-42-v1.seg0006.jsonl"
+/// `resume` on the committed fixture `e16-42-v<format>.seg0006.jsonl`, a
+/// checkpoint of an older format whose chain verifies (so refusing it is
+/// not the torn-header fallback), must fail, name the format, and write
+/// nothing.
+fn assert_resume_refuses_format(format: u32) {
+    let fixture = format!(
+        "{}/tests/fixtures/e16-42-v{format}.seg0006.jsonl",
+        env!("CARGO_MANIFEST_DIR")
     );
-    let dir = scratch("resume-v1");
-    std::fs::copy(fixture, dir.join("old.seg0006.jsonl")).expect("copy the v1 fixture");
+    let dir = scratch(&format!("resume-v{format}"));
+    std::fs::copy(&fixture, dir.join("old.seg0006.jsonl")).expect("copy the fixture");
     let run = run_in(&dir, &["resume", "old", "--seed", "42", "--quiet"]);
     assert!(!run.status.success(), "exit status {:?}", run.status);
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(
-        stderr.contains("serve checkpoint format 1") && stderr.contains("reads only format 2"),
+        stderr.contains(&format!("serve checkpoint format {format}"))
+            && stderr.contains("reads only format 3"),
         "stderr: {stderr}"
     );
     assert_eq!(
@@ -172,4 +193,16 @@ fn resume_refuses_a_format_1_checkpoint_by_name() {
         "nothing resumed, nothing written"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_format_1_checkpoint_by_name() {
+    // Format 1 carried no `format` field.
+    assert_resume_refuses_format(1);
+}
+
+#[test]
+fn resume_refuses_a_format_2_checkpoint_by_name() {
+    // Format 2 carried the memo caches as fingerprints.
+    assert_resume_refuses_format(2);
 }

@@ -195,8 +195,7 @@ fn checkpoint_of(record: &mut Value) -> &mut Fields {
 }
 
 /// Checkpoints that decode but do not fit the configuration — a shard's
-/// backpressure counter dropped, a memo cache dropped, one cache turned
-/// off, and a shard added — and checkpoints whose admission queue no live
+/// backpressure counter dropped, and a shard added — and checkpoints whose admission queue no live
 /// service could hold (the fixture's lanes are all empty and its rotation
 /// too): a rotated tenant without a lane (`dequeue` would panic), queued
 /// requests outside the rotation (`tick` would spin on them forever), and
@@ -204,18 +203,12 @@ fn checkpoint_of(record: &mut Value) -> &mut Fields {
 /// the queue would claim work it cannot find).
 fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
     let record: Value = serde_json::from_str(line).expect("the checkpoint line parses");
-    let edits: [(&str, Edit); INCONSISTENT_QUEUES + 4] = [
+    let edits: [(&str, Edit); INCONSISTENT_QUEUES + 2] = [
         ("one backpressure counter short", |cp| {
             pop(cp, "shard_inflight")
         }),
-        ("one memo cache short", |cp| pop(cp, "caches")),
-        ("one memo cache off", |cp| {
-            field(cp, "caches")[0] = Value::Null;
-        }),
         ("one shard more", |cp| {
             field(cp, "shard_inflight").push(Value::Int(0));
-            let caches = field(cp, "caches");
-            caches.push(caches[0].clone());
         }),
         ("a rotated tenant without a lane", |cp| {
             field(cp, "rotation").push(Value::Int(99));
