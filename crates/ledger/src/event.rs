@@ -187,18 +187,32 @@ pub struct DeviceSnap {
 /// read back only on resume, so the frame keeps their text rather than a
 /// [`Value`] tree: appending, hashing or exporting the frame copies the
 /// text verbatim, and dropping it frees one `String`. The only ways in are
-/// [`RawJson::of`] (the streaming writer) and [`Deserialize`] (which
-/// re-renders a parsed value), so the text is always canonical and a frame
-/// serializes to the same bytes whichever way it was built.
+/// [`RawJson::of`] and [`RawJson::of_sized`] (the streaming writer) and
+/// [`Deserialize`] (which re-renders a parsed value), so the text is always
+/// canonical and a frame serializes to the same bytes whichever way it was
+/// built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawJson(String);
 
 impl RawJson {
     /// The compact JSON of `value`, written once.
     pub fn of<T: Serialize + ?Sized>(value: &T) -> Self {
-        let mut text = String::new();
+        RawJson::of_sized(value, 0)
+    }
+
+    /// [`of`](RawJson::of), writing into a buffer that starts with room for
+    /// `capacity` bytes: a caller that writes texts of similar length over
+    /// and over passes the last length, so the write does not regrow the
+    /// buffer from empty.
+    pub fn of_sized<T: Serialize + ?Sized>(value: &T, capacity: usize) -> Self {
+        let mut text = String::with_capacity(capacity);
         value.write_json(&mut text);
         RawJson(text)
+    }
+
+    /// The JSON text.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
 
     /// Parse the fragment as a `T`.

@@ -160,13 +160,15 @@ enum Event {
     /// A workload connection declared its slice of a tick complete.
     TickDone { conn: u64, tick: u64 },
     /// The connection was dropped (frame garbage, stall, protocol error,
-    /// or I/O failure). The reader has already arranged the close.
+    /// or I/O failure). The reader has already arranged the close; this is
+    /// its last event.
     Dropped {
         conn: u64,
         code: u16,
         detail: String,
     },
-    /// The peer closed cleanly.
+    /// The peer closed cleanly (or the run ended); the reader's last
+    /// event.
     Left { conn: u64 },
 }
 
@@ -191,7 +193,10 @@ struct Loop {
     /// request id → connection owed the decision.
     owed: HashMap<u64, u64>,
     /// Connections whose terminal audit record (departure or drop) is
-    /// written; later terminal events for them are ignored.
+    /// written while their reader may still send a terminal event, which
+    /// is then ignored. A reader's `Dropped` or `Left` is its last event,
+    /// so handling it removes the entry: the set never outgrows the open
+    /// connections, however many a long-lived server has accepted.
     ended: HashSet<u64>,
     audit: SegmentedRecorder,
     audit_seq: u64,
@@ -203,6 +208,24 @@ struct Loop {
 }
 
 impl Loop {
+    fn new(seed: u64, expected_clients: u32) -> Self {
+        Loop {
+            conns: HashMap::new(),
+            workload: HashMap::new(),
+            pending: BTreeMap::new(),
+            done: HashSet::new(),
+            owed: HashMap::new(),
+            ended: HashSet::new(),
+            audit: SegmentedRecorder::new("e17/net-audit", seed, 0, RotationPolicy::default()),
+            audit_seq: 0,
+            rejects: 0,
+            drops: 0,
+            decisions_sent: 0,
+            decisions_dropped: 0,
+            expected_clients,
+        }
+    }
+
     fn audit(&mut self, tick: u64, kind: AuditKind, subject: String, detail: String) {
         let entry = AuditEntry {
             seq: self.audit_seq,
@@ -321,10 +344,14 @@ impl Loop {
             }
             Event::Dropped { conn, code, detail } => {
                 self.record_drop(conn, tick, code, &detail);
+                // The reader's last event: nothing can name `conn` again.
+                self.ended.remove(&conn);
                 self.depart(conn, tick, collecting, "dropped")
             }
             Event::Left { conn } => {
-                if self.ended.insert(conn) {
+                // The reader's last event. A drop the loop already
+                // recorded stays the connection's terminal record.
+                if !self.ended.remove(&conn) {
                     self.audit(tick, AuditKind::Note, format!("conn{conn}"), "bye".into());
                 }
                 self.depart(conn, tick, collecting, "left")
@@ -470,21 +497,7 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
         &cfg,
     )?;
 
-    let mut state = Loop {
-        conns: HashMap::new(),
-        workload: HashMap::new(),
-        pending: BTreeMap::new(),
-        done: HashSet::new(),
-        owed: HashMap::new(),
-        ended: HashSet::new(),
-        audit: SegmentedRecorder::new("e17/net-audit", cfg.seed, 0, RotationPolicy::default()),
-        audit_seq: 0,
-        rejects: 0,
-        drops: 0,
-        decisions_sent: 0,
-        decisions_dropped: 0,
-        expected_clients: cfg.clients,
-    };
+    let mut state = Loop::new(cfg.seed, cfg.clients);
 
     let run = drive(&mut svc, &mut state, &events, &cfg);
     // Orderly shutdown regardless of how the run ended: stop accepting,
@@ -852,5 +865,70 @@ impl Read for Counted<'_> {
         let n = self.inner.read(buf)?;
         self.read += n;
         Ok(n)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The audit details of `state`'s records so far.
+    fn audit_details(state: &Loop) -> Vec<String> {
+        state
+            .audit
+            .current()
+            .records()
+            .iter()
+            .filter_map(|r| match &r.event {
+                RunEvent::Audit(entry) => Some(entry.detail.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ended_connections_are_forgotten_after_their_last_event() {
+        const CYCLES: u64 = 200;
+        let mut state = Loop::new(42, 1);
+        let (out, _rx) = mpsc::channel::<Outbound>();
+        let joined = |conn, role, index| Event::Joined {
+            conn,
+            role,
+            index,
+            clients: 1,
+            out: out.clone(),
+        };
+        let mut feed = |ev| state.handle(ev, 1, false).unwrap();
+        for cycle in 0..CYCLES {
+            let conn = 4 * cycle;
+            // An observer that joins and leaves.
+            feed(joined(conn, Role::Observer, 0));
+            feed(Event::Left { conn });
+            // A bad hello the loop drops, whose reader then leaves.
+            feed(joined(conn + 1, Role::Workload, 7));
+            feed(Event::Left { conn: conn + 1 });
+            // A bad hello the loop drops, whose reader then reports the
+            // dropped socket too.
+            feed(joined(conn + 2, Role::Workload, 7));
+            feed(Event::Dropped {
+                conn: conn + 2,
+                code: close_code::STALLED,
+                detail: "eof".into(),
+            });
+            // A connection dropped before any hello.
+            feed(Event::Dropped {
+                conn: conn + 3,
+                code: close_code::MALFORMED,
+                detail: "garbage".into(),
+            });
+        }
+        assert!(state.ended.is_empty(), "{} entries kept", state.ended.len());
+        assert!(state.conns.is_empty());
+        // Still exactly one terminal record per connection.
+        let details = audit_details(&state);
+        let count = |prefix: &str| details.iter().filter(|d| d.starts_with(prefix)).count() as u64;
+        assert_eq!(count("bye"), CYCLES);
+        assert_eq!(count("drop "), 3 * CYCLES);
+        assert_eq!(state.drops, 3 * CYCLES);
     }
 }

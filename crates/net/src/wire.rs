@@ -2,9 +2,9 @@
 //! codes.
 //!
 //! Every non-empty frame payload is one of these types serialized as UTF-8
-//! JSON. Requests reuse [`ReqSnap`] — the same serializable mirror of
-//! [`DecisionRequest`](apdm_serve::DecisionRequest) the checkpoint format
-//! uses — so a request survives the wire and a checkpoint identically.
+//! JSON. Requests travel whole as [`ReqSnap`], the serializable mirror of
+//! [`DecisionRequest`](apdm_serve::DecisionRequest) (a checkpoint stores
+//! queued requests as rows over its schema and action tables instead).
 //! Decisions travel as [`DecisionSnap`], a mirror of
 //! [`Decision`] minus the trace context (which rides
 //! in the frame header instead, see `docs/PROTOCOL.md`).

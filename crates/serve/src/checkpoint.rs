@@ -9,10 +9,24 @@
 //! ledger **bit-identical** to an uninterrupted run at any thread count
 //! (experiment E16 sweeps this).
 //!
+//! **Queued requests as rows.** Most of a busy checkpoint is its queued
+//! requests, and most of a request is its state's [`StateSchema`] and its
+//! actions, which a queue repeats over and over. So a checkpoint holds two
+//! tables, `schemas` and `actions`, each entry written once in order of
+//! first appearance (lanes in tenant order, each queue front first; per
+//! request its schema, then its proposed action, then its alternatives),
+//! and each queued request is a [`ReqRow`] that refers to them by index:
+//! `{"id","device","schema":i,"values":[..],"proposed":j,"alternatives":[k,..],
+//! "submitted_at","deadline","ctx"}`. A row carries no tenant: its lane
+//! names it. Entries are interned by content, floats compared bit for bit,
+//! so the tables depend only on the queue's contents — not on the thread
+//! count, the memo cache or whether the process was restored.
+//!
 //! **Format version.** Every checkpoint starts with a `format` field,
-//! [`CHECKPOINT_FORMAT`] (3: no memo caches). Format 2 stored each shard's
-//! memo-cache fingerprints and hit/miss counters; format 1, which stored
-//! `{fp, verdict}` entries, had no `format` field.
+//! [`CHECKPOINT_FORMAT`] (4: interned schemas and actions). Format 3 wrote
+//! each queued request whole, with its tenant; format 2 also stored each
+//! shard's memo-cache fingerprints and hit/miss counters; format 1, which
+//! stored `{fp, verdict}` entries, had no `format` field.
 //! [`ServeCheckpoint::from_frame`] checks the field before decoding
 //! anything else and refuses any other format with
 //! [`CheckpointError::Format`], so recovery can say why it will not resume
@@ -35,11 +49,12 @@
 //! entirely in `world`, as JSON text written once at rotation and parsed
 //! only on resume.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use apdm_ledger::{RawJson, SnapshotFrame};
 use apdm_policy::Action;
-use apdm_statespace::State;
+use apdm_statespace::{State, StateSchema};
 use apdm_telemetry::TraceContext;
 use serde::{Deserialize, Serialize, Value};
 
@@ -82,7 +97,10 @@ impl From<CtxSnap> for TraceContext {
     }
 }
 
-/// Serializable mirror of one queued [`DecisionRequest`].
+/// Serializable mirror of one whole [`DecisionRequest`], state schema,
+/// actions and tenant included: the request payload of `apdm-net`'s
+/// `Request` frames. A checkpoint stores queued requests as [`ReqRow`]s
+/// instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReqSnap {
     /// Caller-assigned request id.
@@ -137,23 +155,51 @@ impl From<ReqSnap> for DecisionRequest {
     }
 }
 
+/// One queued [`DecisionRequest`] as a checkpoint row: its state's schema
+/// and its actions are indices into the checkpoint's
+/// [`schemas`](ServeCheckpoint::schemas) and
+/// [`actions`](ServeCheckpoint::actions), and its tenant is its lane's.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ReqRow {
+    /// Caller-assigned request id.
+    pub id: u64,
+    /// Subject device (also the shard key).
+    pub device: u64,
+    /// The state's schema: an index into the schema table.
+    pub schema: usize,
+    /// The state's values, one per schema variable.
+    pub values: Vec<f64>,
+    /// The proposed action: an index into the action table.
+    pub proposed: usize,
+    /// The alternatives, in order: indices into the action table.
+    pub alternatives: Vec<usize>,
+    /// Tick the request entered the service.
+    pub submitted_at: u64,
+    /// Absolute deadline tick, if any.
+    pub deadline: Option<u64>,
+    /// Trace context at the point of capture, if the request was traced.
+    pub ctx: Option<CtxSnap>,
+}
+
 /// One admission lane: a tenant's DRR deficit plus its queued requests,
 /// front of the queue first. Empty lanes are captured too, so the restored
 /// queue is structurally identical to the original.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LaneSnap {
-    /// The lane's tenant.
+    /// The lane's tenant, which every request in it bills.
     pub tenant: u32,
     /// Unspent DRR credit.
     pub deficit: u32,
     /// Queued requests, dequeue order.
-    pub queue: Vec<ReqSnap>,
+    pub queue: Vec<ReqRow>,
 }
 
-/// The checkpoint format this build writes and reads: 3, no memo caches.
-/// Format 2 stored memo caches as fingerprints; format 1 stored them as
-/// `{fp, verdict}` entries and carried no `format` field.
-pub const CHECKPOINT_FORMAT: u32 = 3;
+/// The checkpoint format this build writes and reads: 4, queued requests
+/// as rows over schema and action tables. Format 3 wrote each queued
+/// request whole; format 2 also stored memo caches as fingerprints;
+/// format 1 stored them as `{fp, verdict}` entries and carried no
+/// `format` field.
+pub const CHECKPOINT_FORMAT: u32 = 4;
 
 /// Why a checkpoint cannot be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +214,8 @@ pub enum CheckpointError {
         /// integer).
         found: Option<u64>,
     },
-    /// The frame does not decode as a checkpoint.
+    /// The frame does not decode as a checkpoint, or its rows do not
+    /// resolve against its tables.
     Malformed(String),
     /// The checkpoint decodes but does not fit the service configuration
     /// it is restored into (another shard count).
@@ -193,7 +240,7 @@ impl fmt::Display for CheckpointError {
                 write!(
                     f,
                     ", but this build reads only format {CHECKPOINT_FORMAT} \
-                     (no memo caches)"
+                     (queued requests refer to schema and action tables)"
                 )
             }
             CheckpointError::Malformed(e) => write!(f, "malformed serve checkpoint: {e}"),
@@ -217,6 +264,12 @@ pub struct ServeCheckpoint {
     /// The tick after which the checkpoint was taken; a restored service
     /// resumes at `tick + 1`.
     pub tick: u64,
+    /// Every distinct state schema of a queued request, in order of first
+    /// appearance.
+    pub schemas: Vec<StateSchema>,
+    /// Every distinct proposed or alternative action of a queued request,
+    /// in order of first appearance.
+    pub actions: Vec<Action>,
     /// Admission lanes in tenant order (empty lanes included).
     pub lanes: Vec<LaneSnap>,
     /// DRR rotation order of backlogged tenants (front is being served).
@@ -246,6 +299,11 @@ fn frame(tick: u64, world: RawJson) -> SnapshotFrame {
     }
 }
 
+/// A lane of restored requests: `(tenant, deficit, queue front first)`,
+/// the shape [`AdmissionQueue::restore`](crate::AdmissionQueue::restore)
+/// takes.
+pub(crate) type RestoredLane = (TenantId, u32, Vec<DecisionRequest>);
+
 impl ServeCheckpoint {
     /// Package the checkpoint as a ledger [`SnapshotFrame`].
     pub fn to_frame(&self) -> SnapshotFrame {
@@ -255,7 +313,11 @@ impl ServeCheckpoint {
     /// Rebuild a checkpoint from a ledger frame written by
     /// [`to_frame`](ServeCheckpoint::to_frame) or by a rotating service.
     /// The `format` field is checked first, so a checkpoint of another
-    /// format is a [`CheckpointError::Format`] whatever else it holds.
+    /// format is a [`CheckpointError::Format`] whatever else it holds. A
+    /// checkpoint whose rows do not resolve against its tables is
+    /// [`CheckpointError::Malformed`]: an index out of range, `values` of
+    /// another length than the row's schema, or a table entry no row
+    /// uses.
     pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, CheckpointError> {
         let value: Value = frame
             .world
@@ -274,53 +336,125 @@ impl ServeCheckpoint {
                 found,
             });
         }
-        ServeCheckpoint::from_value(&value).map_err(|e| CheckpointError::Malformed(e.to_string()))
+        let checkpoint = ServeCheckpoint::from_value(&value)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        checkpoint.queued_requests()?;
+        Ok(checkpoint)
+    }
+
+    /// Every lane with its rows rebuilt as requests, in lane order. The
+    /// requests of one schema share that table entry's variable list.
+    ///
+    /// Tables and rows come off disk, so they must be what a writer
+    /// leaves: every index in range, every row's `values` as long as its
+    /// schema, and every table entry used by some row. The first violation
+    /// is [`CheckpointError::Malformed`].
+    pub(crate) fn queued_requests(&self) -> Result<Vec<RestoredLane>, CheckpointError> {
+        let mut used = Used {
+            schemas: vec![false; self.schemas.len()],
+            actions: vec![false; self.actions.len()],
+        };
+        let mut lanes = Vec::with_capacity(self.lanes.len());
+        for lane in &self.lanes {
+            let tenant = TenantId(lane.tenant);
+            let queue = lane
+                .queue
+                .iter()
+                .map(|row| self.resolve(row, tenant, &mut used))
+                .collect::<Result<_, _>>()?;
+            lanes.push((tenant, lane.deficit, queue));
+        }
+        for (table, used) in [("schema", &used.schemas), ("action", &used.actions)] {
+            if let Some(index) = used.iter().position(|&u| !u) {
+                return Err(CheckpointError::Malformed(format!(
+                    "{table} {index} is used by no queued request"
+                )));
+            }
+        }
+        Ok(lanes)
+    }
+
+    /// One row as the request it stands for, marking the entries it uses.
+    fn resolve(
+        &self,
+        row: &ReqRow,
+        tenant: TenantId,
+        used: &mut Used,
+    ) -> Result<DecisionRequest, CheckpointError> {
+        let malformed =
+            |what: String| CheckpointError::Malformed(format!("queued request {}: {what}", row.id));
+        let schema = self.schemas.get(row.schema).ok_or_else(|| {
+            malformed(format!(
+                "schema {} of a {}-entry table",
+                row.schema,
+                self.schemas.len()
+            ))
+        })?;
+        used.schemas[row.schema] = true;
+        let state = schema
+            .state_verbatim(row.values.clone())
+            .map_err(|e| malformed(e.to_string()))?;
+        let mut action = |index: usize| match self.actions.get(index) {
+            Some(action) => {
+                used.actions[index] = true;
+                Ok(action.clone())
+            }
+            None => Err(malformed(format!(
+                "action {index} of a {}-entry table",
+                self.actions.len()
+            ))),
+        };
+        Ok(DecisionRequest {
+            id: row.id,
+            tenant,
+            device: row.device,
+            state,
+            proposed: action(row.proposed)?,
+            alternatives: row
+                .alternatives
+                .iter()
+                .map(|&index| action(index))
+                .collect::<Result<_, _>>()?,
+            submitted_at: row.submitted_at,
+            deadline: row.deadline,
+            ctx: row.ctx.map(TraceContext::from),
+        })
     }
 }
 
-// Borrowed mirrors of the checkpoint types over a live service. A rotation
-// writes these straight from the admission lanes into the
-// frame's `world` text, so no copy of that state is built on the way. Each
-// mirror lists the same fields in the same order as its owned counterpart,
-// which makes the two serialize identically (the service tests check this
-// through a `from_frame` → `to_frame` round trip).
+/// Which table entries the rows resolved so far refer to.
+struct Used {
+    schemas: Vec<bool>,
+    actions: Vec<bool>,
+}
 
-/// Borrowed [`ReqSnap`].
+// Borrowed mirrors of the checkpoint types over a live service. A rotation
+// writes these straight from the admission lanes into the frame's `world`
+// text, so no copy of that state is built on the way. Each mirror lists the
+// same fields in the same order as its owned counterpart, which makes the
+// two serialize identically (the service tests check this through a
+// `from_frame` → `to_frame` round trip).
+
+/// Borrowed [`ReqRow`].
 #[derive(Serialize)]
 pub(crate) struct ReqView<'a> {
     id: u64,
-    tenant: u32,
     device: u64,
-    state: &'a State,
-    proposed: &'a Action,
-    alternatives: &'a [Action],
+    schema: usize,
+    values: &'a [f64],
+    proposed: usize,
+    alternatives: Vec<usize>,
     submitted_at: u64,
     deadline: Option<u64>,
     ctx: Option<CtxSnap>,
 }
 
-impl<'a> From<&'a DecisionRequest> for ReqView<'a> {
-    fn from(req: &'a DecisionRequest) -> Self {
-        ReqView {
-            id: req.id,
-            tenant: req.tenant.0,
-            device: req.device,
-            state: &req.state,
-            proposed: &req.proposed,
-            alternatives: &req.alternatives,
-            submitted_at: req.submitted_at,
-            deadline: req.deadline,
-            ctx: req.ctx.map(CtxSnap::from),
-        }
-    }
-}
-
 /// Borrowed [`LaneSnap`].
 #[derive(Serialize)]
 pub(crate) struct LaneView<'a> {
-    pub(crate) tenant: u32,
-    pub(crate) deficit: u32,
-    pub(crate) queue: Vec<ReqView<'a>>,
+    tenant: u32,
+    deficit: u32,
+    queue: Vec<ReqView<'a>>,
 }
 
 /// Borrowed [`ServeCheckpoint`].
@@ -328,6 +462,8 @@ pub(crate) struct LaneView<'a> {
 pub(crate) struct CheckpointView<'a> {
     pub(crate) format: u32,
     pub(crate) tick: u64,
+    pub(crate) schemas: Vec<&'a StateSchema>,
+    pub(crate) actions: Vec<&'a Action>,
     pub(crate) lanes: Vec<LaneView<'a>>,
     pub(crate) rotation: Vec<u32>,
     pub(crate) meter_credit: i64,
@@ -338,42 +474,137 @@ pub(crate) struct CheckpointView<'a> {
 
 impl CheckpointView<'_> {
     /// The ledger frame of this checkpoint, identical to the
-    /// [`ServeCheckpoint::to_frame`] of its owned copy.
-    pub(crate) fn to_frame(&self) -> SnapshotFrame {
-        frame(self.tick, RawJson::of(self))
+    /// [`ServeCheckpoint::to_frame`] of its owned copy. `capacity` is the
+    /// starting size of the text buffer (the last checkpoint's length is a
+    /// good guess).
+    pub(crate) fn to_frame(&self, capacity: usize) -> SnapshotFrame {
+        frame(self.tick, RawJson::of_sized(self, capacity))
     }
+}
+
+/// The schema and action tables of a checkpoint being written, each entry
+/// once, in order of first appearance.
+#[derive(Default)]
+pub(crate) struct Tables<'a> {
+    pub(crate) schemas: Vec<&'a StateSchema>,
+    pub(crate) actions: Vec<&'a Action>,
+}
+
+impl<'a> Tables<'a> {
+    /// A live lane as rows, interning what its requests refer to. Lanes
+    /// must come in tenant order and requests front first, the order a
+    /// reader walks them.
+    pub(crate) fn lane(
+        &mut self,
+        tenant: TenantId,
+        deficit: u32,
+        queue: &'a VecDeque<DecisionRequest>,
+    ) -> LaneView<'a> {
+        LaneView {
+            tenant: tenant.0,
+            deficit,
+            queue: queue.iter().map(|req| self.row(req)).collect(),
+        }
+    }
+
+    fn row(&mut self, req: &'a DecisionRequest) -> ReqView<'a> {
+        ReqView {
+            id: req.id,
+            device: req.device,
+            schema: intern(&mut self.schemas, req.state.schema(), same_schema),
+            values: req.state.values(),
+            proposed: intern(&mut self.actions, &req.proposed, same_action),
+            alternatives: req
+                .alternatives
+                .iter()
+                .map(|action| intern(&mut self.actions, action, same_action))
+                .collect(),
+            submitted_at: req.submitted_at,
+            deadline: req.deadline,
+            ctx: req.ctx.map(CtxSnap::from),
+        }
+    }
+}
+
+/// The index of `item` in `table`, appending it if no entry is `same`. A
+/// linear scan: a checkpoint's tables hold a handful of entries.
+fn intern<'a, T: ?Sized>(table: &mut Vec<&'a T>, item: &'a T, same: fn(&T, &T) -> bool) -> usize {
+    match table.iter().position(|entry| same(entry, item)) {
+        Some(index) => index,
+        None => {
+            table.push(item);
+            table.len() - 1
+        }
+    }
+}
+
+// Interning equality: two entries are the same when they serialize to the
+// same bytes, so floats compare bit for bit (`==` would merge `0.0` and
+// `-0.0`, which serialize apart).
+
+fn same_f64(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+/// Schemas built once and shared (the usual case) compare by pointer.
+fn same_schema(a: &StateSchema, b: &StateSchema) -> bool {
+    std::ptr::eq(a.vars(), b.vars())
+        || (a.len() == b.len()
+            && a.vars().iter().zip(b.vars()).all(|(x, y)| {
+                x.name() == y.name() && same_f64(x.lo(), y.lo()) && same_f64(x.hi(), y.hi())
+            }))
+}
+
+fn same_action(a: &Action, b: &Action) -> bool {
+    let (x, y) = (a.delta().changes(), b.delta().changes());
+    a.name() == b.name()
+        && a.is_physical() == b.is_physical()
+        && x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|((xv, xd), (yv, yd))| xv == yv && same_f64(*xd, *yd))
+        && a.params() == b.params()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::schema;
-    use apdm_statespace::StateDelta;
+    use apdm_statespace::{StateDelta, VarId};
+
+    fn row(id: u64, schema: usize, proposed: usize, alternatives: Vec<usize>) -> ReqRow {
+        ReqRow {
+            id,
+            device: 4,
+            schema,
+            values: vec![1.0],
+            proposed,
+            alternatives,
+            submitted_at: 15,
+            deadline: Some(23),
+            ctx: Some(CtxSnap {
+                trace_id: 1,
+                span_id: 2,
+                parent_id: 0,
+                sampled: true,
+            }),
+        }
+    }
 
     fn sample() -> ServeCheckpoint {
         ServeCheckpoint {
             format: CHECKPOINT_FORMAT,
             tick: 17,
+            schemas: vec![schema()],
+            actions: vec![
+                Action::adjust("patrol", StateDelta::empty()),
+                Action::adjust("east", StateDelta::empty()),
+            ],
             lanes: vec![
                 LaneSnap {
                     tenant: 0,
                     deficit: 3,
-                    queue: vec![ReqSnap {
-                        id: 9,
-                        tenant: 0,
-                        device: 4,
-                        state: schema().state(&[1.0]).unwrap(),
-                        proposed: Action::adjust("patrol", StateDelta::empty()),
-                        alternatives: vec![Action::adjust("east", StateDelta::empty())],
-                        submitted_at: 15,
-                        deadline: Some(23),
-                        ctx: Some(CtxSnap {
-                            trace_id: 1,
-                            span_id: 2,
-                            parent_id: 0,
-                            sampled: true,
-                        }),
-                    }],
+                    queue: vec![row(9, 0, 0, vec![1]), row(10, 0, 1, Vec::new())],
                 },
                 LaneSnap {
                     tenant: 2,
@@ -427,6 +658,113 @@ mod tests {
     }
 
     #[test]
+    fn rows_resolve_to_requests_of_their_lane_sharing_one_schema() {
+        let cp = ServeCheckpoint::from_frame(&sample().to_frame()).unwrap();
+        let lanes = cp.queued_requests().unwrap();
+        assert_eq!(lanes.len(), 2);
+        let (tenant, deficit, queue) = &lanes[0];
+        assert_eq!((*tenant, *deficit, queue.len()), (TenantId(0), 3, 2));
+        assert!(lanes[1].2.is_empty());
+        let first = &queue[0];
+        assert_eq!(first.tenant, TenantId(0));
+        assert_eq!(first.state, schema().state(&[1.0]).unwrap());
+        assert_eq!(first.proposed.name(), "patrol");
+        assert_eq!(first.alternatives, vec![cp.actions[1].clone()]);
+        assert_eq!(queue[1].proposed.name(), "east");
+        // One schema entry, one variable list, however many requests.
+        for req in queue {
+            assert!(std::ptr::eq(
+                req.state.schema().vars(),
+                cp.schemas[0].vars()
+            ));
+        }
+    }
+
+    #[test]
+    fn rows_that_do_not_resolve_are_malformed() {
+        type Edit = fn(&mut ServeCheckpoint);
+        let edits: [(&str, Edit); 7] = [
+            ("schema out of range", |cp| cp.lanes[0].queue[0].schema = 1),
+            ("schema u64::MAX", |cp| {
+                cp.lanes[0].queue[0].schema = usize::MAX
+            }),
+            ("proposed out of range", |cp| {
+                cp.lanes[0].queue[1].proposed = 2
+            }),
+            ("alternative out of range", |cp| {
+                cp.lanes[0].queue[0].alternatives.push(7)
+            }),
+            ("values too short", |cp| cp.lanes[0].queue[0].values.clear()),
+            ("values too long", |cp| {
+                cp.lanes[0].queue[1].values.push(2.0)
+            }),
+            ("an unused action", |cp| {
+                cp.actions.push(Action::adjust("west", StateDelta::empty()))
+            }),
+        ];
+        for (label, edit) in edits {
+            let mut cp = sample();
+            edit(&mut cp);
+            let err = cp.queued_requests().unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Malformed(_)),
+                "{label}: {err}"
+            );
+            let err = ServeCheckpoint::from_frame(&cp.to_frame()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Malformed(_)),
+                "{label}: {err}"
+            );
+        }
+        let mut unused = sample();
+        unused.schemas.push(schema());
+        assert_eq!(
+            unused.queued_requests().unwrap_err().to_string(),
+            "malformed serve checkpoint: schema 1 is used by no queued request"
+        );
+    }
+
+    #[test]
+    fn interning_keeps_entries_that_serialize_apart() {
+        let req = |proposed: Action, alternatives: Vec<Action>| DecisionRequest {
+            id: 0,
+            tenant: TenantId(0),
+            device: 0,
+            state: schema().state(&[1.0]).unwrap(),
+            proposed,
+            alternatives,
+            submitted_at: 1,
+            deadline: None,
+            ctx: None,
+        };
+        let step = |dx: f64| Action::adjust("east", StateDelta::single(VarId(0), dx));
+        let queue: VecDeque<DecisionRequest> = [
+            req(step(0.0), vec![step(-0.0), step(0.0)]),
+            req(step(-0.0), vec![step(1.0).physical()]),
+            req(step(1.0), Vec::new()),
+        ]
+        .into();
+        let mut tables = Tables::default();
+        let lane = tables.lane(TenantId(0), 0, &queue);
+        // `0.0 == -0.0`, but they serialize apart, so they are two entries;
+        // a physical action is not its non-physical twin. Each request
+        // built its own schema from the same declaration: one entry.
+        assert_eq!(tables.schemas.len(), 1);
+        let actions: Vec<String> = tables
+            .actions
+            .iter()
+            .map(|a| RawJson::of(*a).as_str().to_string())
+            .collect();
+        assert_eq!(actions.len(), 4, "{actions:?}");
+        let rows: Vec<(usize, &[usize])> = lane
+            .queue
+            .iter()
+            .map(|r| (r.proposed, &r.alternatives[..]))
+            .collect();
+        assert_eq!(rows, [(0, &[1, 0][..]), (1, &[2][..]), (3, &[][..])]);
+    }
+
+    #[test]
     fn a_malformed_frame_is_a_snapshot_error() {
         let frame = SnapshotFrame {
             tick: 0,
@@ -447,8 +785,8 @@ mod tests {
         let Value::Map(fields) = current else {
             panic!("a checkpoint is a map")
         };
-        // Format 1 had no `format` field; format 2 and a future format have
-        // another value.
+        // Format 1 had no `format` field; formats 2 and 3 and a future
+        // format have another value.
         let v1 = Value::Map(fields[1..].to_vec());
         let with_format = |v: i64| {
             let mut fields = fields.clone();
@@ -458,12 +796,13 @@ mod tests {
         for (world, found) in [
             (v1, None),
             (with_format(2), Some(2)),
-            (with_format(4), Some(4)),
+            (with_format(3), Some(3)),
+            (with_format(5), Some(5)),
         ] {
             let err = ServeCheckpoint::from_frame(&frame(17, RawJson::of(&world))).unwrap_err();
             assert_eq!(err, CheckpointError::Format { tick: 17, found });
             assert!(
-                err.to_string().contains("this build reads only format 3"),
+                err.to_string().contains("this build reads only format 4"),
                 "{err}"
             );
         }

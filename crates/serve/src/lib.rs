@@ -102,7 +102,7 @@ pub use admission::{AdmissionConfig, AdmissionQueue};
 pub use batcher::{BatchPolicy, CostModel, Meter};
 pub use calibrate::{run_calibration, CalibrationReport};
 pub use checkpoint::{
-    CheckpointError, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
+    CheckpointError, CtxSnap, LaneSnap, ReqRow, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
 };
 pub use crash::{
     recover_segments, resume_run, run_e16, run_e16_cell, run_to_completion, segment_header,

@@ -55,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::batcher::{BatchPolicy, CostModel, Meter};
 use crate::checkpoint::{
-    CheckpointError, CheckpointView, LaneView, ReqView, ServeCheckpoint, CHECKPOINT_FORMAT,
+    CheckpointError, CheckpointView, ServeCheckpoint, Tables, CHECKPOINT_FORMAT,
 };
 use crate::request::{Decision, DecisionRequest, ShedReason, TenantId};
 
@@ -311,6 +311,9 @@ pub struct PolicyDecisionService<O> {
     /// is never drained does not grow with the requests it decides.
     shard_waits: Vec<[WaitCounts; 2]>,
     sched: SchedSummary,
+    /// Byte length of the last checkpoint's JSON: the starting capacity
+    /// of the next one's buffer. A speed hint only.
+    checkpoint_len: usize,
 }
 
 impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
@@ -348,6 +351,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             shard_inflight: vec![0; cfg.shards],
             shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
+            checkpoint_len: 0,
             cfg,
         }
     }
@@ -546,6 +550,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         if self.recorder.should_rotate() {
             self.recorder.rotate(now);
             let frame = self.checkpoint_frame(now);
+            self.checkpoint_len = frame.world.as_str().len();
             self.recorder.record(now, RunEvent::Snapshot(frame));
             self.recorder.mark_header();
         }
@@ -620,32 +625,35 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// backpressure costs and the batch cursor — as of the end of tick
     /// `now`, as the ledger frame a rotation records. The frame's `world`
     /// is JSON text written straight from the live state, with no
-    /// intermediate copy. [`ServeCheckpoint::from_frame`] reads it back, and a service [`restore`](Self::restore)d from that
-    /// resumes at `now + 1` with a bit-identical decision and ledger
-    /// future. Thread count, scheduling telemetry, SLO state and the memo
-    /// caches are deliberately excluded: they must not influence results,
-    /// so they must not ride the checkpoint.
+    /// intermediate copy: each queued request is a row that refers to the
+    /// checkpoint's schema and action tables, interned on the way.
+    /// [`ServeCheckpoint::from_frame`] reads it back, and a service
+    /// [`restore`](Self::restore)d from that resumes at `now + 1` with a
+    /// bit-identical decision and ledger future. Thread count, scheduling
+    /// telemetry, SLO state and the memo caches are deliberately excluded:
+    /// they must not influence results, so they must not ride the
+    /// checkpoint.
     pub fn checkpoint_frame(&self, now: u64) -> SnapshotFrame {
         let (meter_credit, meter_spent) = self.meter.export();
+        let mut tables = Tables::default();
+        let lanes = self
+            .queue
+            .lanes()
+            .map(|(tenant, deficit, queue)| tables.lane(tenant, deficit, queue))
+            .collect();
         CheckpointView {
             format: CHECKPOINT_FORMAT,
             tick: now,
-            lanes: self
-                .queue
-                .lanes()
-                .map(|(tenant, deficit, queue)| LaneView {
-                    tenant: tenant.0,
-                    deficit,
-                    queue: queue.iter().map(ReqView::from).collect(),
-                })
-                .collect(),
+            schemas: tables.schemas,
+            actions: tables.actions,
+            lanes,
             rotation: self.queue.rotation().map(|t| t.0).collect(),
             meter_credit,
             meter_spent,
             shard_inflight: &self.shard_inflight,
             stats: self.stats,
         }
-        .to_frame()
+        .to_frame(self.checkpoint_len)
     }
 
     /// Rebuild a service mid-run from a [`ServeCheckpoint`] and a resumed
@@ -658,9 +666,10 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// contract, so `cfg.cache` may differ from the crashed process's too.
     ///
     /// A checkpoint for another shard count is a
-    /// [`CheckpointError::Mismatch`]. An admission queue no live queue
-    /// could be in (see [`AdmissionQueue::restore`]) is
-    /// [`CheckpointError::Malformed`]: the restored service could panic or
+    /// [`CheckpointError::Mismatch`]. Rows that do not resolve against the
+    /// checkpoint's tables are [`CheckpointError::Malformed`], and so is an
+    /// admission queue no live queue could be in (see
+    /// [`AdmissionQueue::restore`]): the restored service could panic or
     /// spin forever on its first tick.
     ///
     /// # Panics
@@ -688,21 +697,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         for stack in &mut stacks {
             stack.set_cache_enabled(cfg.cache);
         }
-        let lanes = checkpoint
-            .lanes
-            .iter()
-            .map(|lane| {
-                (
-                    TenantId(lane.tenant),
-                    lane.deficit,
-                    lane.queue
-                        .iter()
-                        .cloned()
-                        .map(DecisionRequest::from)
-                        .collect(),
-                )
-            })
-            .collect();
+        let lanes = checkpoint.queued_requests()?;
         let rotation = checkpoint.rotation.iter().map(|&t| TenantId(t)).collect();
         let queue = AdmissionQueue::restore(cfg.admission, lanes, rotation)
             .map_err(|e| CheckpointError::Malformed(format!("admission queue: {e}")))?;
@@ -728,6 +723,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             shard_inflight: checkpoint.shard_inflight.clone(),
             shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
+            checkpoint_len: 0,
             cfg,
         })
     }
@@ -1280,6 +1276,8 @@ mod tests {
             let frame = svc.checkpoint_frame(now);
             let owned = ServeCheckpoint::from_frame(&frame).expect("frame decodes");
             assert_eq!(owned.to_frame(), frame, "tick {now}");
+            // One schema and four actions, however deep the queue.
+            assert!(owned.schemas.len() <= 1 && owned.actions.len() <= 4);
             backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
         }
         assert!(backlog_seen, "the checkpoint must cover queued requests");

@@ -105,6 +105,28 @@ impl StateSchema {
         })
     }
 
+    /// Construct a [`State`] holding `values` exactly as given: the arity is
+    /// checked, the bounds are not, just as deserializing a `State` accepts
+    /// any values. For rebuilding a state from its schema and values after
+    /// they were stored apart.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateSpaceError::DimensionMismatch`] when `values` has the
+    /// wrong arity.
+    pub fn state_verbatim(&self, values: Vec<f64>) -> Result<State, StateSpaceError> {
+        if values.len() != self.len() {
+            return Err(StateSpaceError::DimensionMismatch {
+                expected: self.len(),
+                actual: values.len(),
+            });
+        }
+        Ok(State {
+            schema: self.clone(),
+            values,
+        })
+    }
+
     /// Construct a [`State`], clamping each component into bounds instead of
     /// failing. Non-finite components clamp to the lower bound.
     ///
@@ -434,6 +456,21 @@ mod tests {
         assert!(matches!(
             s.state(&[f64::NAN, 0.0]),
             Err(StateSpaceError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn state_verbatim_checks_arity_but_not_bounds() {
+        let s = schema2();
+        let state = s.state_verbatim(vec![11.0, 0.0]).unwrap();
+        assert_eq!(state.values(), &[11.0, 0.0]);
+        assert!(std::ptr::eq(state.schema().vars(), s.vars()));
+        assert!(matches!(
+            s.state_verbatim(vec![1.0, 2.0, 3.0]),
+            Err(StateSpaceError::DimensionMismatch {
+                expected: 2,
+                actual: 3
+            })
         ));
     }
 

@@ -4,6 +4,9 @@
 //! - the E16 golden segments under `tests/fixtures/`, committed as written
 //!   by the `Value`-tree encoder (`apdm-experiments checkpoint --seed 42`),
 //!   regenerated here in-process and compared byte for byte;
+//! - one segment of the same cell overloaded (40 requests per tick), whose
+//!   checkpoint pins the encoding of queued requests as rows over the
+//!   schema and action tables;
 //! - `serde_json::to_string_via_value`, the reference encoder, compared with
 //!   the streaming `serde_json::to_string` on random run events and serve
 //!   checkpoints full of edge values.
@@ -16,7 +19,7 @@ use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, Snapshot
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
     run_to_completion, standard_stacks, CtxSnap, E16Config, LaneSnap, PolicyDecisionService,
-    ReqSnap, ServeCheckpoint, ServeStats, WorkloadGen, WorkloadOracle, CHECKPOINT_FORMAT,
+    ReqRow, ServeCheckpoint, ServeStats, WorkloadGen, WorkloadOracle, CHECKPOINT_FORMAT,
 };
 use apdm::statespace::{State, StateDelta, StateSchema, VarId};
 
@@ -29,7 +32,12 @@ const FIXTURES: [(u64, &str); 4] = [
 ];
 
 /// Head digest of the golden run's final segment.
-const GOLDEN_HEAD: u64 = 0xd93e_6cd2_3496_8794;
+const GOLDEN_HEAD: u64 = 0x1f3a_0d12_df7a_a3ba;
+
+/// The committed segment of the overloaded cell, `(index, file name)`: its
+/// checkpoint holds 39 queued requests across the lanes, with alternatives
+/// and three distinct actions.
+const OVERLOAD_FIXTURE: (u64, &str) = (27, "e16-42-overload.seg0027.jsonl");
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -37,12 +45,17 @@ fn fixture(name: &str) -> String {
 }
 
 /// The canonical rotating serve cell `apdm-experiments checkpoint --seed 42`
-/// writes: E16's smoke shape, one worker thread.
-fn golden_segments() -> (Vec<(u64, String)>, u64) {
-    let cfg = E16Config {
+/// writes: E16's smoke shape.
+fn golden_config() -> E16Config {
+    E16Config {
         seed: 42,
         ..E16Config::smoke()
-    };
+    }
+}
+
+/// The retained segments and final head of `cfg`'s first budget cell, run
+/// on one worker thread.
+fn cell_segments(cfg: &E16Config) -> (Vec<(u64, String)>, u64) {
     let budget = cfg.budgets[0];
     let mut svc = PolicyDecisionService::new(
         cfg.serve_config(budget, 1),
@@ -66,7 +79,7 @@ fn golden_segments() -> (Vec<(u64, String)>, u64) {
 
 #[test]
 fn e16_golden_segments_regenerate_byte_identically() {
-    let (segments, head) = golden_segments();
+    let (segments, head) = cell_segments(&golden_config());
     let indices: Vec<u64> = segments.iter().map(|(index, _)| *index).collect();
     assert_eq!(indices, FIXTURES.map(|(index, _)| index));
     for ((index, text), (_, name)) in segments.iter().zip(FIXTURES) {
@@ -79,8 +92,43 @@ fn e16_golden_segments_regenerate_byte_identically() {
 }
 
 #[test]
+fn overloaded_golden_segment_regenerates_byte_identically() {
+    let (segments, _) = cell_segments(&E16Config {
+        per_tick: 40,
+        ..golden_config()
+    });
+    let (index, name) = OVERLOAD_FIXTURE;
+    let (_, text) = segments
+        .iter()
+        .find(|(i, _)| *i == index)
+        .expect("the overloaded cell retains the fixture's segment");
+    assert!(
+        *text == fixture(name),
+        "segment {index} differs from tests/fixtures/{name}"
+    );
+    // What the fixture is for: a checkpoint whose rows use the tables.
+    let ledger = Ledger::from_jsonl(text).expect("fixture parses");
+    let RunEvent::Snapshot(frame) = &ledger.records()[1].event else {
+        panic!("{name} line 2 is the checkpoint")
+    };
+    let checkpoint = ServeCheckpoint::from_frame(frame).expect("the checkpoint decodes");
+    let rows: Vec<&ReqRow> = checkpoint.lanes.iter().flat_map(|l| &l.queue).collect();
+    assert_eq!(rows.len(), 39);
+    assert!(
+        checkpoint
+            .lanes
+            .iter()
+            .filter(|l| !l.queue.is_empty())
+            .count()
+            > 1
+    );
+    assert!(rows.iter().any(|r| !r.alternatives.is_empty()));
+    assert_eq!((checkpoint.schemas.len(), checkpoint.actions.len()), (1, 3));
+}
+
+#[test]
 fn golden_fixture_lines_match_both_encoders() {
-    for (_, name) in FIXTURES {
+    for (_, name) in FIXTURES.into_iter().chain([OVERLOAD_FIXTURE]) {
         let text = fixture(name);
         let ledger = Ledger::from_jsonl(&text).expect("fixture parses");
         ledger.verify_chain().expect("fixture chain verifies");
@@ -334,19 +382,32 @@ impl Gen {
         }
     }
 
+    /// A table index: usually a small one, sometimes any `usize` (the
+    /// encoders do not care whether it resolves).
+    fn index(&mut self) -> usize {
+        match self.below(4) {
+            0 => self.u64() as usize,
+            _ => self.below(4),
+        }
+    }
+
     fn checkpoint(&mut self) -> ServeCheckpoint {
+        let schemas = (0..self.below(3))
+            .map(|_| self.state().schema().clone())
+            .collect();
+        let actions = (0..self.below(4)).map(|_| self.action()).collect();
         let lanes = (0..self.below(4))
             .map(|_| LaneSnap {
                 tenant: self.u32(),
                 deficit: self.u32(),
                 queue: (0..self.below(3))
-                    .map(|_| ReqSnap {
+                    .map(|_| ReqRow {
                         id: self.u64(),
-                        tenant: self.u32(),
                         device: self.u64(),
-                        state: self.state(),
-                        proposed: self.action(),
-                        alternatives: (0..self.below(3)).map(|_| self.action()).collect(),
+                        schema: self.index(),
+                        values: (0..self.below(4)).map(|_| self.f64()).collect(),
+                        proposed: self.index(),
+                        alternatives: (0..self.below(3)).map(|_| self.index()).collect(),
                         submitted_at: self.u64(),
                         deadline: self.bool().then(|| self.u64()),
                         ctx: self.bool().then(|| CtxSnap {
@@ -362,6 +423,8 @@ impl Gen {
         ServeCheckpoint {
             format: CHECKPOINT_FORMAT,
             tick: self.u64(),
+            schemas,
+            actions,
             lanes,
             rotation: (0..self.below(4)).map(|_| self.u32()).collect(),
             meter_credit: self.i64(),

@@ -1,6 +1,6 @@
 //! A checkpoint read back from disk is untrusted input: `resume` parses
 //! whatever a crashed, truncated or tampered segment holds. Seeded
-//! mutations of a committed golden checkpoint line go through the same
+//! mutations of committed golden checkpoint lines go through the same
 //! path `resume` takes — [`Ledger::from_jsonl_recovering`], then
 //! [`ServeCheckpoint::from_frame`] on every snapshot, then
 //! [`PolicyDecisionService::restore`] for every frame that decodes — and
@@ -8,23 +8,30 @@
 //! service. None may panic, and none may abort the process (deep nesting
 //! once overflowed the parser's stack). A restored service must also be
 //! able to run: an admission queue no live service could hold is refused
-//! by `restore`, not left to panic or spin in the first tick.
+//! by `restore`, not left to panic or spin in the first tick, and a queued
+//! request whose row does not resolve against the checkpoint's schema and
+//! action tables is refused by `from_frame`.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use apdm::ledger::{Ledger, RunEvent, SegmentedRecorder};
 use apdm::serve::{
-    standard_stacks, CheckpointError, E16Config, PolicyDecisionService, ReqSnap, ServeCheckpoint,
+    standard_stacks, CheckpointError, E16Config, PolicyDecisionService, ReqRow, ServeCheckpoint,
     WorkloadGen, WorkloadOracle,
 };
 use serde::Value;
 
-/// The golden segment whose second line is a serve checkpoint.
-const FIXTURE: &str = "e16-42.seg0006.jsonl";
+/// The golden segments whose second line is a serve checkpoint: the
+/// canonical cell's, whose four lanes are empty, and the overloaded cell's,
+/// whose lanes hold 39 queued requests.
+const FIXTURES: [&str; 2] = ["e16-42.seg0006.jsonl", OVERLOADED];
 
-fn fixture_lines() -> Vec<String> {
-    let path = format!("{}/tests/fixtures/{FIXTURE}", env!("CARGO_MANIFEST_DIR"));
+/// The fixture whose checkpoint holds rows.
+const OVERLOADED: &str = "e16-42-overload.seg0027.jsonl";
+
+fn fixture_lines(name: &str) -> Vec<String> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     text.lines().map(str::to_string).collect()
 }
@@ -38,6 +45,9 @@ struct Tally {
     chain_failures: usize,
     /// Snapshot frames `from_frame` refused.
     frame_errors: usize,
+    /// Snapshot frames `from_frame` refused as malformed (a subset of
+    /// `frame_errors`).
+    malformed_frames: usize,
     /// Snapshot frames that decoded to a checkpoint.
     checkpoints: usize,
     /// Decoded checkpoints a service was restored from.
@@ -77,16 +87,20 @@ impl Tally {
                         self.restore(&checkpoint);
                     }
                     Err(_) if verified => self.verified_but_undecodable += 1,
-                    Err(_) => self.frame_errors += 1,
+                    Err(e) => {
+                        self.frame_errors += 1;
+                        if matches!(e, CheckpointError::Malformed(_)) {
+                            self.malformed_frames += 1;
+                        }
+                    }
                 }
             }
         }
     }
-}
 
-impl Tally {
-    /// Restore the configuration the fixture was written under (the
-    /// canonical `checkpoint --seed 42` cell) from `checkpoint`.
+    /// Restore the configuration the fixtures were written under (the
+    /// canonical `checkpoint --seed 42` cell; the overloaded cell differs
+    /// only in its offered load) from `checkpoint`.
     fn restore(&mut self, checkpoint: &ServeCheckpoint) {
         let e16 = fixture_config();
         let budget = e16.budgets[0];
@@ -107,22 +121,12 @@ impl Tally {
     }
 }
 
-/// The E16 configuration the fixture was written under.
+/// The E16 configuration the fixtures were written under.
 fn fixture_config() -> E16Config {
     E16Config {
         seed: 42,
         ..E16Config::smoke()
     }
-}
-
-/// A queued request of tenant 0 as a checkpoint holds it: the fixture's
-/// own first request.
-fn queued_request() -> Value {
-    let e16 = fixture_config();
-    let mut gen = WorkloadGen::new(e16.spec(e16.budgets[0]));
-    let mut req = gen.tick_requests(1).remove(0);
-    req.tenant.0 = 0;
-    serde_json::to_value(&ReqSnap::from(&req)).expect("a request serializes")
 }
 
 /// SplitMix64, for seeded offsets and flip masks.
@@ -139,8 +143,9 @@ impl Rng {
 }
 
 /// Every mutant of `line`, labelled: truncations at every 997th byte,
-/// single-byte flips at 256 seeded offsets, and an inner number replaced
-/// by nesting just inside and far past the parser's depth cap.
+/// single-byte flips at 256 seeded offsets, an inner number replaced by
+/// nesting just inside and far past the parser's depth cap, and the
+/// [`reshaped`] and [`unresolvable`] checkpoints.
 fn mutants(line: &str) -> Vec<(String, Vec<u8>)> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
@@ -170,6 +175,9 @@ fn mutants(line: &str) -> Vec<(String, Vec<u8>)> {
         ));
     }
     out.extend(reshaped(line));
+    if has_rows(line) {
+        out.extend(unresolvable(line));
+    }
     out
 }
 
@@ -194,15 +202,28 @@ fn checkpoint_of(record: &mut Value) -> &mut Fields {
     fields
 }
 
-/// Checkpoints that decode but do not fit the configuration — a shard's
-/// backpressure counter dropped, and a shard added — and checkpoints whose admission queue no live
-/// service could hold (the fixture's lanes are all empty and its rotation
-/// too): a rotated tenant without a lane (`dequeue` would panic), queued
-/// requests outside the rotation (`tick` would spin on them forever), and
-/// a tenant with two lanes (the dropped lane's requests still counted, so
-/// the queue would claim work it cannot find).
-fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
+/// `edits` applied one at a time to the checkpoint line `line`.
+fn edited(line: &str, edits: &[(&str, Edit)]) -> Vec<(String, Vec<u8>)> {
     let record: Value = serde_json::from_str(line).expect("the checkpoint line parses");
+    edits
+        .iter()
+        .map(|(label, edit)| {
+            let mut mutant = record.clone();
+            edit(checkpoint_of(&mut mutant));
+            let text = serde_json::to_string(&mutant).expect("serializes");
+            (label.to_string(), text.into_bytes())
+        })
+        .collect()
+}
+
+/// Checkpoints that decode but do not fit the configuration — a shard's
+/// backpressure counter dropped, and a shard added — and checkpoints whose
+/// admission queue no live service could hold: a rotated tenant without a
+/// lane (`dequeue` would panic), queued requests outside the rotation
+/// (`tick` would spin on them forever), and a tenant with two lanes (the
+/// dropped lane's requests still counted, so the queue would claim work it
+/// cannot find).
+fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
     let edits: [(&str, Edit); INCONSISTENT_QUEUES + 2] = [
         ("one backpressure counter short", |cp| {
             pop(cp, "shard_inflight")
@@ -214,30 +235,127 @@ fn reshaped(line: &str) -> Vec<(String, Vec<u8>)> {
             field(cp, "rotation").push(Value::Int(99));
         }),
         ("queued requests outside the rotation", |cp| {
-            queue_of(&mut field(cp, "lanes")[0]).push(queued_request());
+            let row = queued_row(cp);
+            let lane = Value::Map(vec![
+                ("tenant".into(), Value::Int(99)),
+                ("deficit".into(), Value::Int(0)),
+                ("queue".into(), Value::Seq(vec![row])),
+            ]);
+            field(cp, "lanes").push(lane);
         }),
         ("a tenant with two lanes", |cp| {
+            let row = queued_row(cp);
             let lanes = field(cp, "lanes");
             let mut twin = lanes[0].clone();
-            queue_of(&mut twin).push(queued_request());
+            let tenant = twin.get("tenant").expect("a lane names its tenant").clone();
+            queue_of(&mut twin).push(row);
             lanes.insert(0, twin);
-            field(cp, "rotation").push(Value::Int(0));
+            // Backlogged, so rotated: two lanes are the only flaw.
+            let rotation = field(cp, "rotation");
+            if !rotation.contains(&tenant) {
+                rotation.push(tenant);
+            }
         }),
     ];
-    edits
-        .into_iter()
-        .map(|(label, edit)| {
-            let mut mutant = record.clone();
-            edit(checkpoint_of(&mut mutant));
-            let text = serde_json::to_string(&mutant).expect("serializes");
-            (label.to_string(), text.into_bytes())
-        })
-        .collect()
+    edited(line, &edits)
 }
 
 /// How many of [`reshaped`]'s mutants come last and hold an inconsistent
 /// admission queue.
 const INCONSISTENT_QUEUES: usize = 3;
+
+/// Does the checkpoint line hold any queued request?
+fn has_rows(line: &str) -> bool {
+    line.contains("\"queue\":[{")
+}
+
+/// Checkpoints whose rows do not resolve against their tables, each made
+/// from a line that holds rows: an index out of range, `u64::MAX`,
+/// negative or a float; `values` shorter or longer than the schema; and a
+/// table entry no row uses.
+fn unresolvable(line: &str) -> Vec<(String, Vec<u8>)> {
+    let edits: [(&str, Edit); 10] = [
+        ("schema index out of range", |cp| {
+            let n = field(cp, "schemas").len();
+            set_in_first_row(cp, "schema", Value::UInt(n as u64));
+        }),
+        ("schema index u64::MAX", |cp| {
+            set_in_first_row(cp, "schema", Value::UInt(u64::MAX));
+        }),
+        ("proposed index out of range", |cp| {
+            let n = field(cp, "actions").len();
+            set_in_first_row(cp, "proposed", Value::UInt(n as u64));
+        }),
+        ("alternative index u64::MAX", |cp| {
+            set_in_first_row(cp, "alternatives", Value::Seq(vec![Value::UInt(u64::MAX)]));
+        }),
+        ("negative proposed index", |cp| {
+            set_in_first_row(cp, "proposed", Value::Int(-1));
+        }),
+        ("float schema index", |cp| {
+            set_in_first_row(cp, "schema", Value::Float(0.0));
+        }),
+        ("values shorter than the schema", |cp| {
+            set_in_first_row(cp, "values", Value::Seq(Vec::new()));
+        }),
+        ("values longer than the schema", |cp| {
+            let two = Value::Seq(vec![Value::Float(0.5), Value::Float(1.5)]);
+            set_in_first_row(cp, "values", two);
+        }),
+        ("an unused schema", |cp| {
+            let schema = field(cp, "schemas")[0].clone();
+            field(cp, "schemas").push(schema);
+        }),
+        ("an unused action", |cp| {
+            let action = field(cp, "actions")[0].clone();
+            field(cp, "actions").push(action);
+        }),
+    ];
+    edited(line, &edits)
+}
+
+/// Replace field `key` of the first queued request.
+fn set_in_first_row(checkpoint: &mut Fields, key: &str, value: Value) {
+    let row = field(checkpoint, "lanes")
+        .iter_mut()
+        .flat_map(queue_of)
+        .next()
+        .expect("the checkpoint holds a queued request");
+    let Value::Map(fields) = row else {
+        panic!("a row is a map")
+    };
+    fields.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
+}
+
+/// A queued request as a row of `checkpoint`, its schema and proposed
+/// action appended to the tables for it: the fixture cell's own first
+/// request.
+fn queued_row(checkpoint: &mut Fields) -> Value {
+    let e16 = fixture_config();
+    let mut gen = WorkloadGen::new(e16.spec(e16.budgets[0]));
+    let req = gen.tick_requests(1).remove(0);
+    let mut append = |key: &str, entry: Value| {
+        let table = field(checkpoint, key);
+        table.push(entry);
+        table.len() - 1
+    };
+    let row = ReqRow {
+        id: req.id,
+        device: req.device,
+        schema: append("schemas", to_value(req.state.schema())),
+        values: req.state.values().to_vec(),
+        proposed: append("actions", to_value(&req.proposed)),
+        alternatives: Vec::new(),
+        submitted_at: req.submitted_at,
+        deadline: req.deadline,
+        ctx: None,
+    };
+    to_value(&row)
+}
+
+fn to_value<T: serde::Serialize>(value: &T) -> Value {
+    serde_json::to_value(value).expect("serializes")
+}
 
 /// The request queue of one lane.
 fn queue_of(lane: &mut Value) -> &mut Vec<Value> {
@@ -259,68 +377,93 @@ fn pop(checkpoint: &mut Fields, key: &str) {
     field(checkpoint, key).pop();
 }
 
+/// `line` in place of line 2 of its segment `lines`.
+fn with_checkpoint(lines: &[String], line: &str) -> String {
+    [lines[0].as_str(), line]
+        .into_iter()
+        .chain(lines[2..].iter().map(String::as_str))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn mutated_checkpoint_lines_never_panic_on_the_resume_path() {
-    let lines = fixture_lines();
-    let checkpoint = &lines[1];
-    assert!(
-        checkpoint.contains("\"Snapshot\""),
-        "{FIXTURE} line 2 is the checkpoint"
-    );
-    let mut tally = Tally::default();
-    for (label, bytes) in mutants(checkpoint) {
-        // A flip can break UTF-8, which reading the file as a `String`
-        // refuses outright; a lossy read keeps such a mutant in play.
-        let mutant = String::from_utf8_lossy(&bytes);
-        // Inside its segment (a damaged interior line), and as the final
-        // line (what torn-tail recovery may drop).
-        let interior = [&lines[0], mutant.as_ref()]
-            .into_iter()
-            .chain(lines[2..].iter().map(String::as_str))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let tail = format!("{}\n{mutant}\n", lines[0]);
-        for text in [interior, tail] {
-            catch_unwind(AssertUnwindSafe(|| tally.feed(&text)))
-                .unwrap_or_else(|_| panic!("mutant `{label}` panicked"));
+    for name in FIXTURES {
+        let lines = fixture_lines(name);
+        let checkpoint = &lines[1];
+        assert!(
+            checkpoint.contains("\"Snapshot\""),
+            "{name} line 2 is the checkpoint"
+        );
+        let mut tally = Tally::default();
+        for (label, bytes) in mutants(checkpoint) {
+            // A flip can break UTF-8, which reading the file as a `String`
+            // refuses outright; a lossy read keeps such a mutant in play.
+            let mutant = String::from_utf8_lossy(&bytes);
+            // Inside its segment (a damaged interior line), and as the
+            // final line (what torn-tail recovery may drop).
+            let interior = with_checkpoint(&lines, &mutant);
+            let tail = format!("{}\n{mutant}\n", lines[0]);
+            for text in [interior, tail] {
+                catch_unwind(AssertUnwindSafe(|| tally.feed(&text)))
+                    .unwrap_or_else(|_| panic!("{name}: mutant `{label}` panicked"));
+            }
         }
+        // Truncations and deep nesting are refused, flips reach all three
+        // ends, and every checkpoint that decodes is restored or refused
+        // by `restore`.
+        assert!(tally.parse_errors > 0, "{name}: {tally:?}");
+        assert!(tally.chain_failures > 0, "{name}: {tally:?}");
+        assert!(tally.frame_errors > 0, "{name}: {tally:?}");
+        assert!(tally.checkpoints > 0, "{name}: {tally:?}");
+        assert_eq!(tally.verified_but_undecodable, 0, "{name}: {tally:?}");
+        assert_eq!(
+            tally.restored + tally.mismatches + tally.malformed,
+            tally.checkpoints,
+            "{name}: {tally:?}"
+        );
+        assert!(
+            tally.restored > 0 && tally.mismatches > 0 && tally.malformed > 0,
+            "{name}: {tally:?}"
+        );
     }
-    // Truncations and deep nesting are refused, flips reach all three ends,
-    // and every checkpoint that decodes is restored or refused by `restore`.
-    assert!(tally.parse_errors > 0, "{tally:?}");
-    assert!(tally.chain_failures > 0, "{tally:?}");
-    assert!(tally.frame_errors > 0, "{tally:?}");
-    assert!(tally.checkpoints > 0, "{tally:?}");
-    assert_eq!(tally.verified_but_undecodable, 0, "{tally:?}");
-    assert_eq!(
-        tally.restored + tally.mismatches + tally.malformed,
-        tally.checkpoints,
-        "{tally:?}"
-    );
-    assert!(
-        tally.restored > 0 && tally.mismatches > 0 && tally.malformed > 0,
-        "{tally:?}"
-    );
 }
 
 #[test]
 fn inconsistent_admission_queues_are_refused_by_restore() {
-    let lines = fixture_lines();
-    let reshaped = reshaped(&lines[1]);
-    for (label, bytes) in &reshaped[reshaped.len() - INCONSISTENT_QUEUES..] {
-        let mutant = String::from_utf8(bytes.clone()).expect("a reshaped mutant is UTF-8");
-        let text = [&lines[0], &mutant]
-            .into_iter()
-            .chain(&lines[2..])
-            .map(String::as_str)
-            .collect::<Vec<_>>()
-            .join("\n");
+    for name in FIXTURES {
+        let lines = fixture_lines(name);
+        let reshaped = reshaped(&lines[1]);
+        for (label, bytes) in &reshaped[reshaped.len() - INCONSISTENT_QUEUES..] {
+            let mutant = String::from_utf8(bytes.clone()).expect("a reshaped mutant is UTF-8");
+            let mut tally = Tally::default();
+            catch_unwind(AssertUnwindSafe(|| {
+                tally.feed(&with_checkpoint(&lines, &mutant))
+            }))
+            .unwrap_or_else(|_| panic!("{name}: mutant `{label}` panicked"));
+            assert_eq!(
+                (tally.checkpoints, tally.malformed),
+                (1, 1),
+                "{name}: mutant `{label}`: {tally:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn unresolvable_rows_are_refused_by_from_frame() {
+    let lines = fixture_lines(OVERLOADED);
+    assert!(has_rows(&lines[1]), "{OVERLOADED} queues requests");
+    for (label, bytes) in unresolvable(&lines[1]) {
+        let mutant = String::from_utf8(bytes).expect("an edited mutant is UTF-8");
         let mut tally = Tally::default();
-        catch_unwind(AssertUnwindSafe(|| tally.feed(&text)))
-            .unwrap_or_else(|_| panic!("mutant `{label}` panicked"));
+        catch_unwind(AssertUnwindSafe(|| {
+            tally.feed(&with_checkpoint(&lines, &mutant))
+        }))
+        .unwrap_or_else(|_| panic!("mutant `{label}` panicked"));
         assert_eq!(
-            (tally.checkpoints, tally.malformed),
-            (1, 1),
+            (tally.checkpoints, tally.malformed_frames),
+            (0, 1),
             "mutant `{label}`: {tally:?}"
         );
     }
@@ -328,10 +471,24 @@ fn inconsistent_admission_queues_are_refused_by_restore() {
 
 #[test]
 fn the_unmutated_checkpoint_line_resumes() {
-    let lines = fixture_lines();
-    let mut tally = Tally::default();
-    tally.feed(&(lines.join("\n") + "\n"));
-    assert_eq!(tally.parse_errors + tally.chain_failures, 0, "{tally:?}");
-    assert_eq!((tally.checkpoints, tally.frame_errors), (1, 0), "{tally:?}");
-    assert_eq!((tally.restored, tally.mismatches), (1, 0), "{tally:?}");
+    for name in FIXTURES {
+        let lines = fixture_lines(name);
+        let mut tally = Tally::default();
+        tally.feed(&(lines.join("\n") + "\n"));
+        assert_eq!(
+            tally.parse_errors + tally.chain_failures,
+            0,
+            "{name}: {tally:?}"
+        );
+        assert_eq!(
+            (tally.checkpoints, tally.frame_errors),
+            (1, 0),
+            "{name}: {tally:?}"
+        );
+        assert_eq!(
+            (tally.restored, tally.mismatches),
+            (1, 0),
+            "{name}: {tally:?}"
+        );
+    }
 }
