@@ -14,7 +14,7 @@
 //! server answered. E17 asserts the server survives all of them with the
 //! decision ledger untouched and every rejection audited.
 
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -23,7 +23,9 @@ use apdm_policy::Action;
 use apdm_serve::{Decision, DecisionRequest, ReqSnap, TenantId, WorkloadGen, WorkloadSpec};
 use apdm_telemetry::{self as telemetry, trace_id, TraceContext, TraceSampler};
 
-use crate::frame::{encode, read_frame, write_frame, Frame, FrameType, ReadOutcome, MAX_PAYLOAD};
+use crate::frame::{
+    encode, encode_into, read_frame, write_frame, Frame, FrameType, ReadOutcome, MAX_PAYLOAD,
+};
 use crate::socket;
 use crate::wire::{
     decode_payload, encode_payload, DecisionSnap, ErrorPayload, HelloPayload, Role, TickPayload,
@@ -67,10 +69,12 @@ pub struct ClientReport {
 ///
 /// `spec` must match the server's workload exactly; `index`/`clients`
 /// select the partition and must match the server's expected client
-/// count. When `sampler` is set, each request gets a root trace context
-/// minted from `(spec.seed, request id)` — the same ids the in-process
-/// path would mint — and the context rides the frame headers, so the
-/// causal chain spans client → wire → service → wire → client.
+/// count. Each tick's requests and its `TickDone` go out in one write;
+/// replies are read through a buffer, frame by frame. When `sampler` is
+/// set, each request gets a root trace context minted from
+/// `(spec.seed, request id)` — the same ids the in-process path would
+/// mint — and the context rides the frame headers, so the causal chain
+/// spans client → wire → service → wire → client.
 pub fn run_workload_client(
     addr: &str,
     spec: WorkloadSpec,
@@ -80,7 +84,9 @@ pub fn run_workload_client(
     deadline: Duration,
 ) -> io::Result<ClientReport> {
     assert!(clients > 0 && index < clients, "bad partition");
-    let mut stream = connect_with_retry(addr, 50, Duration::from_millis(100))?;
+    let stream = connect_with_retry(addr, 50, Duration::from_millis(100))?;
+    let mut writer = &stream;
+    let mut reader = BufReader::with_capacity(socket::READ_BUFFER, &stream);
     let started = Instant::now();
 
     let hello = HelloPayload {
@@ -89,18 +95,20 @@ pub fn run_workload_client(
         clients,
     };
     write_frame(
-        &mut stream,
+        &mut writer,
         &Frame::new(FrameType::Hello, encode_payload(&hello)),
     )?;
-    expect_welcome(&mut stream, started, deadline)?;
+    expect_welcome(&mut reader, started, deadline)?;
 
     let arrival_ticks = spec.arrival_ticks;
     let seed = spec.seed;
     let mut gen = WorkloadGen::new(spec);
     let mut sent = 0u64;
     let mut decisions: Vec<Decision> = Vec::new();
+    let mut burst = Vec::new();
 
     for tick in 1..=arrival_ticks {
+        burst.clear();
         for req in gen.tick_requests(tick) {
             if req.id % clients as u64 != index as u64 {
                 continue;
@@ -110,19 +118,20 @@ pub fn run_workload_client(
                 client_event(root, "client.send", req.device);
             }
             let snap = ReqSnap::from(&req);
-            write_frame(
-                &mut stream,
+            encode_into(
                 &Frame::traced(FrameType::Request, ctx, encode_payload(&snap)),
-            )?;
+                &mut burst,
+            );
             sent += 1;
         }
-        write_frame(
-            &mut stream,
+        encode_into(
             &Frame::new(FrameType::TickDone, encode_payload(&TickPayload { tick })),
-        )?;
+            &mut burst,
+        );
+        writer.write_all(&burst)?;
         // Collect decisions until the server acknowledges the tick.
         loop {
-            match next(&mut stream, started, deadline)? {
+            match next(&mut reader, started, deadline)? {
                 Inbound::Decision(d) => decisions.push(d),
                 Inbound::TickAck(t) if t == tick => break,
                 Inbound::TickAck(t) => {
@@ -138,7 +147,7 @@ pub fn run_workload_client(
     }
     // Drain: every request gets exactly one decision; wait for the rest.
     while (decisions.len() as u64) < sent {
-        match next(&mut stream, started, deadline)? {
+        match next(&mut reader, started, deadline)? {
             Inbound::Decision(d) => decisions.push(d),
             Inbound::TickAck(_) => {}
             Inbound::Bye => {
@@ -149,7 +158,7 @@ pub fn run_workload_client(
             }
         }
     }
-    let _ = write_frame(&mut stream, &Frame::new(FrameType::Bye, Vec::new()));
+    let _ = write_frame(&mut writer, &Frame::new(FrameType::Bye, Vec::new()));
     Ok(ClientReport { sent, decisions })
 }
 
@@ -162,7 +171,7 @@ enum Inbound {
 
 /// Read the next meaningful frame, tolerating idle timeouts up to the
 /// deadline and surfacing server `Error` frames as errors.
-fn next(stream: &mut TcpStream, started: Instant, deadline: Duration) -> io::Result<Inbound> {
+fn next(stream: &mut impl Read, started: Instant, deadline: Duration) -> io::Result<Inbound> {
     loop {
         if started.elapsed() > deadline {
             return Err(io::Error::new(io::ErrorKind::TimedOut, "client deadline"));
@@ -207,7 +216,7 @@ fn next(stream: &mut TcpStream, started: Instant, deadline: Duration) -> io::Res
 }
 
 /// Wait for the `Welcome` answering our `Hello`.
-fn expect_welcome(stream: &mut TcpStream, started: Instant, deadline: Duration) -> io::Result<()> {
+fn expect_welcome(stream: &mut impl Read, started: Instant, deadline: Duration) -> io::Result<()> {
     loop {
         if started.elapsed() > deadline {
             return Err(io::Error::new(io::ErrorKind::TimedOut, "no welcome"));

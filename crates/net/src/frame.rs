@@ -40,11 +40,14 @@ pub const TRAILER_LEN: usize = 4;
 /// before any payload is read.
 pub const MAX_PAYLOAD: u32 = 64 * 1024;
 
-/// Lookup table for the reflected CRC-32 (IEEE 802.3) polynomial.
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 lookup tables for the reflected CRC-32 (IEEE 802.3)
+/// polynomial. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -57,10 +60,20 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 (IEEE) digest, so header and payload can be folded in
@@ -74,11 +87,29 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Fold `bytes` into the digest.
+    /// Fold `bytes` into the digest: eight bytes per step (slicing-by-8),
+    /// then the tail a byte at a time. The checksum does not depend on how
+    /// the input is split across calls.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 >> 8) ^ CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize];
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
 
     /// Finish and return the checksum.
@@ -311,21 +342,37 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<Fill, ReadError> {
 /// Encode one frame to its wire bytes. Pure; the inverse of [`decode`].
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN + frame.payload.len() + TRAILER_LEN);
-    bytes.extend_from_slice(&MAGIC);
-    bytes.push(VERSION);
-    bytes.push(frame.frame_type as u8);
-    match &frame.ctx {
-        Some(ctx) => bytes.extend_from_slice(&ctx.to_wire()),
-        None => bytes.extend_from_slice(&[0u8; CONTEXT_WIRE_LEN]),
-    }
-    bytes.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&frame.payload);
-    let crc = crc32(&bytes[4..]);
-    bytes.extend_from_slice(&crc.to_le_bytes());
+    encode_into(frame, &mut bytes);
     bytes
 }
 
+/// Append one frame's wire bytes to `out`: the same bytes as
+/// [`encode`], so several frames can share one buffer and one write.
+pub(crate) fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.reserve(HEADER_LEN + frame.payload.len() + TRAILER_LEN);
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame.frame_type as u8);
+    match &frame.ctx {
+        Some(ctx) => out.extend_from_slice(&ctx.to_wire()),
+        None => out.extend_from_slice(&[0u8; CONTEXT_WIRE_LEN]),
+    }
+    out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&frame.payload);
+    let crc = crc32(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Write one frame to `w` in a single `write_all`, then call `flush`.
+///
+/// Neither call bounds how the peer reads the bytes: TCP may split one
+/// write into several segments or merge several writes into one, so a
+/// receiver reads by frame (header, then the declared payload and
+/// trailer), never by segment. Where several frames go out together —
+/// the server's per-tick replies, a workload client's tick of requests —
+/// the sender appends them to one buffer and writes that once instead of
+/// calling this per frame.
 ///
 /// The flush does not mean delivery: on a `TcpStream` it is a no-op, and
 /// when the bytes leave is up to the socket. With Nagle's algorithm on, a
@@ -454,6 +501,24 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn encode_into_appends_the_bytes_of_encode() {
+        let frames = [
+            Frame::new(FrameType::Ping, Vec::new()),
+            Frame::traced(
+                FrameType::Decision,
+                Some(TraceContext::root(9, true)),
+                b"{\"v\":1}".to_vec(),
+            ),
+        ];
+        let mut joined = b"prefix".to_vec();
+        for frame in &frames {
+            encode_into(frame, &mut joined);
+        }
+        let expected = [&b"prefix"[..], &encode(&frames[0]), &encode(&frames[1])].concat();
+        assert_eq!(joined, expected);
     }
 
     #[test]

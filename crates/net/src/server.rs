@@ -1,6 +1,20 @@
 //! The server side: a thread-per-connection accept loop funneling frames
 //! over an mpsc channel into the existing single-threaded tick loop.
 //!
+//! ## Threads and writes
+//!
+//! Each connection has one reader and one writer thread. The reader
+//! decodes frames out of a buffered socket and forwards every frame one
+//! buffer fill yields as one batch of events, so a client's tick of
+//! requests wakes the tick loop once, not once per frame. The tick loop
+//! encodes each connection's replies for a tick — its rejects, sheds and
+//! decisions in routing order, then its `TickAck` — into one buffer and
+//! hands that to the connection's writer as one message, written with
+//! one `write_all`: one writer wake-up and one write per connection per
+//! tick. Replies the loop makes between ticks (`Welcome`, a fail-closed
+//! deny, a close) go out at once. Framing is unchanged; only how many
+//! frames share a write is.
+//!
 //! ## Determinism across the I/O boundary
 //!
 //! The deterministic core — admission lanes, batching, sharding, memo
@@ -40,7 +54,7 @@
 //! one of those two buckets; there is no silent discard.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -54,7 +68,10 @@ use apdm_policy::{AuditEntry, AuditKind};
 use apdm_serve::{Decision, DecisionRequest, PolicyDecisionService, ReqSnap, ServeStats};
 use apdm_telemetry::{self as telemetry, TraceContext};
 
-use crate::frame::{read_frame, write_frame, Frame, FrameType, ReadError, ReadOutcome, VERSION};
+use crate::frame::{
+    encode, encode_into, read_frame, write_frame, Frame, FrameType, ReadError, ReadOutcome,
+    HEADER_LEN, TRAILER_LEN, VERSION,
+};
 use crate::socket;
 use crate::wire::{
     close_code, decode_payload, encode_payload, DecisionSnap, ErrorPayload, HelloPayload, Role,
@@ -134,8 +151,8 @@ pub struct ServeOutcome {
 
 /// What a connection's writer thread is told to do next.
 enum Outbound {
-    /// Write one frame.
-    Frame(Frame),
+    /// Write these encoded frames with one `write_all`.
+    Bytes(Vec<u8>),
     /// Write an `Error` frame with this close code, then close the socket.
     Close(u16, String),
     /// Write a `Bye`, then close the socket (orderly end of run).
@@ -177,6 +194,74 @@ struct ConnState {
     out: Sender<Outbound>,
     role: Role,
     index: u32,
+    /// Encoded frames waiting for this connection's next write.
+    staged: Vec<u8>,
+    /// How many of the staged frames are decisions.
+    staged_decisions: u64,
+}
+
+impl ConnState {
+    fn new(out: Sender<Outbound>, role: Role, index: u32) -> Self {
+        ConnState {
+            out,
+            role,
+            index,
+            staged: Vec::new(),
+            staged_decisions: 0,
+        }
+    }
+
+    /// Hand the staged frames to the writer as one message. Returns the
+    /// staged decisions `(sent, lost)`: lost when the writer is gone.
+    fn flush(&mut self) -> (u64, u64) {
+        if self.staged.is_empty() {
+            return (0, 0);
+        }
+        let capacity = self.staged.len();
+        let bytes = std::mem::replace(&mut self.staged, Vec::with_capacity(capacity));
+        let decisions = std::mem::take(&mut self.staged_decisions);
+        match self.out.send(Outbound::Bytes(bytes)) {
+            Ok(()) => (decisions, 0),
+            Err(_) => (0, decisions),
+        }
+    }
+}
+
+/// The tick loop's end of the event channel. Readers send the events of
+/// one buffer fill as one batch; the loop takes them one at a time, so
+/// the barrier is checked after every event, as if each had come alone.
+struct Inbox {
+    rx: Receiver<Vec<Event>>,
+    queued: std::vec::IntoIter<Event>,
+}
+
+impl Inbox {
+    fn new(rx: Receiver<Vec<Event>>) -> Self {
+        Inbox {
+            rx,
+            queued: Vec::new().into_iter(),
+        }
+    }
+
+    /// The next event, waiting up to `timeout` for a new batch.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Event, RecvTimeoutError> {
+        loop {
+            if let Some(ev) = self.queued.next() {
+                return Ok(ev);
+            }
+            self.queued = self.rx.recv_timeout(timeout)?.into_iter();
+        }
+    }
+
+    /// The next event already received, if any.
+    fn try_recv(&mut self) -> Option<Event> {
+        loop {
+            if let Some(ev) = self.queued.next() {
+                return Some(ev);
+            }
+            self.queued = self.rx.try_recv().ok()?.into_iter();
+        }
+    }
 }
 
 /// The tick loop's bookkeeping, audit trail, and counters.
@@ -238,9 +323,54 @@ impl Loop {
         self.audit.record(tick, RunEvent::Audit(entry));
     }
 
-    fn count(name: &'static str) {
+    fn count(name: &'static str, n: u64) {
         if telemetry::enabled() {
-            telemetry::with_registry(|reg| reg.counter(name).inc());
+            telemetry::with_registry(|reg| reg.counter(name).add(n));
+        }
+    }
+
+    /// Append `frame` to `conn`'s staged bytes; they go out with the
+    /// connection's next flush.
+    fn stage(&mut self, conn: u64, frame: &Frame) {
+        if let Some(state) = self.conns.get_mut(&conn) {
+            encode_into(frame, &mut state.staged);
+        }
+    }
+
+    /// Hand `conn`'s staged frames to its writer now.
+    fn flush(&mut self, conn: u64) {
+        if let Some(state) = self.conns.get_mut(&conn) {
+            let (sent, lost) = state.flush();
+            self.settle(sent, lost);
+        }
+    }
+
+    /// Hand every connection's staged frames to its writer: one message,
+    /// so one write, per connection.
+    fn flush_all(&mut self) {
+        let (mut sent, mut lost) = (0, 0);
+        for state in self.conns.values_mut() {
+            let (s, l) = state.flush();
+            sent += s;
+            lost += l;
+        }
+        self.settle(sent, lost);
+    }
+
+    /// Count the decisions a flush handed to writers, and those it lost.
+    fn settle(&mut self, sent: u64, lost: u64) {
+        self.decisions_sent += sent;
+        self.decisions_dropped += lost;
+        if sent > 0 {
+            Self::count("net.decision.sent", sent);
+        }
+    }
+
+    /// Send `msg` to `conn`'s writer after anything staged for it.
+    fn send_now(&mut self, conn: u64, msg: Outbound) {
+        self.flush(conn);
+        if let Some(state) = self.conns.get(&conn) {
+            let _ = state.out.send(msg);
         }
     }
 
@@ -278,18 +408,13 @@ impl Loop {
                     self.record_drop(conn, tick, close_code::PROTOCOL, &detail);
                     return Ok(());
                 }
-                let _ = out.send(Outbound::Frame(Frame::new(
-                    FrameType::Welcome,
-                    encode_payload(&WelcomePayload {
-                        version: VERSION,
-                        clients: self.expected_clients,
-                    }),
-                )));
                 if role == Role::Workload {
                     self.workload.insert(index, conn);
                 }
-                self.conns.insert(conn, ConnState { out, role, index });
-                Self::count("net.conn.joined");
+                self.conns.insert(conn, ConnState::new(out, role, index));
+                self.stage(conn, &welcome_frame(self.expected_clients));
+                self.flush(conn);
+                Self::count("net.conn.joined", 1);
                 self.audit(
                     tick,
                     AuditKind::Note,
@@ -312,19 +437,26 @@ impl Loop {
                         "late"
                     };
                     self.reject(conn, &req, tick, detail);
+                    self.flush(conn);
                     return Ok(());
                 }
                 // A request id names its owner (`id % clients == index`)
                 // and one decision: a foreign or repeated id would route
-                // some decision to the wrong connection.
+                // some decision to the wrong connection. A state whose
+                // component count is not its schema's cannot be evaluated.
                 let foreign = req.id % u64::from(self.expected_clients) != u64::from(state.index);
-                if foreign {
-                    self.reject(conn, &req, tick, "foreign-id");
+                let why = if foreign {
+                    "foreign-id"
                 } else if self.pending.contains_key(&req.id) || self.owed.contains_key(&req.id) {
-                    self.reject(conn, &req, tick, "duplicate-id");
+                    "duplicate-id"
+                } else if req.state.values().len() != req.state.schema().len() {
+                    "bad-state"
                 } else {
                     self.pending.insert(req.id, (conn, req));
-                }
+                    return Ok(());
+                };
+                self.reject(conn, &req, tick, why);
+                self.flush(conn);
                 Ok(())
             }
             Event::TickDone { conn, tick: t } => {
@@ -333,9 +465,7 @@ impl Loop {
                 };
                 if state.role != Role::Workload || !collecting || t != tick {
                     let detail = format!("unexpected TickDone({t}) at tick {tick}");
-                    let _ = state
-                        .out
-                        .send(Outbound::Close(close_code::PROTOCOL, detail.clone()));
+                    self.send_now(conn, Outbound::Close(close_code::PROTOCOL, detail.clone()));
                     self.record_drop(conn, tick, close_code::PROTOCOL, &detail);
                     return self.depart(conn, tick, collecting, "protocol: bad TickDone");
                 }
@@ -366,7 +496,7 @@ impl Loop {
             return;
         }
         self.drops += 1;
-        Self::count("net.conn.dropped");
+        Self::count("net.conn.dropped", 1);
         self.audit(
             tick,
             AuditKind::Note,
@@ -375,10 +505,11 @@ impl Loop {
         );
     }
 
-    /// Answer an attributable bad request with a fail-closed deny and
-    /// audit it. The request never reaches the service.
+    /// Answer an attributable bad request with a fail-closed deny, staged
+    /// on its connection, and audit it. The request never reaches the
+    /// service.
     fn reject(&mut self, conn: u64, req: &DecisionRequest, tick: u64, why: &str) {
-        if let Some(state) = self.conns.get(&conn) {
+        if self.conns.contains_key(&conn) {
             let snap = DecisionSnap {
                 request_id: req.id,
                 tenant: req.tenant.0,
@@ -391,14 +522,15 @@ impl Loop {
                 submitted_at: req.submitted_at,
                 decided_at: tick,
             };
-            let _ = state.out.send(Outbound::Frame(Frame::traced(
+            let frame = Frame::traced(
                 FrameType::Decision,
                 req.ctx.map(|c| c.child(NET_SLOT)),
                 encode_payload(&snap),
-            )));
+            );
+            self.stage(conn, &frame);
         }
         self.rejects += 1;
-        Self::count("net.request.rejected");
+        Self::count("net.request.rejected", 1);
         self.audit(
             tick,
             AuditKind::Decision,
@@ -428,31 +560,79 @@ impl Loop {
         Ok(())
     }
 
-    /// Route one decision back to the connection that submitted its
-    /// request, advancing the causal chain with a `net.send` hop.
+    /// Stage one decision for the connection that submitted its request,
+    /// advancing the causal chain with a `net.send` hop.
     fn route(&mut self, decision: &Decision) {
         let ctx = net_hop(decision.ctx, "net.send", decision.device);
-        let Some(conn) = self.owed.remove(&decision.request_id) else {
+        let owner = self.owed.remove(&decision.request_id);
+        let Some(state) = owner.and_then(|conn| self.conns.get_mut(&conn)) else {
             self.decisions_dropped += 1;
             return;
         };
-        let sent = self.conns.get(&conn).is_some_and(|state| {
-            state
-                .out
-                .send(Outbound::Frame(Frame::traced(
-                    FrameType::Decision,
-                    ctx,
-                    encode_payload(&DecisionSnap::from(decision)),
-                )))
-                .is_ok()
-        });
-        if sent {
-            self.decisions_sent += 1;
-            Self::count("net.decision.sent");
-        } else {
-            self.decisions_dropped += 1;
-        }
+        let frame = Frame::traced(
+            FrameType::Decision,
+            ctx,
+            encode_payload(&DecisionSnap::from(decision)),
+        );
+        encode_into(&frame, &mut state.staged);
+        state.staged_decisions += 1;
     }
+
+    /// Run barrier tick `tick`: submit the collected requests in id order,
+    /// tick the service, stage each connection's rejects, sheds and
+    /// decisions in routing order and then its `TickAck`, and flush.
+    fn arrival_tick<O: HarmOracle + Copy + Send + Sync>(
+        &mut self,
+        svc: &mut PolicyDecisionService<O>,
+        tick: u64,
+    ) {
+        // The OS delivered this tick's requests in arbitrary interleaving;
+        // id order is the workload generator's emission order, which is
+        // what the in-process driver submits.
+        for (conn, mut req) in std::mem::take(&mut self.pending).into_values() {
+            if req.submitted_at != tick {
+                self.reject(conn, &req, tick, "tick-mismatch");
+                continue;
+            }
+            req.ctx = net_hop(req.ctx, "net.recv", req.device);
+            self.owed.insert(req.id, conn);
+            if let Some(shed) = svc.submit(req, tick) {
+                self.route(&shed);
+            }
+        }
+        for decision in svc.tick(tick) {
+            self.route(&decision);
+        }
+        self.done.clear();
+        let ack = Frame::new(FrameType::TickAck, encode_payload(&TickPayload { tick }));
+        for conn in self.workload.values() {
+            if let Some(state) = self.conns.get_mut(conn) {
+                encode_into(&ack, &mut state.staged);
+            }
+        }
+        self.flush_all();
+    }
+
+    /// Run drain tick `now`: tick the service and flush its decisions.
+    fn drain_tick<O: HarmOracle + Copy + Send + Sync>(
+        &mut self,
+        svc: &mut PolicyDecisionService<O>,
+        now: u64,
+    ) {
+        for decision in svc.tick(now) {
+            self.route(&decision);
+        }
+        self.flush_all();
+    }
+}
+
+/// The `Welcome` answering a valid `Hello`.
+fn welcome_frame(clients: u32) -> Frame {
+    let welcome = WelcomePayload {
+        version: VERSION,
+        clients,
+    };
+    Frame::new(FrameType::Welcome, encode_payload(&welcome))
 }
 
 /// Advance a request's causal chain by one wire hop, emitting the event
@@ -487,7 +667,8 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     cfg: NetServerConfig,
 ) -> io::Result<ServeOutcome> {
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (events_tx, events) = mpsc::channel::<Event>();
+    let (events_tx, events) = mpsc::channel::<Vec<Event>>();
+    let mut inbox = Inbox::new(events);
     let accepted = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let accept_handle = spawn_acceptor(
         listener,
@@ -499,10 +680,11 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
 
     let mut state = Loop::new(cfg.seed, cfg.clients);
 
-    let run = drive(&mut svc, &mut state, &events, &cfg);
+    let run = drive(&mut svc, &mut state, &mut inbox, &cfg);
     // Orderly shutdown regardless of how the run ended: stop accepting,
     // close every connection, and let the threads unwind.
     shutdown.store(true, Ordering::SeqCst);
+    state.flush_all();
     for conn in state.conns.values() {
         let _ = conn.out.send(Outbound::Finish);
     }
@@ -511,7 +693,7 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     // Every connection thread has exited, so each connection's last event
     // is queued. Handle them all before sealing the audit ledger: a
     // departure or drop that raced the end of the run is still recorded.
-    for ev in events.try_iter() {
+    while let Some(ev) = inbox.try_recv() {
         state.handle(ev, final_tick, false)?;
     }
 
@@ -539,7 +721,7 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
 fn drive<O: HarmOracle + Copy + Send + Sync>(
     svc: &mut PolicyDecisionService<O>,
     state: &mut Loop,
-    events: &Receiver<Event>,
+    events: &mut Inbox,
     cfg: &NetServerConfig,
 ) -> io::Result<u64> {
     let mut now = 0u64;
@@ -565,32 +747,7 @@ fn drive<O: HarmOracle + Copy + Send + Sync>(
                 }
             }
         }
-        // The OS delivered this tick's requests in arbitrary interleaving;
-        // id order is the workload generator's emission order, which is
-        // what the in-process driver submits.
-        for (conn, mut req) in std::mem::take(&mut state.pending).into_values() {
-            if req.submitted_at != tick {
-                state.reject(conn, &req, tick, "tick-mismatch");
-                continue;
-            }
-            req.ctx = net_hop(req.ctx, "net.recv", req.device);
-            state.owed.insert(req.id, conn);
-            if let Some(shed) = svc.submit(req, tick) {
-                state.route(&shed);
-            }
-        }
-        for decision in svc.tick(now) {
-            state.route(&decision);
-        }
-        state.done.clear();
-        let ack = encode_payload(&TickPayload { tick });
-        for &conn in state.workload.values() {
-            if let Some(c) = state.conns.get(&conn) {
-                let _ = c
-                    .out
-                    .send(Outbound::Frame(Frame::new(FrameType::TickAck, ack.clone())));
-            }
-        }
+        state.arrival_tick(svc, tick);
     }
     // Phase B: drain the queue without the barrier (clients only read).
     while svc.queue_depth() > 0 {
@@ -600,12 +757,10 @@ fn drive<O: HarmOracle + Copy + Send + Sync>(
                 "drain watchdog tripped at tick {now}"
             )));
         }
-        while let Ok(ev) = events.try_recv() {
+        while let Some(ev) = events.try_recv() {
             state.handle(ev, now, false)?;
         }
-        for decision in svc.tick(now) {
-            state.route(&decision);
-        }
+        state.drain_tick(svc, now);
     }
     Ok(now)
 }
@@ -614,7 +769,7 @@ fn drive<O: HarmOracle + Copy + Send + Sync>(
 /// honored promptly, one reader + one writer thread per connection.
 fn spawn_acceptor(
     listener: TcpListener,
-    events: Sender<Event>,
+    events: Sender<Vec<Event>>,
     shutdown: Arc<AtomicBool>,
     accepted: Arc<std::sync::atomic::AtomicU64>,
     cfg: &NetServerConfig,
@@ -653,7 +808,7 @@ fn spawn_acceptor(
 fn connection(
     conn: u64,
     stream: TcpStream,
-    events: Sender<Event>,
+    events: Sender<Vec<Event>>,
     shutdown: Arc<AtomicBool>,
     read_timeout: Duration,
     write_timeout: Duration,
@@ -666,18 +821,19 @@ fn connection(
     };
     let (out_tx, out_rx) = mpsc::channel::<Outbound>();
     let writer = thread::spawn(move || writer_loop(write_half, out_rx));
-    reader_loop(conn, stream, &events, &out_tx, &shutdown);
+    reader_loop(conn, stream, &mut Batch::new(&events), &out_tx, &shutdown);
     drop(out_tx);
     let _ = writer.join();
 }
 
-/// Drain the outbound queue onto the socket; any close instruction (or a
-/// write failure) ends the connection.
+/// Drain the outbound queue onto the socket, one `write_all` per
+/// message; any close instruction (or a write failure) ends the
+/// connection.
 fn writer_loop(mut stream: TcpStream, out: Receiver<Outbound>) {
     for msg in out {
         match msg {
-            Outbound::Frame(frame) => {
-                if write_frame(&mut stream, &frame).is_err() {
+            Outbound::Bytes(bytes) => {
+                if stream.write_all(&bytes).is_err() {
                     break;
                 }
             }
@@ -699,13 +855,19 @@ fn writer_loop(mut stream: TcpStream, out: Receiver<Outbound>) {
 
 /// Decode and dispatch frames until the peer closes, errs out, or the
 /// server shuts down. All fail-closed classification lives here.
+///
+/// The socket is read through a buffer, and the events of every frame
+/// one fill holds go to the tick loop as one batch: the batch is
+/// forwarded before any read that may block on the socket, so an event
+/// never waits on bytes that have not arrived.
 fn reader_loop(
     conn: u64,
-    mut stream: TcpStream,
-    events: &Sender<Event>,
+    stream: TcpStream,
+    events: &mut Batch,
     out: &Sender<Outbound>,
     shutdown: &Arc<AtomicBool>,
 ) {
+    let mut reader = BufReader::with_capacity(socket::READ_BUFFER, stream);
     let mut role: Option<Role> = None;
     let mut idle = 0u32;
     // A connection gets ~10s of pre-Hello idling before it is treated as a
@@ -717,8 +879,11 @@ fn reader_loop(
             leave(conn, role, events, out, Outbound::Finish);
             return;
         }
+        if !holds_frame(reader.buffer()) {
+            events.forward();
+        }
         let mut counted = Counted {
-            inner: &mut stream,
+            inner: &mut reader,
             read: 0,
         };
         let frame = match read_frame(&mut counted) {
@@ -769,7 +934,7 @@ fn reader_loop(
                     return;
                 };
                 role = Some(hello.role);
-                let _ = events.send(Event::Joined {
+                events.push(Event::Joined {
                     conn,
                     role: hello.role,
                     index: hello.client,
@@ -792,7 +957,7 @@ fn reader_loop(
                 };
                 let mut req = DecisionRequest::from(snap);
                 req.ctx = frame.ctx;
-                let _ = events.send(Event::Request { conn, req });
+                events.push(Event::Request { conn, req });
             }
             (FrameType::TickDone, Some(Role::Workload)) => {
                 let Some(tick) = decode_payload::<TickPayload>(&frame.payload) else {
@@ -805,13 +970,18 @@ fn reader_loop(
                     );
                     return;
                 };
-                let _ = events.send(Event::TickDone {
+                events.push(Event::TickDone {
                     conn,
                     tick: tick.tick,
                 });
             }
             (FrameType::Ping, Some(_)) => {
-                let _ = out.send(Outbound::Frame(Frame::new(FrameType::Pong, Vec::new())));
+                // The `Pong` follows every event decoded before its `Ping`
+                // into the tick loop: a peer that reads it knows the
+                // server holds what it sent first.
+                events.forward();
+                let pong = encode(&Frame::new(FrameType::Pong, Vec::new()));
+                let _ = out.send(Outbound::Bytes(pong));
             }
             (FrameType::Bye, _) => {
                 leave(conn, role, events, out, Outbound::Quiet);
@@ -832,10 +1002,12 @@ fn reader_loop(
 }
 
 /// Tear down a connection fail-closed: best-effort `Error` frame to the
-/// peer, `Dropped` event to the tick loop (which audits it).
-fn drop_conn(conn: u64, events: &Sender<Event>, out: &Sender<Outbound>, code: u16, detail: String) {
+/// peer, `Dropped` event to the tick loop (which audits it) after the
+/// events decoded before it.
+fn drop_conn(conn: u64, events: &mut Batch, out: &Sender<Outbound>, code: u16, detail: String) {
     let _ = out.send(Outbound::Close(code, detail.clone()));
-    let _ = events.send(Event::Dropped { conn, code, detail });
+    events.push(Event::Dropped { conn, code, detail });
+    events.forward();
 }
 
 /// End a connection as an orderly departure: a `Left` event to the tick
@@ -843,20 +1015,59 @@ fn drop_conn(conn: u64, events: &Sender<Event>, out: &Sender<Outbound>, code: u1
 fn leave(
     conn: u64,
     role: Option<Role>,
-    events: &Sender<Event>,
+    events: &mut Batch,
     out: &Sender<Outbound>,
     then: Outbound,
 ) {
     if role.is_some() {
-        let _ = events.send(Event::Left { conn });
+        events.push(Event::Left { conn });
     }
+    events.forward();
     let _ = out.send(then);
+}
+
+/// The events one buffer fill decoded, not yet forwarded to the tick
+/// loop.
+struct Batch<'a> {
+    tx: &'a Sender<Vec<Event>>,
+    events: Vec<Event>,
+}
+
+impl<'a> Batch<'a> {
+    fn new(tx: &'a Sender<Vec<Event>>) -> Self {
+        Batch {
+            tx,
+            events: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, ev: Event) {
+        self.events.push(ev);
+    }
+
+    /// Send the held events to the tick loop as one message.
+    fn forward(&mut self) {
+        if !self.events.is_empty() {
+            let _ = self.tx.send(std::mem::take(&mut self.events));
+        }
+    }
+}
+
+/// Whether `buf` begins with a whole frame, so decoding it needs no
+/// further read from the socket. A length prefix is trusted only to size
+/// this check; `read_frame` still validates it.
+fn holds_frame(buf: &[u8]) -> bool {
+    let Some(len) = buf.get(HEADER_LEN - 4..HEADER_LEN) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+    buf.len() >= HEADER_LEN + len + TRAILER_LEN
 }
 
 /// A stream that counts the bytes read through it, so the reader can tell
 /// an I/O error at a frame boundary from one inside a frame.
 struct Counted<'a> {
-    inner: &'a mut TcpStream,
+    inner: &'a mut BufReader<TcpStream>,
     read: usize,
 }
 
@@ -871,6 +1082,173 @@ impl Read for Counted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::E17Config;
+    use crate::frame::decode;
+    use apdm_serve::{standard_stacks, WorkloadGen, WorkloadOracle};
+
+    /// The single message `rx` holds: a write of encoded frames.
+    fn one_write(rx: &Receiver<Outbound>) -> Vec<u8> {
+        let msgs: Vec<Outbound> = rx.try_iter().collect();
+        assert_eq!(msgs.len(), 1, "expected exactly one message");
+        match msgs.into_iter().next() {
+            Some(Outbound::Bytes(bytes)) => bytes,
+            _ => panic!("expected encoded frames"),
+        }
+    }
+
+    /// The wire bytes of `decision` as its own frame.
+    fn decision_frame(decision: &Decision) -> Vec<u8> {
+        encode(&Frame::traced(
+            FrameType::Decision,
+            decision.ctx,
+            encode_payload(&DecisionSnap::from(decision)),
+        ))
+    }
+
+    #[test]
+    fn each_tick_reaches_each_workload_writer_as_one_write_of_its_frames() {
+        const CLIENTS: u32 = 2;
+        let cfg = E17Config {
+            arrival_ticks: 4,
+            per_tick: 10,
+            ..E17Config::default()
+        };
+        let service = || {
+            PolicyDecisionService::new(
+                cfg.serve_config(),
+                standard_stacks(cfg.shards, true),
+                WorkloadOracle,
+                &cfg.run_name(),
+            )
+        };
+        // `reference` is driven the way the server once wrote: each
+        // decision as its own frame, in routing order, then `TickAck`.
+        let (mut served, mut reference) = (service(), service());
+        let mut state = Loop::new(42, CLIENTS);
+        let mut writers = Vec::new();
+        for index in 0..CLIENTS {
+            let (out, rx) = mpsc::channel();
+            let conn = u64::from(index);
+            let joined = Event::Joined {
+                conn,
+                role: Role::Workload,
+                index,
+                clients: CLIENTS,
+                out,
+            };
+            state.handle(joined, 1, true).unwrap();
+            let welcome = decode(&one_write(&rx)).expect("one frame");
+            assert_eq!(welcome.frame_type, FrameType::Welcome);
+            writers.push(rx);
+        }
+        let (out, observer) = mpsc::channel();
+        let joined = Event::Joined {
+            conn: 9,
+            role: Role::Observer,
+            index: 0,
+            clients: 0,
+            out,
+        };
+        state.handle(joined, 1, true).unwrap();
+        assert_eq!(one_write(&observer), encode(&welcome_frame(CLIENTS)));
+
+        // A reject made between ticks goes out at once, before any tick.
+        let mut probe = WorkloadGen::new(cfg.spec()).tick_requests(1)[0].clone();
+        probe.id = 1_000_000;
+        state
+            .handle(
+                Event::Request {
+                    conn: 9,
+                    req: probe,
+                },
+                1,
+                true,
+            )
+            .unwrap();
+        let deny = decode(&one_write(&observer)).expect("one frame");
+        let snap: DecisionSnap = decode_payload(&deny.payload).expect("decision");
+        assert_eq!(
+            snap.verdict,
+            GuardVerdict::Deny {
+                reason: "net:reject:role".into()
+            }
+        );
+
+        let mut gen = WorkloadGen::new(cfg.spec());
+        let mut expected = vec![Vec::new(); CLIENTS as usize];
+        let owed = |expected: &mut Vec<Vec<u8>>, d: &Decision| {
+            expected[(d.request_id % u64::from(CLIENTS)) as usize].extend(decision_frame(d));
+        };
+        for tick in 1..=cfg.arrival_ticks {
+            let reqs = gen.tick_requests(tick);
+            assert!(reqs.iter().all(|r| r.ctx.is_none()));
+            // Arrival order is resolved by the barrier: feed it reversed.
+            for req in reqs.iter().rev() {
+                let conn = req.id % u64::from(CLIENTS);
+                let ev = Event::Request {
+                    conn,
+                    req: req.clone(),
+                };
+                state.handle(ev, tick, true).unwrap();
+            }
+            for conn in 0..u64::from(CLIENTS) {
+                state
+                    .handle(Event::TickDone { conn, tick }, tick, true)
+                    .unwrap();
+            }
+            assert!(state.barrier_met());
+            for rx in &writers {
+                assert!(rx.try_recv().is_err(), "nothing goes out before the tick");
+            }
+            state.arrival_tick(&mut served, tick);
+
+            for req in reqs {
+                if let Some(shed) = reference.submit(req, tick) {
+                    owed(&mut expected, &shed);
+                }
+            }
+            for d in reference.tick(tick) {
+                owed(&mut expected, &d);
+            }
+            let ack = encode(&Frame::new(
+                FrameType::TickAck,
+                encode_payload(&TickPayload { tick }),
+            ));
+            for (c, rx) in writers.iter().enumerate() {
+                let frames = std::mem::take(&mut expected[c]);
+                assert_eq!(one_write(rx), [frames, ack.clone()].concat(), "tick {tick}");
+            }
+        }
+        // A drain tick writes its decisions, once per connection that has
+        // any.
+        let mut now = cfg.arrival_ticks;
+        while served.queue_depth() > 0 {
+            now += 1;
+            state.drain_tick(&mut served, now);
+            for d in reference.tick(now) {
+                owed(&mut expected, &d);
+            }
+            for (c, rx) in writers.iter().enumerate() {
+                let frames = std::mem::take(&mut expected[c]);
+                if frames.is_empty() {
+                    assert!(rx.try_recv().is_err(), "drain tick {now}: empty write");
+                } else {
+                    assert_eq!(one_write(rx), frames, "drain tick {now}");
+                }
+            }
+        }
+        assert_eq!(reference.queue_depth(), 0);
+        assert!(
+            now > cfg.arrival_ticks,
+            "the workload left nothing to drain"
+        );
+        assert!(observer.try_recv().is_err());
+        assert_eq!(
+            state.decisions_sent,
+            cfg.per_tick as u64 * cfg.arrival_ticks
+        );
+        assert_eq!(state.decisions_dropped, 0);
+    }
 
     /// The audit details of `state`'s records so far.
     fn audit_details(state: &Loop) -> Vec<String> {

@@ -12,6 +12,10 @@ pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// write instead of wedging the writer.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_millis(2_000);
 
+/// Capacity of a connection reader's buffer: one fill holds a whole tick
+/// of lockstep frames at the sizes the workloads use.
+pub(crate) const READ_BUFFER: usize = 32 * 1024;
+
 /// Prepare a freshly accepted or connected stream: disable Nagle's
 /// algorithm and apply the read and write timeouts.
 ///

@@ -7,7 +7,7 @@
 use std::io::{self, Read};
 
 use apdm_net::frame::{
-    crc32, decode, encode, read_frame, Frame, FrameError, FrameType, ReadError, ReadOutcome,
+    crc32, decode, encode, read_frame, Crc32, Frame, FrameError, FrameType, ReadError, ReadOutcome,
     HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
 };
 use apdm_telemetry::{TraceContext, CONTEXT_WIRE_LEN};
@@ -47,7 +47,61 @@ fn arb_ctx(trace: u64, span: u64, parent: u64, sampled: bool) -> Option<TraceCon
     })
 }
 
+/// CRC-32 (IEEE) by its bitwise definition: reflected, polynomial
+/// `0xEDB88320`, initial value and final xor all ones. The reference the
+/// table-driven digest is checked against.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+#[test]
+fn crc32_matches_the_bitwise_definition_at_every_length() {
+    let bytes: Vec<u8> = (0u32..600)
+        .map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8)
+        .collect();
+    for len in 0..=bytes.len() {
+        assert_eq!(
+            crc32(&bytes[..len]),
+            crc32_bitwise(&bytes[..len]),
+            "length {len}"
+        );
+    }
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
 proptest! {
+    /// The digest equals the bitwise CRC whatever the input and however it
+    /// is split across `update` calls: chunk boundaries that do not fall
+    /// on the eight-byte stride still give the same checksum.
+    #[test]
+    fn crc32_equals_the_bitwise_definition_across_split_updates(
+        bytes in collection::vec(any::<u8>(), 0..400),
+        cuts in collection::vec(any::<usize>(), 0..6),
+    ) {
+        let expected = crc32_bitwise(&bytes);
+        prop_assert_eq!(crc32(&bytes), expected);
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        at.sort_unstable();
+        let mut digest = Crc32::new();
+        let mut from = 0;
+        for to in at.into_iter().chain([bytes.len()]) {
+            digest.update(&bytes[from..to]);
+            from = to;
+        }
+        prop_assert_eq!(digest.finish(), expected);
+    }
+
     /// Any well-formed frame survives encode → decode bit-exactly.
     #[test]
     fn arbitrary_frames_round_trip(
@@ -251,5 +305,44 @@ fn pure_garbage_streams_error_rather_than_panic() {
             Ok(ReadOutcome::Frame(_)) => panic!("garbage of length {len} framed"),
             _ => {} // Malformed / Truncated are both acceptable rejections
         }
+    }
+}
+
+/// The byte dumps in `docs/PROTOCOL.md`'s worked example, in order. Each
+/// line is a 4-digit hex offset, then up to 16 hex bytes in fixed columns,
+/// then the ASCII rendering.
+fn protocol_doc_dumps() -> Vec<Vec<u8>> {
+    let doc = include_str!("../../../docs/PROTOCOL.md");
+    let mut dumps = Vec::new();
+    let mut current: Option<Vec<u8>> = None;
+    for line in doc.lines() {
+        match (line, current.as_mut()) {
+            ("```text", None) => current = Some(Vec::new()),
+            ("```", Some(_)) => dumps.extend(current.take().filter(|d| !d.is_empty())),
+            (line, Some(dump)) => {
+                let offset = usize::from_str_radix(&line[..4], 16).expect("hex offset");
+                assert_eq!(offset, dump.len(), "dump line {line:?}");
+                for byte in line[6..line.len().min(53)].split_whitespace() {
+                    dump.push(u8::from_str_radix(byte, 16).expect("hex byte"));
+                }
+            }
+            _ => {}
+        }
+    }
+    dumps
+}
+
+/// The worked-example frames in the protocol document decode, and the
+/// codec re-encodes each of them byte for byte.
+#[test]
+fn protocol_doc_hex_dumps_re_encode_byte_for_byte() {
+    let dumps = protocol_doc_dumps();
+    let sizes: Vec<usize> = dumps.iter().map(Vec::len).collect();
+    assert_eq!(sizes, [81, 39, 49], "the Hello, Ping and traced TickDone");
+    let types = [FrameType::Hello, FrameType::Ping, FrameType::TickDone];
+    for (dump, ty) in dumps.iter().zip(types) {
+        let frame = decode(dump).expect("documented frame decodes");
+        assert_eq!(frame.frame_type, ty);
+        assert_eq!(&encode(&frame), dump, "{ty:?}");
     }
 }

@@ -486,3 +486,124 @@ fn duplicate_request_id_is_rejected_and_decided_once() {
     );
     assert!(outcome.audit.verify().is_ok());
 }
+
+/// `payload` (a JSON request) with every component of its state removed,
+/// so the state no longer matches its schema.
+fn strip_state_values(payload: &[u8]) -> Vec<u8> {
+    let json = String::from_utf8(payload.to_vec()).expect("utf-8 payload");
+    let at = json.find("\"values\":[").expect("state values") + "\"values\":[".len();
+    let end = at + json[at..].find(']').expect("end of values");
+    assert!(end > at, "the state already has no components");
+    [&json[..at], &json[end..]].concat().into_bytes()
+}
+
+/// A request whose state has fewer components than its schema declares
+/// would index past its values when evaluated. It is denied fail-closed
+/// (`bad-state`) and audited, never reaches the service, and the
+/// connection stays open for the rest of the run.
+#[test]
+fn request_with_a_malformed_state_is_rejected_and_never_evaluated() {
+    let cfg = E17Config {
+        arrival_ticks: 3,
+        per_tick: 4,
+        ..E17Config::default()
+    };
+    let bad_id = 1_000_000;
+    let mut sent = false;
+    let (received, outcome) = drive_raw(&cfg, 1, |reqs, conns| {
+        if sent {
+            return;
+        }
+        let mut snap = ReqSnap::from(&reqs[0]);
+        snap.id = bad_id;
+        let payload = strip_state_values(&encode_payload(&snap));
+        let bad: ReqSnap = decode_payload(&payload).expect("the request still decodes");
+        assert!(bad.state.values().is_empty());
+        write_frame(&mut conns[0], &Frame::new(FrameType::Request, payload)).expect("write");
+        sent = true;
+    });
+
+    let mine: Vec<&DecisionSnap> = received[0]
+        .iter()
+        .filter(|d| d.request_id == bad_id)
+        .collect();
+    assert_eq!(mine.len(), 1, "decisions for req{bad_id}: {mine:?}");
+    assert_eq!(reject_reason(mine[0]), Some("bad-state"));
+
+    let offered = cfg.per_tick as u64 * cfg.arrival_ticks;
+    assert_eq!(
+        outcome.stats.submitted, offered,
+        "it never reached the service"
+    );
+    assert_eq!(received[0].len() as u64, offered + 1);
+    assert_eq!(outcome.rejects, 1);
+    assert_eq!(outcome.drops, 0, "the connection stayed open");
+    assert_eq!(
+        reject_audits(&outcome, bad_id),
+        ["fail-closed deny: bad-state"]
+    );
+    assert!(outcome.audit.verify().is_ok());
+    assert!(outcome.ledger.verify().is_ok());
+}
+
+/// The server reads through a buffer, so one read can hold several
+/// frames. Two whole requests and the first bytes of a third, written at
+/// once by an observer: both whole frames are handled (each answered
+/// with a deny) while the server waits on the torn one, and the torn
+/// frame then costs exactly one code-4 drop.
+#[test]
+fn whole_frames_before_a_torn_one_are_handled_then_dropped_once() {
+    let cfg = E17Config {
+        arrival_ticks: 4,
+        per_tick: 2,
+        ..E17Config::default()
+    };
+    let (addr, server) = start_server(&cfg, cfg.net_config(1));
+
+    let mut observer = connect_with_retry(&addr, 50, Duration::from_millis(100)).expect("connect");
+    handshake(&mut observer, Role::Observer, 0, 0);
+    let mut gen = WorkloadGen::new(cfg.spec());
+    let template = gen.tick_requests(1)[0].clone();
+    let ids = [2_000_001u64, 2_000_002];
+    let mut bytes = Vec::new();
+    for id in ids {
+        let req = DecisionRequest {
+            id,
+            ..template.clone()
+        };
+        let payload = encode_payload(&ReqSnap::from(&req));
+        bytes.extend(encode(&Frame::new(FrameType::Request, payload)));
+    }
+    let ping = encode(&Frame::new(FrameType::Ping, Vec::new()));
+    bytes.extend_from_slice(&ping[..20]);
+    io::Write::write_all(&mut observer, &bytes).expect("write two frames and a torn one");
+    for id in ids {
+        let frame = next_frame(&mut observer);
+        assert_eq!(frame.frame_type, FrameType::Decision);
+        let deny: DecisionSnap = decode_payload(&frame.payload).expect("decision payload");
+        assert_eq!(deny.request_id, id);
+        assert_eq!(reject_reason(&deny), Some("role"));
+    }
+    drop(observer);
+
+    let report = run_workload_client(&addr, cfg.spec(), 0, 1, None, DEADLINE).expect("client");
+    let outcome = server.join().expect("server thread").expect("served run");
+    assert_eq!(report.decisions.len() as u64, report.sent);
+
+    assert_eq!(outcome.rejects, 2);
+    for id in ids {
+        assert_eq!(reject_audits(&outcome, id), ["fail-closed deny: role"]);
+    }
+    let subject = joined_subject(&outcome, Role::Observer);
+    let terminals: Vec<String> = audit_details(&outcome, &subject)
+        .into_iter()
+        .filter(|d| terminal(d))
+        .collect();
+    assert_eq!(terminals.len(), 1, "{subject}: {terminals:?}");
+    assert!(
+        terminals[0].starts_with("drop code=4 (stalled)"),
+        "{subject}: expected a stalled drop, got {terminals:?}"
+    );
+    assert_eq!(outcome.drops, 1);
+    assert!(outcome.audit.verify().is_ok());
+}

@@ -201,6 +201,14 @@ fn stage_event(
     Some(next)
 }
 
+/// The registry gauge names of `shards` shards' in-flight cost:
+/// `serve.shard.inflight.NN`.
+fn shard_gauge_names(shards: usize) -> Vec<String> {
+    (0..shards)
+        .map(|s| format!("serve.shard.inflight.{s:02}"))
+        .collect()
+}
+
 /// Exact counters over one service lifetime: the service's only count.
 /// When a telemetry dispatch is installed, their growth is published into
 /// the registry's `serve.*` counters at the end of every tick and when the
@@ -305,6 +313,10 @@ pub struct PolicyDecisionService<O> {
     /// Estimated in-flight cost per shard, decayed by the shard's fair
     /// share each tick — the backpressure signal.
     shard_inflight: Vec<u64>,
+    /// Registry gauge name of each shard's `shard_inflight`. Built on the
+    /// first traced tick, so later traced ticks format no names and an
+    /// untraced service never builds them.
+    shard_gauges: Vec<String>,
     /// Per-shard virtual queue-wait counts since the last
     /// [`drain_shard_waits`](Self::drain_shard_waits), `[static,
     /// balanced]`. Bounded by the distinct wait values, so a service that
@@ -349,6 +361,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
             shard_inflight: vec![0; cfg.shards],
+            shard_gauges: Vec::new(),
             shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
             checkpoint_len: 0,
@@ -556,13 +569,15 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         }
         self.publish_stats();
         if telemetry::enabled() {
+            if self.shard_gauges.is_empty() {
+                self.shard_gauges = shard_gauge_names(self.shard_inflight.len());
+            }
             let depth = self.queue.len() as f64;
             let sched = self.sched;
             telemetry::with_registry(|reg| {
                 reg.gauge("serve.queue.depth").set(depth);
-                for (s, &inflight) in self.shard_inflight.iter().enumerate() {
-                    reg.gauge(&format!("serve.shard.inflight.{s:02}"))
-                        .set(inflight as f64);
+                for (name, &inflight) in self.shard_gauges.iter().zip(&self.shard_inflight) {
+                    reg.gauge(name).set(inflight as f64);
                 }
                 reg.gauge("serve.sched.virtual_steals")
                     .set(sched.virtual_steals as f64);
@@ -721,6 +736,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 .into_iter()
                 .fold(SloMonitor::new(), SloMonitor::with_objective),
             shard_inflight: checkpoint.shard_inflight.clone(),
+            shard_gauges: Vec::new(),
             shard_waits: vec![Default::default(); cfg.shards],
             sched: SchedSummary::default(),
             checkpoint_len: 0,
@@ -1281,6 +1297,60 @@ mod tests {
             backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
         }
         assert!(backlog_seen, "the checkpoint must cover queued requests");
+    }
+
+    /// The in-flight gauges a traced tick publishes, one per shard.
+    fn published_shard_gauges() -> Vec<String> {
+        let reg = telemetry::current_registry().expect("dispatch installed");
+        reg.gauge_values()
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("serve.shard."))
+            .collect()
+    }
+
+    #[test]
+    fn traced_ticks_publish_one_inflight_gauge_per_shard() {
+        let cfg = ServeConfig {
+            shards: 12,
+            ..ServeConfig::default()
+        };
+        let expected: Vec<String> = (0..12)
+            .map(|s| format!("serve.shard.inflight.{s:02}"))
+            .collect();
+        assert_eq!(expected[11], "serve.shard.inflight.11");
+        let mut svc = service(cfg);
+        for id in 0..8 {
+            let action = Action::adjust("patrol", StateDelta::empty());
+            svc.submit(req(id, id, action, 1, None), 1);
+        }
+        // An untraced tick builds no names.
+        svc.tick(1);
+        assert!(svc.shard_gauges.is_empty());
+        let _guard = telemetry::install(std::rc::Rc::new(telemetry::RingCollector::new(8)));
+        for now in 2..=3 {
+            svc.tick(now);
+        }
+        assert_eq!(published_shard_gauges(), expected);
+        // A restored service publishes under the same names.
+        let checkpoint = ServeCheckpoint::from_frame(&svc.checkpoint_frame(3)).unwrap();
+        let recorder = SegmentedRecorder::new(
+            "test",
+            cfg.seed,
+            cfg.shards as u64,
+            RotationPolicy::default(),
+        );
+        let mut restored = PolicyDecisionService::restore(
+            cfg,
+            standard_stacks(cfg.shards, cfg.cache),
+            WorkloadOracle,
+            &checkpoint,
+            recorder,
+        )
+        .expect("restore");
+        restored.tick(4);
+        assert_eq!(published_shard_gauges(), expected);
+        assert_eq!(restored.shard_gauges, expected);
     }
 
     #[test]

@@ -264,11 +264,16 @@ e17_server=$!
     --addr-file "$trace_dir/e17-addr" --index 0 --clients 2 --quiet >/dev/null &
 e17_c0=$!
 # The run cannot start without workload client 1, and a 16-tick run takes
-# only tens of ms: let the garbage client finish first, so it never finds
-# the listener already closed.
+# only tens of ms: let the chaos clients finish first, so they never find
+# the listener already closed. The unauthorized client waits for its
+# fail-closed deny, which the server must send while the barrier is still
+# open.
 ./target/release/apdm-experiments serve-net chaos \
     --addr-file "$trace_dir/e17-addr" --kind garbage --quiet >/dev/null \
-    || { echo "e17 smoke: chaos client failed"; exit 1; }
+    || { echo "e17 smoke: garbage chaos client failed"; exit 1; }
+./target/release/apdm-experiments serve-net chaos \
+    --addr-file "$trace_dir/e17-addr" --kind unauthorized --quiet >/dev/null \
+    || { echo "e17 smoke: unauthorized chaos client failed"; exit 1; }
 ./target/release/apdm-experiments serve-net client --smoke --seed 42 \
     --addr-file "$trace_dir/e17-addr" --index 1 --clients 2 --quiet >/dev/null \
     || { echo "e17 smoke: workload client 1 failed"; exit 1; }
@@ -276,6 +281,9 @@ wait "$e17_c0" || { echo "e17 smoke: workload client 0 failed"; exit 1; }
 wait "$e17_server" || { echo "e17 smoke: server failed"; exit 1; }
 grep -q ", 1 drops," "$trace_dir/e17-serve.out" \
     || { echo "e17 smoke: expected exactly 1 drop (the garbage client):"; \
+         cat "$trace_dir/e17-serve.out"; exit 1; }
+grep -q ", 1 rejects," "$trace_dir/e17-serve.out" \
+    || { echo "e17 smoke: expected exactly 1 reject (the unauthorized client):"; \
          cat "$trace_dir/e17-serve.out"; exit 1; }
 e17_segs=0
 for f in "$trace_dir"/e17-golden.seg*.jsonl; do
@@ -285,7 +293,7 @@ for f in "$trace_dir"/e17-golden.seg*.jsonl; do
 done
 test "$e17_segs" -gt 1 || { echo "e17 smoke: golden run never rotated"; exit 1; }
 echo "e17 smoke: TCP-served ledger byte-identical to in-process golden across" \
-     "$e17_segs segments (2 workload clients + a garbage chaos client)"
+     "$e17_segs segments (2 workload clients + garbage and unauthorized chaos clients)"
 
 echo "==> strong-scaling smoke (E11 table)"
 ./target/release/apdm-experiments run e11 --json --quiet > "$trace_dir/e11-report.json"
