@@ -242,8 +242,8 @@ impl E14Report {
 
 /// Run one mode of the E14 pipeline and return its report plus the captured
 /// telemetry records (empty in [`TraceMode::Disabled`]). The records are
-/// what `apdm-experiments trace-analyze` consumes after
-/// [`export_jsonl`](telemetry::export_jsonl).
+/// what `apdm-experiments trace-analyze` consumes once the facade's
+/// `apdm::trace_files::export_jsonl` has written them out.
 pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<TraceRecord>) {
     let started = Instant::now();
 

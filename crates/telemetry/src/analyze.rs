@@ -1,14 +1,14 @@
 //! Offline trace analysis: rebuild the cross-device span DAG from exported
-//! records, reconstruct per-request critical paths, and emit a multi-device
-//! Chrome timeline.
+//! records and reconstruct per-request critical paths.
 //!
-//! The input is whatever [`import_jsonl`](crate::import_jsonl) returns — no
-//! live dispatch is needed, so a trace recorded on one machine can be
-//! analyzed anywhere. Records participate in the DAG when they carry the
-//! [`TraceContext`] fields (`trace`/`span`, optional `parent`/`dev`); the
-//! `parent` field *is* the happened-before edge, minted by the sender and
-//! carried across hops by the context, so edges survive message loss,
-//! duplication, and reordering (every delivered copy names its true cause).
+//! The input is whatever the facade's `apdm::trace_files::import_jsonl`
+//! returns — no live dispatch is needed, so a trace recorded on one
+//! machine can be analyzed anywhere. Records participate in the DAG when
+//! they carry the [`TraceContext`] fields (`trace`/`span`, optional
+//! `parent`/`dev`); the `parent` field *is* the happened-before edge,
+//! minted by the sender and carried across hops by the context, so edges
+//! survive message loss, duplication, and reordering (every delivered copy
+//! names its true cause).
 //!
 //! The **critical path** of a trace is the parent chain ending at the
 //! trace's last node in virtual-time order. Per-step latency is the
@@ -229,68 +229,6 @@ impl CriticalPath {
     }
 }
 
-/// Export context-carrying records as a Chrome `trace_event` document with
-/// **one track per device**: every DAG node becomes a complete (`X`) slice
-/// on its device's track, lasting until the trace's next node (min 1).
-/// Timestamps follow the [`export_chrome`](crate::export_chrome)
-/// convention of one virtual microsecond per sequence number; the real
-/// tick rides in `args`.
-pub fn export_chrome_devices(records: &[TraceRecord]) -> String {
-    use crate::export::{write_fields_object as write_fields, write_json_str as write_str};
-    use crate::record::Name;
-
-    let graph = TraceGraph::build(records);
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    // Track-naming metadata, one row per device.
-    let devices: BTreeSet<u64> = graph
-        .traces()
-        .iter()
-        .flat_map(|&t| graph.nodes(t).iter().map(|n| n.device))
-        .collect();
-    for dev in &devices {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{dev},\
-             \"args\":{{\"name\":\"device {dev}\"}}}}"
-        ));
-    }
-    for trace in graph.traces() {
-        let mut nodes: Vec<&TraceNode> = graph.nodes(trace).iter().collect();
-        nodes.sort_by_key(|n| (n.tick, n.seq));
-        for (i, node) in nodes.iter().enumerate() {
-            let dur = nodes
-                .get(i + 1)
-                .map_or(1, |next| next.seq.saturating_sub(node.seq).max(1));
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":");
-            write_str(&mut out, &node.name);
-            out.push_str(&format!(
-                ",\"cat\":\"apdm\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\
-                 \"pid\":0,\"tid\":{}",
-                node.seq, node.device
-            ));
-            let args = vec![
-                (Name::Borrowed("trace"), FieldValue::U64(node.trace)),
-                (Name::Borrowed("span"), FieldValue::U64(node.span)),
-                (Name::Borrowed("parent"), FieldValue::U64(node.parent)),
-                (Name::Borrowed("tick"), FieldValue::U64(node.tick)),
-            ];
-            out.push_str(",\"args\":");
-            write_fields(&mut out, &args);
-            out.push('}');
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,15 +315,5 @@ mod tests {
         let path = graph.critical_path(root.trace_id).unwrap();
         // Chain truncates at the break instead of inventing an edge.
         assert_eq!(path.steps.first().unwrap().name, "comms.recv");
-    }
-
-    #[test]
-    fn chrome_devices_export_parses_and_tracks_devices() {
-        let (records, _) = sample_records();
-        let doc = export_chrome_devices(&records);
-        assert!(doc.contains("\"ph\":\"X\""));
-        assert!(doc.contains("\"tid\":1"));
-        assert!(doc.contains("device 1"));
-        assert!(crate::export::parse_json(&doc).is_ok());
     }
 }

@@ -19,9 +19,10 @@
 //!   [`install`] (RAII guard). Provided sinks: [`RingCollector`] (bounded
 //!   flight recorder), [`StderrSubscriber`] (console progress lines),
 //!   [`Fanout`].
-//! * Exporters: [`export_jsonl`] (lossless, re-importable via
-//!   [`import_jsonl`]) and [`export_chrome`] (`chrome://tracing` /
-//!   Perfetto).
+//! * Trace files live in the facade crate, `apdm::trace_files`: the
+//!   lossless JSONL export and its importer, and the `chrome://tracing` /
+//!   Perfetto renderings. This crate stays dependency-free, so it holds no
+//!   JSON code.
 //!
 //! ## Metrics
 //!
@@ -41,8 +42,9 @@
 //!   emits `slo.eval` burn-rate events.
 //! * [`TraceGraph`] rebuilds the cross-device span DAG from an exported
 //!   trace, [`TraceGraph::critical_path`] reconstructs per-request critical
-//!   paths (waits telescope exactly to end-to-end latency), and
-//!   [`export_chrome_devices`] renders one Chrome track per device.
+//!   paths (waits telescope exactly to end-to-end latency); the facade's
+//!   `apdm::trace_files::export_chrome_devices` renders it as one Chrome
+//!   track per device.
 //!
 //! ## Example
 //!
@@ -65,8 +67,7 @@
 //!
 //! let records = collector.records();
 //! assert_eq!(records.len(), 3); // span_start, event, span_end
-//! let jsonl = telemetry::export_jsonl(&records);
-//! assert_eq!(telemetry::import_jsonl(&jsonl).unwrap(), records);
+//! assert_eq!(records[1].name, "verdict");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -75,20 +76,18 @@
 mod analyze;
 mod clock;
 mod context;
-mod export;
 mod metrics;
 mod record;
 mod slo;
 mod span;
 mod subscriber;
 
-pub use analyze::{export_chrome_devices, CriticalPath, PathStep, TraceGraph, TraceNode};
+pub use analyze::{CriticalPath, PathStep, TraceGraph, TraceNode};
 pub use clock::{current_tick, reset_clock, set_tick};
 pub use context::{
     mix64, trace_id, TraceContext, TraceSampler, CONTEXT_WIRE_LEN, FIELD_DEVICE, FIELD_PARENT,
     FIELD_SPAN, FIELD_TRACE,
 };
-pub use export::{export_chrome, export_jsonl, import_jsonl, record_to_json, ImportError};
 pub use metrics::{
     bucket_index, bucket_upper_edge, CachedCounter, CachedHistogram, Counter, Gauge, Histogram,
     HistogramSummary, Registry, Sampler, BUCKETS,

@@ -1,15 +1,11 @@
-//! Integration and property tests for the telemetry crate: span-stack
-//! discipline across panics, and a property-tested JSONL round trip over
-//! the full normalized record domain.
+//! Integration tests for the telemetry crate: span-stack discipline across
+//! panics.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use proptest::prelude::*;
-
 use apdm_telemetry::{
-    self as telemetry, current_span, export_jsonl, import_jsonl, span, span_depth, FieldValue,
-    Level, Name, RecordKind, RingCollector, TraceRecord, VirtualTs,
+    self as telemetry, current_span, span, span_depth, RecordKind, RingCollector,
 };
 
 // ---------------------------------------------------------------------------
@@ -89,99 +85,4 @@ fn panic_unwind_restores_span_stack() {
     let _next = span!("after.unwind");
     assert_eq!(span_depth(), 1);
     assert_eq!(current_span().as_deref(), Some("after.unwind"));
-}
-
-// ---------------------------------------------------------------------------
-// JSONL round trip (property)
-// ---------------------------------------------------------------------------
-
-/// Alphabet exercising the JSON writer's escape paths: quotes, backslash,
-/// control characters, multi-byte UTF-8.
-const CHARS: &[char] = &[
-    'a', 'Z', '0', '_', '.', '-', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{7f}', 'é', 'λ',
-    '🛰',
-];
-
-fn arb_string() -> impl Strategy<Value = String> {
-    collection::vec(0usize..CHARS.len(), 0..8)
-        .prop_map(|ixs| ixs.into_iter().map(|i| CHARS[i]).collect())
-}
-
-/// A field value from the *normalized* domain the `From` impls produce:
-/// non-negative integers are always `U64` (the wire cannot tell `5i64`
-/// from `5u64`), floats are finite (NaN serializes as `null` and is not
-/// `PartialEq`-comparable anyway).
-fn arb_field_value() -> impl Strategy<Value = FieldValue> {
-    (
-        0usize..5,
-        any::<u64>(),
-        any::<i64>(),
-        -1.0e9..1.0e9f64,
-        any::<bool>(),
-        arb_string(),
-    )
-        .prop_map(|(sel, u, i, f, b, s)| match sel {
-            0 => FieldValue::U64(u),
-            1 => FieldValue::from(i), // normalizes non-negative to U64
-            2 => FieldValue::F64(f),
-            3 => FieldValue::Bool(b),
-            _ => FieldValue::Str(s),
-        })
-}
-
-fn arb_record() -> impl Strategy<Value = TraceRecord> {
-    (
-        (0usize..3, 0usize..4),
-        arb_string(),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<bool>(), any::<u64>()),
-        collection::vec((arb_string(), arb_field_value()), 0..5),
-    )
-        .prop_map(
-            |((k, l), name, (tick, seq, depth), (has_dur, dur), fields)| {
-                let kind = [
-                    RecordKind::SpanStart,
-                    RecordKind::SpanEnd,
-                    RecordKind::Event,
-                ][k];
-                let level = [Level::Debug, Level::Info, Level::Warn, Level::Error][l];
-                TraceRecord {
-                    kind,
-                    name: Name::Owned(name),
-                    ts: VirtualTs { tick, seq },
-                    level,
-                    depth,
-                    dur_ns: has_dur.then_some(dur),
-                    fields: fields
-                        .into_iter()
-                        .map(|(key, value)| (Name::Owned(key), value))
-                        .collect(),
-                }
-            },
-        )
-}
-
-proptest! {
-    /// export_jsonl → import_jsonl is the identity on arbitrary normalized
-    /// records, including hostile names/keys (quotes, escapes, control
-    /// characters, multi-byte UTF-8) and `u64` extremes.
-    #[test]
-    fn jsonl_round_trip_is_identity(records in collection::vec(arb_record(), 0..12)) {
-        let wire = export_jsonl(&records);
-        let back = import_jsonl(&wire).expect("exported trace must re-import");
-        prop_assert_eq!(back, records);
-    }
-
-    /// One JSON line per record, in emission order, each independently
-    /// re-importable (tools may stream line-by-line).
-    #[test]
-    fn jsonl_lines_are_independent(records in collection::vec(arb_record(), 1..8)) {
-        let wire = export_jsonl(&records);
-        let lines: Vec<&str> = wire.lines().collect();
-        prop_assert_eq!(lines.len(), records.len());
-        for (line, rec) in lines.iter().zip(&records) {
-            let solo = import_jsonl(line).expect("single line must import");
-            prop_assert_eq!(&solo, std::slice::from_ref(rec));
-        }
-    }
 }

@@ -10,7 +10,8 @@
 use std::rc::Rc;
 
 use apdm::sim::recorder::{run_recorded, RecordSpec};
-use apdm::telemetry::{self, export_chrome, export_jsonl, RecordKind, RingCollector};
+use apdm::telemetry::{self, RecordKind, RingCollector};
+use apdm::trace_files::{export_chrome, export_jsonl};
 
 fn main() {
     // 1. Install one subscriber for the whole run: a bounded ring buffer

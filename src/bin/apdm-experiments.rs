@@ -94,6 +94,7 @@ use apdm::sim::recorder::{
     replay_recorded, replay_recorded_prefix, run_recorded, RecordSpec, ReplayStart,
 };
 use apdm::telemetry::{self, event, Fanout, Level, RingCollector, StderrSubscriber, Subscriber};
+use apdm::trace_files;
 
 /// `--help` text: every subcommand with its flags.
 const USAGE: &str = "\
@@ -972,7 +973,7 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
         Ok(text) => text,
         Err(e) => return fail(&format!("cannot read {path}: {e}")),
     };
-    let records = match telemetry::import_jsonl(&text) {
+    let records = match trace_files::import_jsonl(&text) {
         Ok(records) => records,
         Err(e) => return fail(&format!("{path}: {e}")),
     };
@@ -996,7 +997,7 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
         }
     }
     if let Some(chrome_path) = chrome {
-        if let Err(e) = fs::write(chrome_path, telemetry::export_chrome_devices(&records)) {
+        if let Err(e) = fs::write(chrome_path, trace_files::export_chrome_devices(&records)) {
             return fail(&format!("cannot write {chrome_path}: {e}"));
         }
         println!("device timeline written to {chrome_path} (load in chrome://tracing)");
@@ -1015,10 +1016,10 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
 /// and print the percentile summary table.
 fn dump_trace(path: &str, collector: &RingCollector) -> Result<(), String> {
     let records = collector.records();
-    fs::write(path, telemetry::export_jsonl(&records))
+    fs::write(path, trace_files::export_jsonl(&records))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let chrome_path = format!("{path}.chrome.json");
-    fs::write(&chrome_path, telemetry::export_chrome(&records))
+    fs::write(&chrome_path, trace_files::export_chrome(&records))
         .map_err(|e| format!("cannot write {chrome_path}: {e}"))?;
     println!(
         "trace: {} records -> {path}, {chrome_path} (load in chrome://tracing){}",

@@ -1970,7 +1970,7 @@ fn e14_artifact(seed: u64, env: &Env, path: &str) -> Result<Value, String> {
         ..E14Config::default()
     };
     let (report, records) = run_e14_mode(&cfg, TraceMode::Full);
-    write_file(path, telemetry::export_jsonl(&records))?;
+    write_file(path, crate::trace_files::export_jsonl(&records))?;
     to_value(&report)
 }
 

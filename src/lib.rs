@@ -20,13 +20,14 @@
 //! | [`guards`] | `apdm-guards` | VI.A–D — the prevention mechanisms |
 //! | [`governance`] | `apdm-governance` | VI.E — AI overseeing AI |
 //! | [`ledger`] | `apdm-ledger` | VI.B audits — tamper-evident flight recorder and replay |
-//! | [`telemetry`] | `apdm-telemetry` | — deterministic spans/events, metrics, trace exporters |
+//! | [`telemetry`] | `apdm-telemetry` | — deterministic spans/events, metrics, trace DAG analysis |
 //! | [`par`] | `apdm-par` | — deterministic scoped-thread shard pools and fan-out |
 //! | [`serve`] | `apdm-serve` | VI at fleet scale — sharded micro-batching decision service, fail-closed shedding |
 //! | [`net`] | `apdm-net` | VI at the I/O boundary — framed TCP transport, fail-closed codec, E17 harness |
 //! | [`sim`] | `apdm-sim` | I–II — the coalition world and experiments |
 //! | [`core`] | `apdm-core` | everything — `SafetyKernel`, `AutonomicManager` |
 //! | [`experiments`] | — | every experiment of `EXPERIMENTS.md`: configs, runs, tables, acceptance |
+//! | [`trace_files`] | — | VI.B audits — trace JSONL export/import (untrusted input) and Chrome timelines |
 //!
 //! # Quickstart
 //!
@@ -56,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod trace_files;
 
 pub use apdm_comms as comms;
 pub use apdm_core as core;

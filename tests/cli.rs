@@ -212,3 +212,31 @@ fn resume_refuses_a_format_3_checkpoint_by_name() {
     // Format 3 wrote every queued request whole, with its tenant.
     assert_resume_refuses_format(3);
 }
+
+#[test]
+fn trace_analyze_refuses_a_deeply_nested_line_by_number() {
+    let dir = scratch("deep-trace");
+    let fixture = format!(
+        "{}/tests/fixtures/trace-e14.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let first = std::fs::read_to_string(fixture).expect("read the fixture");
+    let first = first.lines().next().expect("the fixture has a line");
+    // Line 2 is a record whose field holds a million nested arrays: the
+    // parser's nesting cap must refuse it, not overflow the stack.
+    let depth = 1_000_000;
+    let deep = format!(
+        "{{\"kind\":\"event\",\"name\":\"x\",\"tick\":0,\"seq\":0,\"depth\":0,\
+         \"level\":\"info\",\"fields\":{{\"a\":{}}}}}",
+        "[".repeat(depth)
+    );
+    std::fs::write(dir.join("deep.jsonl"), format!("{first}\n{deep}\n")).expect("write the trace");
+    let run = run_in(&dir, &["trace-analyze", "deep.jsonl"]);
+    assert_eq!(run.status.code(), Some(1), "exit status {:?}", run.status);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("trace import failed at line 2") && stderr.contains("nesting deeper than"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
