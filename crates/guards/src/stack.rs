@@ -300,29 +300,6 @@ impl GuardStack {
         verdict
     }
 
-    /// Evaluate a whole batch of `(context, proposal)` pairs in order,
-    /// returning one verdict per pair. This is the serving-layer entry
-    /// point: a micro-batching decision service (`apdm-serve`) forms
-    /// batches of requests that share this stack (and therefore its
-    /// verdict memo cache and audit log), and evaluates them in a single
-    /// call instead of paying the per-call dispatch once per request.
-    ///
-    /// Verdicts and audit entries are identical to calling
-    /// [`check`](Self::check) in a loop — the batch path adds no
-    /// reordering and no batching-specific semantics, so a batch of one is
-    /// exactly a single check.
-    pub fn check_batch<O: HarmOracle + Copy>(
-        &mut self,
-        batch: &[(GuardContext<'_>, &Action)],
-        oracle: O,
-    ) -> Vec<GuardVerdict> {
-        let mut verdicts = Vec::with_capacity(batch.len());
-        for (ctx, proposed) in batch {
-            verdicts.push(self.check(ctx, proposed, oracle));
-        }
-        verdicts
-    }
-
     /// The uncached evaluation path: every sub-guard actually runs.
     fn check_uncached<O: HarmOracle + Copy>(
         &mut self,
@@ -735,35 +712,6 @@ mod tests {
         assert!(!stack
             .check(&ctx(&s, &[]), &strike, StrikeOracle)
             .permits_execution());
-    }
-
-    #[test]
-    fn check_batch_matches_sequential_checks() {
-        let s_good = schema().state(&[2.0]).unwrap();
-        let s_edge = schema().state(&[4.5]).unwrap();
-        let step = Action::adjust("east", StateDelta::single(VarId(0), 1.0));
-        let into_bad = Action::adjust("east", StateDelta::single(VarId(0), 2.0));
-        let strike = Action::adjust("strike", Default::default());
-
-        let mut looped = full_stack().with_cache();
-        let mut batched = full_stack().with_cache();
-        let pairs: Vec<(GuardContext<'_>, &Action)> = vec![
-            (ctx(&s_good, &[]), &step),
-            (ctx(&s_edge, &[]), &into_bad),
-            (ctx(&s_good, &[]), &strike),
-            // Repeat of the first pair: exercises the shared memo cache.
-            (ctx(&s_good, &[]), &step),
-        ];
-        let expect: Vec<GuardVerdict> = pairs
-            .iter()
-            .map(|(c, a)| looped.check(c, a, StrikeOracle))
-            .collect();
-        let got = batched.check_batch(&pairs, StrikeOracle);
-        assert_eq!(expect, got);
-        assert_eq!(looped.cache_stats(), batched.cache_stats());
-        let loop_audit: Vec<_> = looped.audit().entries().to_vec();
-        let batch_audit: Vec<_> = batched.audit().entries().to_vec();
-        assert_eq!(loop_audit, batch_audit);
     }
 
     #[test]

@@ -132,6 +132,17 @@ impl E17Config {
         format!("e17/b{}", self.budget)
     }
 
+    /// A fresh service for either path: the in-process golden run drives
+    /// it directly, the TCP server serves it.
+    pub fn service(&self) -> PolicyDecisionService<WorkloadOracle> {
+        PolicyDecisionService::new(
+            self.serve_config(),
+            standard_stacks(self.shards, true),
+            WorkloadOracle,
+            &self.run_name(),
+        )
+    }
+
     /// The network-facing run parameters for one cell.
     pub fn net_config(&self, clients: u32) -> NetServerConfig {
         NetServerConfig {
@@ -244,29 +255,19 @@ struct Golden {
 }
 
 fn golden_run(cfg: &E17Config) -> Golden {
-    let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(),
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
-        &cfg.run_name(),
-    );
+    let mut svc = cfg.service();
     let mut gen = WorkloadGen::new(cfg.spec());
-    let (decisions, final_tick) = run_to_completion(
-        &mut svc,
-        &mut gen,
-        1,
-        cfg.arrival_ticks,
-        cfg.max_ticks,
-        |_, _| {},
-    );
-    let offered = gen.total_offered();
-    let (ledger, stats) = svc.finish_segmented(final_tick);
-    let mut snaps: Vec<DecisionSnap> = decisions.iter().map(DecisionSnap::from).collect();
+    let run = run_to_completion(&mut svc, &mut gen, 1, cfg.max_ticks, |_, _| {});
+    if let Some(trip) = run.watchdog {
+        panic!("the E17 golden run did not drain: {trip}");
+    }
+    let (ledger, stats) = svc.finish_segmented(run.final_tick);
+    let mut snaps: Vec<DecisionSnap> = run.decisions.iter().map(DecisionSnap::from).collect();
     snaps.sort_by_key(|d| d.request_id);
     Golden {
         decisions: snaps,
         segments: ledger.to_jsonl_segments(),
-        offered,
+        offered: gen.total_offered(),
         decided: stats.decided,
         shed: stats.shed_total(),
     }
@@ -291,13 +292,7 @@ fn net_run(
     let server_cfg = cfg.clone();
     let net_cfg = cfg.net_config(clients);
     let server = thread::spawn(move || -> io::Result<ServeOutcome> {
-        let svc = PolicyDecisionService::new(
-            server_cfg.serve_config(),
-            standard_stacks(server_cfg.shards, true),
-            WorkloadOracle,
-            &server_cfg.run_name(),
-        );
-        serve(listener, svc, net_cfg)
+        serve(listener, server_cfg.service(), net_cfg)
     });
 
     // Chaos first: its connections open before any workload client's, so
@@ -416,13 +411,7 @@ fn traced_probe(cfg: &E17Config) -> io::Result<bool> {
     let server_cfg = probe.clone();
     let net_cfg = probe.net_config(1);
     let server = thread::spawn(move || -> io::Result<ServeOutcome> {
-        let svc = PolicyDecisionService::new(
-            server_cfg.serve_config(),
-            standard_stacks(server_cfg.shards, true),
-            WorkloadOracle,
-            &server_cfg.run_name(),
-        );
-        serve(listener, svc, net_cfg)
+        serve(listener, server_cfg.service(), net_cfg)
     });
 
     let spec = probe.spec();

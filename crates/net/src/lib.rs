@@ -37,7 +37,6 @@
 //! use std::time::Duration;
 //!
 //! use apdm_net::{run_workload_client, serve, E17Config};
-//! use apdm_serve::{standard_stacks, PolicyDecisionService, WorkloadOracle};
 //!
 //! let cfg = E17Config {
 //!     arrival_ticks: 4,
@@ -47,19 +46,13 @@
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
 //! let addr = listener.local_addr().unwrap().to_string();
 //!
-//! let (serve_cfg, net_cfg) = (cfg.serve_config(), cfg.net_config(1));
-//! let (shards, name, spec) = (cfg.shards, cfg.run_name(), cfg.spec());
+//! let server_cfg = cfg.clone();
 //! let server = thread::spawn(move || {
-//!     let svc = PolicyDecisionService::new(
-//!         serve_cfg,
-//!         standard_stacks(shards, true),
-//!         WorkloadOracle,
-//!         &name,
-//!     );
-//!     serve(listener, svc, net_cfg).unwrap()
+//!     serve(listener, server_cfg.service(), server_cfg.net_config(1)).unwrap()
 //! });
 //!
-//! let report = run_workload_client(&addr, spec, 0, 1, None, Duration::from_secs(30)).unwrap();
+//! let report =
+//!     run_workload_client(&addr, cfg.spec(), 0, 1, None, Duration::from_secs(30)).unwrap();
 //! let outcome = server.join().unwrap();
 //!
 //! // Every request came back decided, and the ledger sealed and verifies.

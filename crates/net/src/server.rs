@@ -449,7 +449,7 @@ impl Loop {
                     "foreign-id"
                 } else if self.pending.contains_key(&req.id) || self.owed.contains_key(&req.id) {
                     "duplicate-id"
-                } else if req.state.values().len() != req.state.schema().len() {
+                } else if !req.state_fits_schema() {
                     "bad-state"
                 } else {
                     self.pending.insert(req.id, (conn, req));
@@ -1084,7 +1084,7 @@ mod tests {
     use super::*;
     use crate::experiment::E17Config;
     use crate::frame::decode;
-    use apdm_serve::{standard_stacks, WorkloadGen, WorkloadOracle};
+    use apdm_serve::WorkloadGen;
 
     /// The single message `rx` holds: a write of encoded frames.
     fn one_write(rx: &Receiver<Outbound>) -> Vec<u8> {
@@ -1113,17 +1113,9 @@ mod tests {
             per_tick: 10,
             ..E17Config::default()
         };
-        let service = || {
-            PolicyDecisionService::new(
-                cfg.serve_config(),
-                standard_stacks(cfg.shards, true),
-                WorkloadOracle,
-                &cfg.run_name(),
-            )
-        };
         // `reference` is driven the way the server once wrote: each
         // decision as its own frame, in routing order, then `TickAck`.
-        let (mut served, mut reference) = (service(), service());
+        let (mut served, mut reference) = (cfg.service(), cfg.service());
         let mut state = Loop::new(42, CLIENTS);
         let mut writers = Vec::new();
         for index in 0..CLIENTS {

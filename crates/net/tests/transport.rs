@@ -18,9 +18,7 @@ use apdm_net::{
     close_code, connect_with_retry, run_workload_client, serve, DecisionSnap, E17Config,
     ErrorPayload, HelloPayload, NetServerConfig, ReqSnap, Role, ServeOutcome, TickPayload,
 };
-use apdm_serve::{
-    standard_stacks, DecisionRequest, PolicyDecisionService, WorkloadGen, WorkloadOracle,
-};
+use apdm_serve::{DecisionRequest, WorkloadGen};
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
@@ -32,15 +30,7 @@ fn start_server(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("bound address").to_string();
     let cfg = cfg.clone();
-    let server = thread::spawn(move || {
-        let svc = PolicyDecisionService::new(
-            cfg.serve_config(),
-            standard_stacks(cfg.shards, true),
-            WorkloadOracle,
-            &cfg.run_name(),
-        );
-        serve(listener, svc, net)
-    });
+    let server = thread::spawn(move || serve(listener, cfg.service(), net));
     (addr, server)
 }
 

@@ -27,11 +27,12 @@
 
 use std::time::Instant;
 
-use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_par::{par_map, resolve_threads};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
 use crate::batcher::BatchPolicy;
+use crate::drive::run_to_completion;
 use crate::request::Decision;
 use crate::service::{PolicyDecisionService, ServeConfig, WaitCounts};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
@@ -261,6 +262,22 @@ pub(crate) fn count_percentile(counts: &WaitCounts, q: f64) -> u64 {
     0
 }
 
+/// The fail-closed audit and the latency sample of one cell's decisions:
+/// the shed decisions that permitted execution (there must be none), and
+/// the queue latency of every evaluated decision, in decision order.
+pub(crate) fn shed_allows_and_latencies(decisions: &[Decision]) -> (u64, Vec<u64>) {
+    let shed_allows = decisions
+        .iter()
+        .filter(|d| d.shed.is_some() && d.verdict.permits_execution())
+        .count() as u64;
+    let latencies = decisions
+        .iter()
+        .filter(|d| d.shed.is_none())
+        .map(Decision::queue_ticks)
+        .collect();
+    (shed_allows, latencies)
+}
+
 /// Run one E13 cell: one service instance, one workload, one knob setting.
 pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport {
     let started = Instant::now();
@@ -303,41 +320,10 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
     );
     let mut gen = WorkloadGen::new(spec);
     let offered = gen.total_offered();
-
-    let mut dog = Watchdog::new(cfg.max_ticks);
-    let mut watchdog = None;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut shed_allows = 0u64;
-    let mut collect = |d: Decision, latencies: &mut Vec<u64>| {
-        if d.shed.is_some() {
-            if d.verdict.permits_execution() {
-                shed_allows += 1;
-            }
-        } else {
-            latencies.push(d.queue_ticks());
-        }
-    };
-    let mut now = 0u64;
-    loop {
-        now += 1;
-        if let Err(trip) = dog.charge(1) {
-            watchdog = Some(trip.to_string());
-            break;
-        }
-        for req in gen.tick_requests(now) {
-            if let Some(d) = svc.submit(req, now) {
-                collect(d, &mut latencies);
-            }
-        }
-        for d in svc.tick(now) {
-            collect(d, &mut latencies);
-        }
-        if now >= cfg.arrival_ticks && svc.queue_depth() == 0 {
-            break;
-        }
-    }
-    let ticks = now;
-    let (ledger, stats) = svc.finish_segmented(now);
+    let run = run_to_completion(&mut svc, &mut gen, 1, cfg.max_ticks, |_, _| {});
+    let (shed_allows, mut latencies) = shed_allows_and_latencies(&run.decisions);
+    let ticks = run.final_tick;
+    let (ledger, stats) = svc.finish_segmented(ticks);
     let ledger = ledger.into_single().expect("an E13 cell never rotates");
     ledger.verify().expect("cell ledger must verify");
 
@@ -377,7 +363,7 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         cost_spent: stats.cost_spent,
         ledger_records: ledger.len() as u64,
         ledger_digest: ledger.head_digest(),
-        watchdog,
+        watchdog: run.watchdog.map(|trip| trip.to_string()),
         wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
     }
 }
@@ -518,6 +504,31 @@ mod tests {
             high.throughput,
             unbatched.throughput
         );
+    }
+
+    #[test]
+    fn a_cell_that_cannot_drain_reports_the_trip() {
+        let cfg = E13Config {
+            arrival_ticks: 12,
+            loads: vec![48],
+            max_ticks: 10,
+            ..E13Config::default()
+        };
+        let knobs = Knobs {
+            batching: true,
+            cache: true,
+            shedding: true,
+        };
+        let cell = run_e13_cell(&cfg, 48, knobs);
+        assert_eq!(
+            cell.watchdog.as_deref(),
+            Some("watchdog tripped: tick budget of 10 exhausted (livelocked cell?)")
+        );
+        // The refused tick is the one the ledger seals at.
+        assert_eq!(cell.ticks, 11);
+        assert!(cell.decided + cell.shed < cell.offered);
+        assert_eq!((cell.decided, cell.shed), (288, 162));
+        assert_eq!(cell.ledger_digest, 2_531_439_190_497_961_433);
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! - [`WorkloadGen`] / [`run_e13`] — seeded open-loop workload generation
 //!   and experiment E13, the load sweep crossing batching × cache ×
 //!   shedding.
+//! - [`run_to_completion`] — the one driver of a service over a
+//!   [`WorkloadGen`] in process: every E13, E15 and E16 cell and E17's
+//!   reference run use it, so all stop by one rule. The completion check
+//!   (arrival window passed, queue empty) runs before each tick, and a
+//!   run that reaches its tick bound returns a [`Completion`] carrying
+//!   the trip instead of running on. E14 keeps its own loop: its requests
+//!   arrive over the simulated network.
 //! - [`SchedSummary`] / [`run_e15`] — skew-aware shard scheduling
 //!   (deterministic work stealing via [`apdm_par::run_sharded_balanced`]),
 //!   cross-shard admission backpressure, and experiment E15, the Zipf
@@ -69,11 +76,11 @@
 //!     ..WorkloadSpec::default()
 //! });
 //!
-//! let (decisions, final_tick) =
-//!     run_to_completion(&mut svc, &mut gen, 1, 3, 100, |_, _| {});
-//! let (ledger, stats) = svc.finish_segmented(final_tick);
+//! let run = run_to_completion(&mut svc, &mut gen, 1, 100, |_, _| {});
+//! assert!(run.watchdog.is_none(), "drained within 100 ticks");
+//! let (ledger, stats) = svc.finish_segmented(run.final_tick);
 //!
-//! assert_eq!(decisions.len() as u64, gen.total_offered());
+//! assert_eq!(run.decisions.len() as u64, gen.total_offered());
 //! assert_eq!(stats.decided + stats.shed_total(), gen.total_offered());
 //! assert!(ledger.verify().is_ok(), "hash-chained audit trail seals");
 //! ```
@@ -91,6 +98,7 @@ mod batcher;
 mod calibrate;
 mod checkpoint;
 mod crash;
+mod drive;
 mod experiment;
 mod request;
 mod service;
@@ -105,9 +113,10 @@ pub use checkpoint::{
     CheckpointError, CtxSnap, LaneSnap, ReqRow, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
 };
 pub use crash::{
-    recover_segments, resume_run, run_e16, run_e16_cell, run_to_completion, segment_header,
-    E16CellReport, E16Config, E16Report, Recovery, SimDisk,
+    recover_segments, resume_run, run_e16, run_e16_cell, segment_header, E16CellReport, E16Config,
+    E16Report, Recovery, SimDisk,
 };
+pub use drive::{run_to_completion, Completion};
 pub use experiment::{run_e13, run_e13_cell, E13CellReport, E13Config, E13Report, Knobs};
 pub use request::{Decision, DecisionRequest, ShedReason, TenantId};
 pub use service::{

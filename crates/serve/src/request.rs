@@ -55,6 +55,14 @@ impl DecisionRequest {
     pub fn expired(&self, now: u64) -> bool {
         self.deadline.is_some_and(|d| d < now)
     }
+
+    /// Does the state hold one component per schema variable? A
+    /// deserialized [`State`] is not checked on arrival, and a guard
+    /// evaluating one with a component missing would index past its
+    /// values.
+    pub fn state_fits_schema(&self) -> bool {
+        self.state.values().len() == self.state.schema().len()
+    }
 }
 
 /// Why the service refused to evaluate a request. Every shed resolves to a
@@ -122,6 +130,24 @@ impl Decision {
                 reason: format!("shed:{}", reason.name()),
             },
             shed: Some(reason),
+            submitted_at: req.submitted_at,
+            decided_at: now,
+            ctx: req.ctx,
+        }
+    }
+
+    /// The fail-closed answer to a request whose state does not fit its
+    /// schema: denied unevaluated. Not a shed — no load caused it.
+    pub(crate) fn bad_state(req: &DecisionRequest, now: u64) -> Self {
+        Decision {
+            request_id: req.id,
+            tenant: req.tenant,
+            device: req.device,
+            action: req.proposed.name().to_string(),
+            verdict: GuardVerdict::Deny {
+                reason: "serve:reject:bad-state".to_string(),
+            },
+            shed: None,
             submitted_at: req.submitted_at,
             decided_at: now,
             ctx: req.ctx,

@@ -416,12 +416,19 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
 
     /// Offer a request. `None` means admitted (the decision will come out
     /// of a later [`tick`](Self::tick)); `Some` is an immediate fail-closed
-    /// shed denial (queue full or tenant over quota).
+    /// denial, recorded in the ledger: a shed (queue full or tenant over
+    /// quota), or a request whose state does not fit its schema
+    /// ([`DecisionRequest::state_fits_schema`]), which is never queued.
     pub fn submit(&mut self, mut req: DecisionRequest, now: u64) -> Option<Decision> {
         self.stats.submitted += 1;
         // The admission stage rules on every request — admitted or shed —
         // so its span is minted before the queue decides.
         req.ctx = stage_event(req.ctx, "serve.admit", req.device, &[]);
+        if !req.state_fits_schema() {
+            let decision = Decision::bad_state(&req, now);
+            self.record(&decision, now);
+            return Some(decision);
+        }
         match self.queue.submit(req) {
             None => {
                 self.stats.admitted += 1;
@@ -957,6 +964,53 @@ mod tests {
         assert!(!decisions[0].verdict.permits_execution());
         assert_eq!(decisions[0].shed, None, "a guard denial is not a shed");
         assert_eq!(svc.stats().denied, 1);
+    }
+
+    /// A request whose state has fewer components than its schema declares
+    /// (a deserialized `State` is not checked on arrival) is denied at
+    /// `submit` and never reaches a guard stack, which would index past
+    /// its values.
+    #[test]
+    fn a_malformed_state_is_denied_at_submit_and_never_evaluated() {
+        let mut svc = service(ServeConfig::default());
+        let mut reqs = WorkloadGen::new(WorkloadSpec {
+            per_tick: 4,
+            arrival_ticks: 1,
+            ..WorkloadSpec::default()
+        })
+        .tick_requests(1);
+        let json = serde_json::to_string(&reqs[0].state).unwrap();
+        let at = json.find("\"values\":[").unwrap() + "\"values\":[".len();
+        let end = at + json[at..].find(']').unwrap();
+        assert!(end > at, "the state has components to strip");
+        reqs[0].state = serde_json::from_str(&[&json[..at], &json[end..]].concat()).unwrap();
+        let bad_id = reqs[0].id;
+
+        let mut decisions: Vec<Decision> = Vec::new();
+        for r in reqs {
+            decisions.extend(svc.submit(r, 1));
+        }
+        let mut now = 1;
+        loop {
+            decisions.extend(svc.tick(now));
+            if svc.queue_depth() == 0 {
+                break;
+            }
+            now += 1;
+        }
+        assert_eq!(decisions.len(), 4);
+        let deny = &decisions[0];
+        assert_eq!(deny.request_id, bad_id, "answered at submit");
+        assert!(!deny.verdict.permits_execution());
+        assert_eq!(deny.reason(), "serve:reject:bad-state");
+        assert_eq!(deny.shed, None, "a malformed request is not a shed");
+        let (ledger, stats) = svc.finish_segmented(now);
+        assert_eq!((stats.submitted, stats.admitted, stats.decided), (4, 3, 3));
+        assert_eq!(stats.shed_total(), 0);
+        let ledger = ledger.into_single().expect("rotation off");
+        assert!(ledger.verify().is_ok());
+        // RunStarted + 4 verdicts (the deny included) + RunFinished.
+        assert_eq!(ledger.len(), 6);
     }
 
     #[test]

@@ -30,13 +30,13 @@
 use std::time::Instant;
 
 use apdm_ledger::Ledger;
-use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_par::{par_map, resolve_threads};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
 use crate::batcher::{BatchPolicy, CostModel};
-use crate::experiment::{count_percentile, percentile};
-use crate::request::Decision;
+use crate::drive::run_to_completion;
+use crate::experiment::{count_percentile, percentile, shed_allows_and_latencies};
 use crate::service::{PolicyDecisionService, ServeConfig, WaitCounts};
 use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
@@ -225,43 +225,11 @@ pub fn run_e15_cell(cfg: &E15Config, zipf: f64, threads: usize) -> (E15CellRepor
     );
     let mut gen = WorkloadGen::new(spec);
     let offered = gen.total_offered();
-
-    let mut dog = Watchdog::new(cfg.max_ticks);
-    let mut watchdog = None;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut shed_allows = 0u64;
-    let mut collect = |d: Decision, latencies: &mut Vec<u64>| {
-        if d.shed.is_some() {
-            if d.verdict.permits_execution() {
-                shed_allows += 1;
-            }
-        } else {
-            latencies.push(d.queue_ticks());
-        }
-    };
-    let mut now = 0u64;
-    loop {
-        now += 1;
-        if let Err(trip) = dog.charge(1) {
-            watchdog = Some(trip.to_string());
-            break;
-        }
-        for req in gen.tick_requests(now) {
-            if let Some(d) = svc.submit(req, now) {
-                collect(d, &mut latencies);
-            }
-        }
-        for d in svc.tick(now) {
-            collect(d, &mut latencies);
-        }
-        if now >= cfg.arrival_ticks && svc.queue_depth() == 0 {
-            break;
-        }
-    }
+    let run = run_to_completion(&mut svc, &mut gen, 1, cfg.max_ticks, |_, _| {});
+    let (shed_allows, mut latencies) = shed_allows_and_latencies(&run.decisions);
     let shard_waits = svc.drain_shard_waits();
     let summary = svc.sched_summary();
-    let stats = svc.stats();
-    let (ledger, _) = svc.finish_segmented(now);
+    let (ledger, stats) = svc.finish_segmented(run.final_tick);
     let ledger = ledger.into_single().expect("an E15 cell never rotates");
     ledger.verify().expect("cell ledger must verify");
 
@@ -305,7 +273,7 @@ pub fn run_e15_cell(cfg: &E15Config, zipf: f64, threads: usize) -> (E15CellRepor
         p99_queue_ticks: percentile(&mut latencies, 0.99),
         ledger_records: ledger.len() as u64,
         ledger_digest: ledger.head_digest(),
-        watchdog,
+        watchdog: run.watchdog.map(|trip| trip.to_string()),
         wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
     };
     (report, ledger)

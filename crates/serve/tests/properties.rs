@@ -29,25 +29,11 @@ fn run_segmented(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, Vec<(u
         WorkloadOracle,
         "prop",
     );
-    let mut gen = WorkloadGen::new(spec);
-    let mut decisions = Vec::new();
-    let mut now = 0u64;
-    loop {
-        now += 1;
-        assert!(now < 50_000, "drain did not terminate");
-        for req in gen.tick_requests(now) {
-            if let Some(d) = svc.submit(req, now) {
-                decisions.push(d);
-            }
-        }
-        decisions.extend(svc.tick(now));
-        if now >= spec.arrival_ticks && svc.queue_depth() == 0 {
-            break;
-        }
-    }
-    let (ledger, _) = svc.finish_segmented(now);
+    let run = run_to_completion(&mut svc, &mut WorkloadGen::new(spec), 1, 50_000, |_, _| {});
+    assert!(run.watchdog.is_none(), "drain did not terminate");
+    let (ledger, _) = svc.finish_segmented(run.final_tick);
     ledger.verify().expect("sealed ledger verifies");
-    (decisions, ledger.to_jsonl_segments())
+    (run.decisions, ledger.to_jsonl_segments())
 }
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -267,23 +253,12 @@ proptest! {
     #[test]
     fn checkpoint_restore_resume_is_bit_identical((cfg, frac) in arb_crash_case()) {
         let budget = cfg.budgets[0];
-        let mut svc = PolicyDecisionService::new(
-            cfg.serve_config(budget, 1),
-            standard_stacks(cfg.shards, true),
-            WorkloadOracle,
-            &cfg.run_name(budget),
-        );
-        let mut gen = WorkloadGen::new(cfg.spec(budget));
         let mut disk = SimDisk::default();
         let mut snapshots = Vec::new();
-        let (golden_decisions, final_tick) = run_to_completion(
-            &mut svc, &mut gen, 1, cfg.arrival_ticks, cfg.max_ticks,
-            |now, rec| {
-                disk.persist(rec);
-                snapshots.push((now, disk.clone()));
-            },
-        );
-        let (golden, _) = svc.finish_segmented(final_tick);
+        let (golden_run, golden, _) = cfg.run_uninterrupted(budget, 1, true, |now, rec| {
+            disk.persist(rec);
+            snapshots.push((now, disk.clone()));
+        });
         golden.verify().expect("golden ledger verifies");
         let golden_segments = golden.to_jsonl_segments();
 
@@ -296,7 +271,8 @@ proptest! {
                 &golden_segments, &ledger.to_jsonl_segments(),
                 "segment bytes diverged at {} threads", threads
             );
-            let suffix: Vec<&Decision> = golden_decisions
+            let suffix: Vec<&Decision> = golden_run
+                .decisions
                 .iter()
                 .filter(|d| d.decided_at >= start)
                 .collect();

@@ -315,9 +315,34 @@ PY
 # whose claims are wall-clock.
 echo "==> experiment acceptance predicates (table configurations)"
 for id in f1 f2 f3 e1 e2 e2d e3 e4 e5 e5n e6 e7 e8 a1 a2 a3 e9 g1 e11 e12 e13 e15 e16 e17; do
-    ./target/release/apdm-experiments run "$id" --quiet >/dev/null \
+    ./target/release/apdm-experiments run "$id" --json --quiet >"$trace_dir/report-$id.json" \
         || { echo "experiment $id failed its acceptance predicate"; exit 1; }
 done
 echo "experiments: every selected table meets its acceptance predicate"
+
+# The committed reports must reproduce: each fresh report equals its
+# BENCH_*.json in every field but the host header and the wall-clock
+# `wall_ns` fields.
+echo "==> committed experiment reports reproduce (host and wall_ns masked)"
+python3 - "$trace_dir" <<'PY'
+import json, sys
+
+committed = {"e12": "BENCH_e12_comms.json", "e13": "BENCH_e13_serve.json",
+             "e15": "BENCH_e15_skew.json", "e16": "BENCH_e16_crash.json",
+             "e17": "BENCH_e17_net.json"}
+
+def mask(value):
+    if isinstance(value, dict):
+        return {k: 0 if k == "wall_ns" else mask(v) for k, v in value.items() if k != "host"}
+    if isinstance(value, list):
+        return [mask(v) for v in value]
+    return value
+
+for id, bench in committed.items():
+    fresh = mask(json.load(open(f"{sys.argv[1]}/report-{id}.json")))
+    if fresh != mask(json.load(open(bench))):
+        sys.exit(f"reports: a fresh {id} report differs from {bench}")
+print(f"reports: fresh {', '.join(committed)} reports equal their committed BENCH_*.json")
+PY
 
 echo "CI gate passed."

@@ -86,10 +86,7 @@ use apdm::ledger::{Ledger, SegmentedLedger};
 use apdm::net::{
     golden_segments, run_chaos_client, run_workload_client, serve, ChaosKind, E17Config,
 };
-use apdm::serve::{
-    resume_run, run_calibration, run_to_completion, standard_stacks, E16Config,
-    PolicyDecisionService, SimDisk, WorkloadGen, WorkloadOracle,
-};
+use apdm::serve::{resume_run, run_calibration, E16Config, SimDisk};
 use apdm::sim::recorder::{
     replay_recorded, replay_recorded_prefix, run_recorded, RecordSpec, ReplayStart,
 };
@@ -644,13 +641,7 @@ fn serve_net_cmd(
                 "serving on {addr} ({} workload clients expected)",
                 net.clients
             );
-            let svc = PolicyDecisionService::new(
-                cfg.serve_config(),
-                standard_stacks(cfg.shards, true),
-                WorkloadOracle,
-                &cfg.run_name(),
-            );
-            let outcome = match serve(listener, svc, cfg.net_config(net.clients)) {
+            let outcome = match serve(listener, cfg.service(), cfg.net_config(net.clients)) {
                 Ok(outcome) => outcome,
                 Err(e) => return fail(&format!("serve failed: {e}")),
             };
@@ -856,29 +847,15 @@ fn verify_segmented(base: &str, segs: &[(u64, String)]) -> ExitCode {
 /// segment files: the sealed golden run, or — with a kill tick — the
 /// exact bytes a SIGKILLed process would leave behind.
 fn checkpoint_cmd(cfg: &E16Config, kill_tick: Option<u64>, base: &str) -> ExitCode {
-    let budget = cfg.budgets[0];
-    let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, 1),
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
-        &cfg.run_name(budget),
-    );
-    let mut gen = WorkloadGen::new(cfg.spec(budget));
     let mut disk = SimDisk::default();
     let mut killed: Option<SimDisk> = None;
-    let (decisions, final_tick) = run_to_completion(
-        &mut svc,
-        &mut gen,
-        1,
-        cfg.arrival_ticks,
-        cfg.max_ticks,
-        |now, rec| {
-            disk.persist(rec);
-            if kill_tick == Some(now) {
-                killed = Some(disk.clone());
-            }
-        },
-    );
+    let (run, ledger, _) = cfg.run_uninterrupted(cfg.budgets[0], 1, true, |now, rec| {
+        disk.persist(rec);
+        if kill_tick == Some(now) {
+            killed = Some(disk.clone());
+        }
+    });
+    let final_tick = run.final_tick;
     match kill_tick {
         Some(tick) => {
             let Some(killed) = killed else {
@@ -901,7 +878,6 @@ fn checkpoint_cmd(cfg: &E16Config, kill_tick: Option<u64>, base: &str) -> ExitCo
             );
         }
         None => {
-            let (ledger, _) = svc.finish_segmented(final_tick);
             if let Err(e) = ledger.verify() {
                 return fail(&format!("golden ledger corrupt: {e}"));
             }
@@ -911,7 +887,7 @@ fn checkpoint_cmd(cfg: &E16Config, kill_tick: Option<u64>, base: &str) -> ExitCo
             println!(
                 "golden run sealed at tick {final_tick}: {} decisions, {} segments \
                  ({} pruned), head {:016x} -> {base}.seg*.jsonl",
-                decisions.len(),
+                run.decisions.len(),
                 ledger.segments().len(),
                 ledger.pruned_count(),
                 ledger.head_digest(),

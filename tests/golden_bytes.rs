@@ -18,8 +18,7 @@ use apdm::guards::GuardVerdict;
 use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, SnapshotFrame};
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
-    run_to_completion, standard_stacks, CtxSnap, E16Config, LaneSnap, PolicyDecisionService,
-    ReqRow, ServeCheckpoint, ServeStats, WorkloadGen, WorkloadOracle, CHECKPOINT_FORMAT,
+    CtxSnap, E16Config, LaneSnap, ReqRow, ServeCheckpoint, ServeStats, CHECKPOINT_FORMAT,
 };
 use apdm::statespace::{State, StateDelta, StateSchema, VarId};
 
@@ -56,23 +55,7 @@ fn golden_config() -> E16Config {
 /// The retained segments and final head of `cfg`'s first budget cell, run
 /// on one worker thread.
 fn cell_segments(cfg: &E16Config) -> (Vec<(u64, String)>, u64) {
-    let budget = cfg.budgets[0];
-    let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, 1),
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
-        &cfg.run_name(budget),
-    );
-    let mut gen = WorkloadGen::new(cfg.spec(budget));
-    let (_, final_tick) = run_to_completion(
-        &mut svc,
-        &mut gen,
-        1,
-        cfg.arrival_ticks,
-        cfg.max_ticks,
-        |_, _| {},
-    );
-    let (ledger, _) = svc.finish_segmented(final_tick);
+    let (_, ledger, _) = cfg.run_uninterrupted(cfg.budgets[0], 1, true, |_, _| {});
     ledger.verify().expect("golden ledger verifies");
     (ledger.to_jsonl_segments(), ledger.head_digest())
 }
