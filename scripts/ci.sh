@@ -231,27 +231,38 @@ echo "e16 smoke: resumed run byte-identical to golden across $golden_count segme
      "rotated chain verifies, tampering detected, format-1, -2 and -3 checkpoints refused"
 
 echo "==> hostile-ledger smoke (200,000-deep nesting is a parse error, not a stack overflow)"
-# Line 1 nests far past the JSON parser's depth cap; line 2 is a valid
-# record, so line 1 cannot be taken for a torn final line and dropped.
-python3 - "$trace_dir/hostile.jsonl" "$first_seg" <<'PY'
+# In hostile.jsonl, line 1 nests far past the JSON parser's depth cap as a
+# bare value (the tree route). In hostile-typed.jsonl, line 1 is a valid
+# record with a 200,000-deep value spliced into one field of its event (the
+# typed route, which reads a record straight into its type). In both, line
+# 2 is a valid record, so line 1 cannot be taken for a torn final line and
+# dropped.
+python3 - "$trace_dir" "$first_seg" <<'PY'
+import re
 import sys
 
 out, seg = sys.argv[1], sys.argv[2]
 valid = open(seg).readline()
-open(out, "w").write("[" * 200_000 + "\n" + valid)
+open(out + "/hostile.jsonl", "w").write("[" * 200_000 + "\n" + valid)
+nested = "[" * 200_000 + "]" * 200_000
+spliced, n = re.subn(r'"segment":\d+', '"segment":' + nested, valid, count=1)
+assert n == 1, "the first record of a segment opens it"
+open(out + "/hostile-typed.jsonl", "w").write(spliced + valid)
 PY
-set +e
-./target/release/apdm-experiments verify "$trace_dir/hostile.jsonl" --quiet \
-    >/dev/null 2>"$trace_dir/hostile.err"
-hostile_status=$?
-set -e
-test "$hostile_status" -eq 1 \
-    || { echo "hostile ledger: verify exited $hostile_status, expected 1:"; \
-         cat "$trace_dir/hostile.err"; exit 1; }
-grep -q "at line 1: .*nesting deeper than" "$trace_dir/hostile.err" \
-    || { echo "hostile ledger: no depth error for line 1:"; \
-         cat "$trace_dir/hostile.err"; exit 1; }
-echo "hostile ledger: verify refused line 1 with a parse error (exit 1)"
+for hostile in hostile hostile-typed; do
+    set +e
+    ./target/release/apdm-experiments verify "$trace_dir/$hostile.jsonl" --quiet \
+        >/dev/null 2>"$trace_dir/$hostile.err"
+    hostile_status=$?
+    set -e
+    test "$hostile_status" -eq 1 \
+        || { echo "$hostile ledger: verify exited $hostile_status, expected 1:"; \
+             cat "$trace_dir/$hostile.err"; exit 1; }
+    grep -q "at line 1: .*nesting deeper than" "$trace_dir/$hostile.err" \
+        || { echo "$hostile ledger: no depth error for line 1:"; \
+             cat "$trace_dir/$hostile.err"; exit 1; }
+    echo "$hostile ledger: verify refused line 1 with a parse error (exit 1)"
+done
 
 echo "==> networked-serving smoke (E17: serve-net over real sockets vs in-process golden)"
 ./target/release/apdm-experiments serve-net golden --smoke --seed 42 \

@@ -9,10 +9,14 @@
 //!   schema and action tables;
 //! - `serde_json::to_string_via_value`, the reference encoder, compared with
 //!   the streaming `serde_json::to_string` on random run events and serve
-//!   checkpoints full of edge values.
+//!   checkpoints full of edge values, whose text the streaming decoder
+//!   (`serde_json::from_str`) and the reference decoder
+//!   (`serde_json::from_str_via_value`) must read back alike;
+//! - `u64::to_string`, compared with the integer writer every number and
+//!   digest goes through.
 
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use apdm::guards::GuardVerdict;
 use apdm::ledger::{DeviceSnap, Ledger, LedgerRecord, RawJson, RunEvent, SnapshotFrame};
@@ -447,6 +451,24 @@ fn assert_same_bytes<T: Serialize>(value: &T) {
     assert_eq!(streamed, reference);
 }
 
+/// Assert the streaming decoder and the reference decoder read the JSON of
+/// `value` alike: both refuse it (a non-finite float is written as `null`,
+/// which no float field reads) or both read values of the same bytes.
+fn assert_same_decoding<T: Serialize + Deserialize>(value: &T) {
+    let text = serde_json::to_string(value).unwrap();
+    let reencode = |read: T| serde_json::to_string(&read).unwrap();
+    let streamed = serde_json::from_str::<T>(&text).map(reencode);
+    let reference = serde_json::from_str_via_value::<T>(&text).map(reencode);
+    assert_eq!(streamed.ok(), reference.ok(), "{text}");
+}
+
+/// The integer writer's text for `n`.
+fn written(n: u64) -> String {
+    let mut out = String::new();
+    serde::json::write_u64(&mut out, n);
+    out
+}
+
 proptest! {
     #[test]
     fn run_events_stream_like_the_value_route(seed in any::<u64>()) {
@@ -454,6 +476,7 @@ proptest! {
         for variant in 0..15 {
             let event = gen.run_event(variant);
             assert_same_bytes(&event);
+            assert_same_decoding(&event);
             let record = LedgerRecord {
                 seq: gen.u64(),
                 tick: gen.u64(),
@@ -461,6 +484,7 @@ proptest! {
                 digest: gen.u64(),
             };
             assert_same_bytes(&record);
+            assert_same_decoding(&record);
         }
     }
 
@@ -469,7 +493,38 @@ proptest! {
         let mut gen = Gen(seed);
         let checkpoint = gen.checkpoint();
         assert_same_bytes(&checkpoint);
-        assert_same_bytes(&RunEvent::Snapshot(checkpoint.to_frame()));
+        assert_same_decoding(&checkpoint);
+        let snapshot = RunEvent::Snapshot(checkpoint.to_frame());
+        assert_same_bytes(&snapshot);
+        assert_same_decoding(&snapshot);
+    }
+
+    #[test]
+    fn integers_are_written_as_to_string_writes_them(n in any::<u64>(), shift in 0u32..64) {
+        let n = n >> shift;
+        prop_assert_eq!(written(n), n.to_string());
+        let signed = n as i64;
+        let mut out = String::new();
+        serde::json::write_i64(&mut out, signed);
+        prop_assert_eq!(out, signed.to_string());
+    }
+}
+
+#[test]
+fn integers_are_written_as_to_string_writes_them_at_every_length() {
+    let mut cases = vec![0, 1, 2, u64::MAX, u64::MAX - 1];
+    let mut power = 1u64;
+    while let Some(next) = power.checked_mul(10) {
+        power = next;
+        cases.extend([power - 1, power, power + 1]);
+    }
+    for n in cases {
+        assert_eq!(written(n), n.to_string());
+    }
+    for n in [i64::MIN, i64::MIN + 1, -1, -10, -99, -100] {
+        let mut out = String::new();
+        serde::json::write_i64(&mut out, n);
+        assert_eq!(out, n.to_string());
     }
 }
 
