@@ -1,6 +1,6 @@
 use apdm_device::Device;
 use apdm_governance::TripartiteGovernor;
-use apdm_guards::{GuardContext, GuardStack, HarmOracle};
+use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
 use apdm_policy::{Action, AuditKind, AuditLog, Event};
 
 use crate::SafetyKernel;
@@ -70,7 +70,10 @@ impl AutonomicManager {
         self.governor.as_ref()
     }
 
-    /// The manager's audit trail (governance and guard events merge here).
+    /// The manager's audit trail: one `GuardIntervention` entry per
+    /// governance veto and per guard Deny/Replace, carrying the veto or the
+    /// verdict's reason. The guard stack keeps no record of its own, so this
+    /// log is where an intervention on this path is audited.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
     }
@@ -124,6 +127,10 @@ impl AutonomicManager {
         };
         let verdict = self.stack.check(&ctx, decision.action(), oracle);
         outcome.guard_intervened = verdict.intervened();
+        if let GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } = &verdict {
+            self.audit
+                .record(tick, &subject, AuditKind::GuardIntervention, reason);
+        }
 
         if let Some(action) = verdict.effective_action(decision.action()) {
             let action = action.clone();
@@ -213,6 +220,37 @@ mod tests {
         assert!(out.governance_blocked);
         assert!(out.executed.is_none());
         assert_eq!(m.audit().count(AuditKind::GuardIntervention), 1);
+    }
+
+    #[test]
+    fn guard_interventions_are_audited_with_their_reasons() {
+        // The quickstart mule: +3 a tick inside a good region of [0, 7]. The
+        // third acceleration would reach 9, so it and every later one are
+        // stopped, and each stop is one entry carrying the verdict's reason.
+        let kernel =
+            SafetyKernel::new(SafetyConfig::paper_recommended(Region::rect(&[(0.0, 7.0)])));
+        let mut m = AutonomicManager::new(racer(3.0), &kernel);
+        let stopped: Vec<u64> = (1..=5)
+            .filter(|&t| {
+                m.handle(&Event::named("tick"), NoHarmOracle, t)
+                    .guard_intervened
+            })
+            .collect();
+        assert_eq!(stopped, [3, 4, 5]);
+        assert_eq!(m.device().state().values()[0], 6.0);
+
+        let entries = m.audit().entries();
+        assert_eq!(entries.len(), 3);
+        for (entry, tick) in entries.iter().zip(stopped) {
+            assert_eq!(entry.tick, tick);
+            assert_eq!(entry.subject, m.device().id().to_string());
+            assert_eq!(entry.kind, AuditKind::GuardIntervention);
+            assert_eq!(
+                entry.detail,
+                "state check: `throttle` leads to a bad state and no alternative is safe; \
+                 staying put"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! survives in production if it is cheap enough to sit on *every* action.
 //! A device that proposes the same action from the same state against the
 //! same observable world gets — deterministically — the same verdict, so
-//! the stack can replay a memoized verdict instead of re-running its
+//! the stack can return a memoized verdict instead of re-running its
 //! sub-guards.
 //!
 //! Correctness rests on three rules, enforced by [`GuardStack`]:
@@ -20,12 +20,14 @@
 //! 3. **Mutation invalidates**: any mutable access to a sub-guard (tamper
 //!    injection, budget resets, policy swaps) clears the cache.
 //!
-//! A cache hit replays the one observable side effect an uncached check
-//! has — the audit entry a Deny/Replace verdict records — so audit trails
-//! are identical with the cache on or off. Per-stage telemetry counters
-//! and sampled latency histograms are *not* replayed on hits (nothing ran);
-//! instead hits and misses are counted exactly, both locally and through
-//! the `guard.cache.hit` / `guard.cache.miss` registry counters.
+//! A cache hit is a lookup and nothing else: it replays nothing, because a
+//! cacheable check leaves nothing behind but its verdict. Whatever records
+//! the verdict (a ledger `Verdict` record, a manager's audit log) records a
+//! hit exactly as it records a miss, so audit trails are identical with the
+//! cache on or off. Per-stage telemetry counters and sampled latency
+//! histograms are *not* bumped on hits (nothing ran); instead hits and
+//! misses are counted exactly, both locally and through the
+//! `guard.cache.hit` / `guard.cache.miss` registry counters.
 //!
 //! The cache is a speed device only. What a check decides, audits and
 //! costs a serving layer is the same with the cache on, off, cold or warm,
@@ -163,8 +165,8 @@ impl VerdictCache {
         Self::default()
     }
 
-    /// Look up a fingerprint, counting the outcome. Returns the verdict to
-    /// replay, or `None` on a miss, when the caller must evaluate and
+    /// Look up a fingerprint, counting the outcome. Returns the memoized
+    /// verdict, or `None` on a miss, when the caller must evaluate and
     /// [`store`](Self::store).
     pub(crate) fn lookup(&mut self, fp: u64) -> Option<GuardVerdict> {
         match self.map.get(&fp) {

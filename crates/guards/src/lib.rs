@@ -41,6 +41,6 @@ pub use formation::{
 };
 pub use preaction::{HarmOracle, NoHarmOracle, PreActionCheck};
 pub use stack::{GuardContext, GuardStack};
-pub use statecheck::{StateCheckOutcome, StateSpaceGuard};
+pub use statecheck::StateSpaceGuard;
 pub use tamper::{TamperStatus, Tamperable};
 pub use verdict::GuardVerdict;

@@ -86,7 +86,7 @@ impl HarmOracle for NoHarmOracle {
 ///     }
 /// }
 ///
-/// let mut guard = PreActionCheck::new();
+/// let guard = PreActionCheck::new();
 /// let schema = StateSchema::builder().var("x", 0.0, 1.0).build();
 /// let state = schema.state(&[0.0]).unwrap();
 /// let verdict = guard.check(&state, &Action::adjust("spin-blades", Default::default()), &BladeOracle);
@@ -97,8 +97,6 @@ pub struct PreActionCheck {
     lookahead: u32,
     obligations: Option<ObligationCatalog>,
     tamper: TamperStatus,
-    checks: u64,
-    denials: u64,
 }
 
 impl PreActionCheck {
@@ -108,8 +106,6 @@ impl PreActionCheck {
             lookahead: 0,
             obligations: None,
             tamper: TamperStatus::Proof,
-            checks: 0,
-            denials: 0,
         }
     }
 
@@ -131,24 +127,12 @@ impl PreActionCheck {
         self
     }
 
-    /// Statistics: `(checks performed, denials issued)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.checks, self.denials)
-    }
-
     /// Evaluate a proposed action against the harm oracle.
-    pub fn check<O: HarmOracle>(
-        &mut self,
-        state: &State,
-        action: &Action,
-        oracle: O,
-    ) -> GuardVerdict {
-        self.checks += 1;
+    pub fn check<O: HarmOracle>(&self, state: &State, action: &Action, oracle: O) -> GuardVerdict {
         if !self.tamper.is_effective() {
             return GuardVerdict::Allow;
         }
         if oracle.direct_harm(state, action) {
-            self.denials += 1;
             return GuardVerdict::Deny {
                 reason: format!(
                     "pre-action check: `{}` would directly harm a human",
@@ -157,7 +141,6 @@ impl PreActionCheck {
             };
         }
         if self.lookahead > 0 && oracle.indirect_harm(state, action, self.lookahead) {
-            self.denials += 1;
             return GuardVerdict::Deny {
                 reason: format!(
                     "pre-action check: `{}` predicted to cause harm within {} ticks",
@@ -248,35 +231,39 @@ mod tests {
 
     #[test]
     fn direct_harm_is_always_denied() {
-        let mut g = PreActionCheck::new();
+        let g = PreActionCheck::new();
         let v = g.check(
             &state(),
             &Action::adjust("run-over-human", Default::default()),
             &HoleOracle { arrives_in: 5 },
         );
-        assert!(!v.permits_execution());
-        assert_eq!(g.stats(), (1, 1));
+        assert_eq!(
+            v,
+            GuardVerdict::Deny {
+                reason: "pre-action check: `run-over-human` would directly harm a human".into()
+            }
+        );
     }
 
     #[test]
     fn indirect_harm_passes_the_basic_check() {
         // The paper's point: without lookahead, digging the hole is allowed
         // and the human later falls in.
-        let mut g = PreActionCheck::new();
+        let g = PreActionCheck::new();
         let v = g.check(&state(), &dig(), &HoleOracle { arrives_in: 5 });
         assert_eq!(v, GuardVerdict::Allow);
     }
 
     #[test]
     fn lookahead_catches_indirect_harm() {
-        let mut g = PreActionCheck::new().with_lookahead(10);
+        let g = PreActionCheck::new().with_lookahead(10);
         let v = g.check(&state(), &dig(), &HoleOracle { arrives_in: 5 });
         assert!(!v.permits_execution());
     }
 
     #[test]
     fn short_lookahead_misses_late_arrivals() {
-        let mut g = PreActionCheck::new().with_lookahead(3);
+        let g = PreActionCheck::new().with_lookahead(3);
         let v = g.check(&state(), &dig(), &HoleOracle { arrives_in: 5 });
         assert_eq!(
             v,
@@ -292,7 +279,7 @@ mod tests {
             "dig-hole",
             Obligation::after(Action::adjust("post-warning-sign", Default::default()), 2),
         );
-        let mut g = PreActionCheck::new().with_obligations(catalog);
+        let g = PreActionCheck::new().with_obligations(catalog);
         let v = g.check(&state(), &dig(), &HoleOracle { arrives_in: 5 });
         assert_eq!(v.obligations().len(), 1);
         assert!(v.permits_execution());
@@ -301,26 +288,25 @@ mod tests {
     #[test]
     fn no_obligations_for_unlisted_actions() {
         let catalog = ObligationCatalog::new();
-        let mut g = PreActionCheck::new().with_obligations(catalog);
+        let g = PreActionCheck::new().with_obligations(catalog);
         let v = g.check(&state(), &dig(), &HoleOracle { arrives_in: 5 });
         assert_eq!(v, GuardVerdict::Allow);
     }
 
     #[test]
     fn compromised_guard_waves_harm_through() {
-        let mut g = PreActionCheck::new().with_tamper(TamperStatus::Compromised);
+        let g = PreActionCheck::new().with_tamper(TamperStatus::Compromised);
         let v = g.check(
             &state(),
             &Action::adjust("run-over-human", Default::default()),
             &HoleOracle { arrives_in: 5 },
         );
         assert_eq!(v, GuardVerdict::Allow);
-        assert_eq!(g.stats(), (1, 0));
     }
 
     #[test]
     fn no_harm_oracle_allows_everything() {
-        let mut g = PreActionCheck::new().with_lookahead(100);
+        let g = PreActionCheck::new().with_lookahead(100);
         let v = g.check(&state(), &dig(), NoHarmOracle);
         assert_eq!(v, GuardVerdict::Allow);
     }

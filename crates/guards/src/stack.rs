@@ -1,7 +1,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use apdm_policy::{Action, AuditKind, AuditLog};
+use apdm_policy::Action;
 use apdm_statespace::State;
 use apdm_telemetry as telemetry;
 
@@ -108,7 +108,8 @@ fn observed(stage: &StageMetrics, f: impl FnOnce() -> GuardVerdict) -> GuardVerd
 pub struct GuardContext<'a> {
     /// Simulation tick.
     pub tick: u64,
-    /// Device being guarded (free-form id for audits).
+    /// Device being guarded (free-form id). It names the device in
+    /// break-glass grants and in exposure-budget denials.
     pub subject: &'a str,
     /// The device's current (perceived) state.
     pub state: &'a State,
@@ -125,7 +126,9 @@ pub struct GuardContext<'a> {
 /// The composition of Section VI's per-device guards, evaluated in the
 /// paper's order: pre-action harm check first (VI.A), then the state-space
 /// check (VI.B). Either may be absent — experiment A1 ablates all
-/// combinations. Every intervention is audited.
+/// combinations. Every intervention is audited by the caller's record of
+/// the verdict (a ledger `Verdict` record, or the
+/// `AutonomicManager`'s log); the stack itself keeps no record.
 ///
 /// Deactivation (VI.C) and formation checks (VI.D) operate at fleet scope and
 /// live outside the per-action stack; see
@@ -136,7 +139,6 @@ pub struct GuardStack {
     preaction: Option<PreActionCheck>,
     statecheck: Option<StateSpaceGuard>,
     exposure: Option<ExposureGuard>,
-    audit: AuditLog,
     metrics: StackMetrics,
     cache: Option<VerdictCache>,
 }
@@ -247,25 +249,13 @@ impl GuardStack {
         self.exposure.as_ref()
     }
 
-    /// Mutable exposure guard access (tamper injection, budget resets).
-    /// Invalidates the verdict cache.
-    pub fn exposure_mut(&mut self) -> Option<&mut ExposureGuard> {
-        self.invalidate_cache();
-        self.exposure.as_mut()
-    }
-
-    /// The audit trail of interventions.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
     /// Evaluate a proposed action through the full stack. A replacement
     /// action produced by the state check is re-screened by the pre-action
     /// check — the harm check is never bypassable via substitution.
     ///
     /// With memoization enabled (and the stack [cacheable](Self::with_cache))
-    /// a repeated context replays the memoized verdict — including the audit
-    /// entry a Deny/Replace records — without running the sub-guards.
+    /// a repeated context returns the memoized verdict without running the
+    /// sub-guards.
     pub fn check<O: HarmOracle + Copy>(
         &mut self,
         ctx: &GuardContext<'_>,
@@ -283,14 +273,6 @@ impl GuardStack {
         );
         let cache = self.cache.as_mut().expect("cacheable() implies a cache");
         if let Some(verdict) = cache.lookup(fp) {
-            // Replay the audit entry the original evaluation recorded.
-            match &verdict {
-                GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } => {
-                    self.audit
-                        .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, reason);
-                }
-                _ => {}
-            }
             return verdict;
         }
         let verdict = self.check_uncached(ctx, proposed, oracle);
@@ -309,15 +291,11 @@ impl GuardStack {
     ) -> GuardVerdict {
         // 1. Pre-action harm check on the proposal.
         let mut obligations = Vec::new();
-        if let Some(pre) = &mut self.preaction {
+        if let Some(pre) = &self.preaction {
             match observed(&self.metrics.preaction, || {
                 pre.check(ctx.state, proposed, oracle)
             }) {
-                GuardVerdict::Deny { reason } => {
-                    self.audit
-                        .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
-                    return GuardVerdict::Deny { reason };
-                }
+                deny @ GuardVerdict::Deny { .. } => return deny,
                 GuardVerdict::AllowWithObligations(obs) => obligations = obs,
                 _ => {}
             }
@@ -339,31 +317,19 @@ impl GuardStack {
                     GuardVerdict::AllowWithObligations(obligations)
                 }
             }
-            GuardVerdict::Deny { reason } => {
-                self.audit
-                    .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
-                GuardVerdict::Deny { reason }
-            }
             GuardVerdict::Replace { action, reason } => {
                 // Re-screen the substitute through the harm check.
-                if let Some(pre) = &mut self.preaction {
+                if let Some(pre) = &self.preaction {
                     if let GuardVerdict::Deny {
                         reason: harm_reason,
                     } = observed(&self.metrics.preaction, || {
                         pre.check(ctx.state, &action, oracle)
                     }) {
-                        let combined = format!("{reason}; substitute rejected: {harm_reason}");
-                        self.audit.record(
-                            ctx.tick,
-                            ctx.subject,
-                            AuditKind::GuardIntervention,
-                            &combined,
-                        );
-                        return GuardVerdict::Deny { reason: combined };
+                        return GuardVerdict::Deny {
+                            reason: format!("{reason}; substitute rejected: {harm_reason}"),
+                        };
                     }
                 }
-                self.audit
-                    .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
                 GuardVerdict::Replace { action, reason }
             }
             other => other,
@@ -376,15 +342,7 @@ impl GuardStack {
                 match observed(&self.metrics.exposure, || {
                     exposure.check(ctx.subject, ctx.state, effective)
                 }) {
-                    GuardVerdict::Deny { reason } => {
-                        self.audit.record(
-                            ctx.tick,
-                            ctx.subject,
-                            AuditKind::GuardIntervention,
-                            &reason,
-                        );
-                        return GuardVerdict::Deny { reason };
-                    }
+                    deny @ GuardVerdict::Deny { .. } => return deny,
                     _ => {
                         exposure.commit(&ctx.state.apply(effective.delta()));
                     }
@@ -463,8 +421,13 @@ mod tests {
         let s = schema().state(&[1.0]).unwrap();
         let strike = Action::adjust("strike", Default::default());
         let v = stack.check(&ctx(&s, &[]), &strike, StrikeOracle);
-        assert!(!v.permits_execution());
-        assert_eq!(stack.audit().count(AuditKind::GuardIntervention), 1);
+        // The reason is what the caller's record of the verdict audits.
+        assert_eq!(
+            v,
+            GuardVerdict::Deny {
+                reason: "pre-action check: `strike` would directly harm a human".into()
+            }
+        );
     }
 
     #[test]
@@ -483,7 +446,7 @@ mod tests {
         let step = Action::adjust("east", StateDelta::single(VarId(0), 1.0));
         let v = stack.check(&ctx(&s, &[]), &step, StrikeOracle);
         assert_eq!(v, GuardVerdict::Allow);
-        assert!(stack.audit().is_empty());
+        assert!(!v.intervened());
     }
 
     #[test]
@@ -496,17 +459,15 @@ mod tests {
         let into_bad = Action::adjust("east", StateDelta::single(VarId(0), 2.0));
         let murderous_retreat = Action::adjust("strike", StateDelta::single(VarId(0), -1.0));
         let v = stack.check(&ctx(&s, &[&murderous_retreat]), &into_bad, StrikeOracle);
-        assert!(
-            !v.permits_execution(),
+        assert_eq!(
+            v,
+            GuardVerdict::Deny {
+                reason: "state check: `east` leads to a bad state; alternative `strike` is safe; \
+                         substitute rejected: pre-action check: `strike` would directly harm a human"
+                    .into()
+            },
             "harm check must also cover substitutes"
         );
-        let reasons: Vec<&str> = stack
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| e.detail.as_str())
-            .collect();
-        assert!(reasons.iter().any(|r| r.contains("substitute rejected")));
     }
 
     #[test]
@@ -542,8 +503,12 @@ mod tests {
             .check(&ctx(&s, &[]), &loiter, StrikeOracle)
             .permits_execution());
         let v = stack.check(&ctx(&s, &[]), &loiter, StrikeOracle);
-        assert!(!v.permits_execution());
-        assert_eq!(stack.audit().count(AuditKind::GuardIntervention), 1);
+        assert_eq!(
+            v,
+            GuardVerdict::Deny {
+                reason: "exposure guard: `loiter` would exhaust the x0 budget for d".into()
+            }
+        );
     }
 
     #[test]
@@ -619,29 +584,28 @@ mod tests {
         let step = Action::adjust("in-place", StateDelta::empty());
         let strike = Action::adjust("strike", Default::default());
 
+        let stay = GuardVerdict::Deny {
+            reason: "state check: `east` leads to a bad state and no alternative is safe; \
+                     staying put"
+                .into(),
+        };
+        let harm = GuardVerdict::Deny {
+            reason: "pre-action check: `strike` would directly harm a human".into(),
+        };
         let mut plain = full_stack();
         let mut cached = full_stack().with_cache();
         for _ in 0..4 {
-            for action in [&into_bad, &step, &strike] {
-                let expect = plain.check(&ctx(&s, &[]), action, StrikeOracle);
-                let got = cached.check(&ctx(&s, &[]), action, StrikeOracle);
-                assert_eq!(expect, got);
+            for (action, expect) in [
+                (&into_bad, &stay),
+                (&step, &GuardVerdict::Allow),
+                (&strike, &harm),
+            ] {
+                // A hit returns the verdict, and so the reason, that the
+                // evaluation it memoized returned.
+                assert_eq!(&plain.check(&ctx(&s, &[]), action, StrikeOracle), expect);
+                assert_eq!(&cached.check(&ctx(&s, &[]), action, StrikeOracle), expect);
             }
         }
-        // Audit trails must be entry-for-entry identical.
-        let plain_entries: Vec<_> = plain
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| (e.tick, e.detail.clone()))
-            .collect();
-        let cached_entries: Vec<_> = cached
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| (e.tick, e.detail.clone()))
-            .collect();
-        assert_eq!(plain_entries, cached_entries);
         // 3 distinct contexts: 3 misses, then 3 hits per remaining round.
         assert_eq!(cached.cache_stats(), Some((9, 3)));
     }

@@ -7,26 +7,6 @@ use apdm_statespace::{Classifier, Label, PreferenceOntology, RiskEstimator, Stat
 use crate::tamper::{TamperStatus, Tamperable};
 use crate::GuardVerdict;
 
-/// Detailed outcome of a state-space check, for audits and experiment
-/// metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StateCheckOutcome {
-    /// The proposed next state is not bad; proceed.
-    Proposed,
-    /// An alternative action with a non-bad destination was chosen.
-    Alternative(usize),
-    /// Every option was bad but staying put is safe; take no action.
-    Stay,
-    /// Forced dilemma: the ontology/risk chose the least-bad option.
-    LessBad(usize),
-    /// A break-glass rule authorized an emergency override.
-    BrokeGlass,
-    /// Nothing admissible; the action is denied outright.
-    Denied,
-    /// The guard is compromised and did not actually check.
-    Bypassed,
-}
-
 /// Section VI.B's state-space check: "If the good states and bad states can
 /// be identified properly, then the device can maintain a check which
 /// prevents it from ever entering a bad state. If the device finds itself
@@ -48,9 +28,6 @@ pub struct StateSpaceGuard {
     risk: Option<Arc<dyn RiskEstimator + Send + Sync>>,
     breakglass: Option<BreakGlassController>,
     tamper: TamperStatus,
-    checks: u64,
-    interventions: u64,
-    last_outcome: StateCheckOutcome,
 }
 
 impl StateSpaceGuard {
@@ -62,9 +39,6 @@ impl StateSpaceGuard {
             risk: None,
             breakglass: None,
             tamper: TamperStatus::Proof,
-            checks: 0,
-            interventions: 0,
-            last_outcome: StateCheckOutcome::Proposed,
         }
     }
 
@@ -92,22 +66,13 @@ impl StateSpaceGuard {
         self
     }
 
-    /// Statistics: `(checks, interventions)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.checks, self.interventions)
-    }
-
-    /// The outcome of the most recent check (experiment metric).
-    pub fn last_outcome(&self) -> &StateCheckOutcome {
-        &self.last_outcome
-    }
-
     /// Break-glass audit access, when configured.
     pub fn breakglass(&self) -> Option<&BreakGlassController> {
         self.breakglass.as_ref()
     }
 
-    /// Evaluate a proposed action. `subject` names the device for audits;
+    /// Evaluate a proposed action. `subject` names the device a break-glass
+    /// grant is recorded against;
     /// `alternatives` are the other actions the device's logic could take
     /// this step, borrowed from wherever they live (the guard computes each
     /// candidate's destination from the action's delta and only clones the
@@ -120,24 +85,19 @@ impl StateSpaceGuard {
         proposed: &Action,
         alternatives: &[&Action],
     ) -> GuardVerdict {
-        self.checks += 1;
         if !self.tamper.is_effective() {
-            self.last_outcome = StateCheckOutcome::Bypassed;
             return GuardVerdict::Allow;
         }
 
         let next = state.apply(proposed.delta());
         if self.classifier.classify(&next) != Label::Bad {
-            self.last_outcome = StateCheckOutcome::Proposed;
             return GuardVerdict::Allow;
         }
-        self.interventions += 1;
 
         // Try an alternative action whose destination is not bad.
-        for (i, alt) in alternatives.iter().enumerate() {
+        for alt in alternatives {
             let dest = state.apply(alt.delta());
             if self.classifier.classify(&dest) != Label::Bad {
-                self.last_outcome = StateCheckOutcome::Alternative(i);
                 return GuardVerdict::Replace {
                     action: (*alt).clone(),
                     reason: format!(
@@ -151,7 +111,6 @@ impl StateSpaceGuard {
 
         // Staying put: admissible when the current state itself is not bad.
         if self.classifier.classify(state) != Label::Bad {
-            self.last_outcome = StateCheckOutcome::Stay;
             return GuardVerdict::Deny {
                 reason: format!(
                     "state check: `{}` leads to a bad state and no alternative is safe; staying put",
@@ -180,10 +139,8 @@ impl StateSpaceGuard {
             if let Some(idx) = chosen {
                 let (alt_idx, _) = candidates[idx];
                 if alt_idx == usize::MAX {
-                    self.last_outcome = StateCheckOutcome::LessBad(usize::MAX);
                     return GuardVerdict::Allow; // the proposal *is* the less-bad option
                 }
-                self.last_outcome = StateCheckOutcome::LessBad(alt_idx);
                 return GuardVerdict::Replace {
                     action: (*alternatives[alt_idx]).clone(),
                     reason: "state check: forced dilemma; ontology chose the less-bad state"
@@ -196,7 +153,6 @@ impl StateSpaceGuard {
         if let Some(bg) = &mut self.breakglass {
             match bg.attempt(subject, &Event::named("state-check-dilemma"), state, tick) {
                 BreakGlassOutcome::Granted(action) => {
-                    self.last_outcome = StateCheckOutcome::BrokeGlass;
                     return GuardVerdict::Replace {
                         action,
                         reason: "state check: break-glass emergency override".to_string(),
@@ -206,7 +162,6 @@ impl StateSpaceGuard {
             }
         }
 
-        self.last_outcome = StateCheckOutcome::Denied;
         GuardVerdict::Deny {
             reason: format!(
                 "state check: `{}` leads to a bad state with no admissible escape",
@@ -223,8 +178,6 @@ impl fmt::Debug for StateSpaceGuard {
             .field("risk", &self.risk.is_some())
             .field("breakglass", &self.breakglass.is_some())
             .field("tamper", &self.tamper)
-            .field("checks", &self.checks)
-            .field("interventions", &self.interventions)
             .finish()
     }
 }
@@ -260,13 +213,25 @@ mod tests {
         Action::adjust(name, StateDelta::single(VarId(0), dx).and(VarId(1), dy))
     }
 
+    fn deny(reason: &str) -> GuardVerdict {
+        GuardVerdict::Deny {
+            reason: reason.into(),
+        }
+    }
+
+    fn replace(action: Action, reason: &str) -> GuardVerdict {
+        GuardVerdict::Replace {
+            action,
+            reason: reason.into(),
+        }
+    }
+
     #[test]
     fn good_destination_is_allowed() {
         let mut g = StateSpaceGuard::new(classifier());
         let s = schema().state(&[5.0, 5.0]).unwrap();
         let v = g.check("d", 0, &s, &step(1.0, 0.0, "east"), &[]);
         assert_eq!(v, GuardVerdict::Allow);
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::Proposed);
     }
 
     #[test]
@@ -274,9 +239,12 @@ mod tests {
         let mut g = StateSpaceGuard::new(classifier());
         let s = schema().state(&[6.5, 5.0]).unwrap();
         let v = g.check("d", 0, &s, &step(2.0, 0.0, "east"), &[]);
-        assert!(!v.permits_execution());
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::Stay);
-        assert_eq!(g.stats(), (1, 1));
+        assert_eq!(
+            v,
+            deny(
+                "state check: `east` leads to a bad state and no alternative is safe; staying put"
+            )
+        );
     }
 
     #[test]
@@ -286,11 +254,13 @@ mod tests {
         let east = step(2.0, 0.0, "east");
         let west = step(-2.0, 0.0, "west");
         let v = g.check("d", 0, &s, &east, &[&east, &west]);
-        match v {
-            GuardVerdict::Replace { action, .. } => assert_eq!(action.name(), "west"),
-            other => panic!("expected replacement, got {other:?}"),
-        }
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::Alternative(1));
+        assert_eq!(
+            v,
+            replace(
+                west,
+                "state check: `east` leads to a bad state; alternative `west` is safe"
+            )
+        );
     }
 
     #[test]
@@ -300,8 +270,10 @@ mod tests {
         let s = schema().state(&[0.5, 0.5]).unwrap();
         let north = step(0.0, 0.1, "north");
         let v = g.check("d", 0, &s, &step(0.1, 0.0, "east"), &[&north]);
-        assert!(!v.permits_execution());
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::Denied);
+        assert_eq!(
+            v,
+            deny("state check: `east` leads to a bad state with no admissible escape")
+        );
     }
 
     #[test]
@@ -318,11 +290,13 @@ mod tests {
         let into_west = step(0.0, -0.1, "south"); // stays in west margin: class west
         let out_east = step(9.0, 0.0, "east"); // jumps to the east side: class rest
         let v = g.check("d", 0, &s, &out_east, &[&into_west]);
-        match v {
-            GuardVerdict::Replace { action, .. } => assert_eq!(action.name(), "south"),
-            other => panic!("expected less-bad replacement, got {other:?}"),
-        }
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::LessBad(0));
+        assert_eq!(
+            v,
+            replace(
+                into_west,
+                "state check: forced dilemma; ontology chose the less-bad state"
+            )
+        );
     }
 
     #[test]
@@ -335,9 +309,18 @@ mod tests {
         let s = schema().state(&[0.5, 9.5]).unwrap();
         let stay_west = step(0.0, -0.1, "south");
         let go_east = step(9.0, 0.0, "east");
+        // The proposal's destination is bad: only the ontology lets it pass.
+        assert_eq!(
+            classifier().classify(&s.apply(stay_west.delta())),
+            Label::Bad
+        );
         let v = g.check("d", 0, &s, &stay_west, &[&go_east]);
         assert_eq!(v, GuardVerdict::Allow);
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::LessBad(usize::MAX));
+        let mut plain = StateSpaceGuard::new(classifier());
+        assert_eq!(
+            plain.check("d", 0, &s, &stay_west, &[&go_east]),
+            deny("state check: `south` leads to a bad state with no admissible escape")
+        );
     }
 
     #[test]
@@ -358,10 +341,13 @@ mod tests {
         let riskier = step(3.0, 0.0, "east");
         let safer = step(-1.0, 0.0, "west");
         let v = g.check("d", 0, &s, &riskier, &[&safer]);
-        match v {
-            GuardVerdict::Replace { action, .. } => assert_eq!(action.name(), "west"),
-            other => panic!("expected risk-minimizing replacement, got {other:?}"),
-        }
+        assert_eq!(
+            v,
+            replace(
+                safer,
+                "state check: forced dilemma; ontology chose the less-bad state"
+            )
+        );
     }
 
     #[test]
@@ -376,24 +362,31 @@ mod tests {
         let mut g = StateSpaceGuard::new(classifier()).with_breakglass(bg);
         let s = schema().state(&[0.5, 0.5]).unwrap();
         let v = g.check("drone-1", 9, &s, &step(0.1, 0.0, "east"), &[]);
-        match &v {
-            GuardVerdict::Replace { action, .. } => assert_eq!(action.name(), "emergency-teleport"),
-            other => panic!("expected break-glass override, got {other:?}"),
-        }
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::BrokeGlass);
+        assert_eq!(
+            v,
+            replace(
+                Action::adjust("emergency-teleport", StateDelta::single(VarId(0), 5.0)),
+                "state check: break-glass emergency override"
+            )
+        );
         assert_eq!(g.breakglass().unwrap().audit().len(), 1);
         // Budget exhausted: second dilemma is denied.
         let v2 = g.check("drone-1", 10, &s, &step(0.1, 0.0, "east"), &[]);
-        assert!(!v2.permits_execution());
+        assert_eq!(
+            v2,
+            deny("state check: `east` leads to a bad state with no admissible escape")
+        );
     }
 
     #[test]
     fn compromised_guard_is_a_passthrough() {
         let mut g = StateSpaceGuard::new(classifier()).with_tamper(TamperStatus::Compromised);
         let s = schema().state(&[6.5, 5.0]).unwrap();
-        let v = g.check("d", 0, &s, &step(2.0, 0.0, "east"), &[]);
-        assert_eq!(v, GuardVerdict::Allow);
-        assert_eq!(*g.last_outcome(), StateCheckOutcome::Bypassed);
+        let east = step(2.0, 0.0, "east");
+        assert_eq!(g.check("d", 0, &s, &east, &[]), GuardVerdict::Allow);
+        // The intact guard denies the very same move.
+        let mut intact = StateSpaceGuard::new(classifier());
+        assert!(!intact.check("d", 0, &s, &east, &[]).permits_execution());
     }
 
     #[test]

@@ -164,19 +164,16 @@ pub struct StealPlan {
     /// Tick (or batch) counter; varies the order between ticks so no chunk
     /// is systematically favoured across a run.
     pub tick: u64,
-    /// Target chunks per worker thread. More chunks = finer balancing at
-    /// slightly more claim overhead. Clamped to at least 1.
-    pub chunks_per_thread: usize,
 }
 
+/// Target chunks per worker thread. More chunks = finer balancing at
+/// slightly more claim overhead.
+const CHUNKS_PER_THREAD: usize = 4;
+
 impl StealPlan {
-    /// A plan with the default granularity of 4 chunks per thread.
+    /// A plan for one tick (or batch) of a run.
     pub fn new(seed: u64, tick: u64) -> Self {
-        StealPlan {
-            seed,
-            tick,
-            chunks_per_thread: 4,
-        }
+        StealPlan { seed, tick }
     }
 
     /// Deterministic tie-break key for `chunk`.
@@ -399,7 +396,7 @@ where
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
     let item_costs: Vec<u64> = items.iter().map(&cost).collect();
-    let target = threads.max(1).saturating_mul(plan.chunks_per_thread.max(1));
+    let target = threads.max(1).saturating_mul(CHUNKS_PER_THREAD);
     let chunks = weighted_chunks(&item_costs, target);
     let chunk_costs: Vec<u64> = chunks
         .iter()

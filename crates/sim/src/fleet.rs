@@ -735,8 +735,8 @@ impl Fleet {
                 });
             }
             // Break-glass grants/denials surface through the policy
-            // audit bridge (guard interventions are already first-class
-            // verdict records — no double bookkeeping).
+            // audit bridge. A guard intervention's one record is the
+            // `Verdict` record above: the stack keeps none of its own.
             if let Some(bg) = member.stack.statecheck().and_then(|sc| sc.breakglass()) {
                 let entries = bg.audit().entries();
                 let seen = self.forwarded_breakglass.entry(id).or_insert(0);

@@ -1706,25 +1706,6 @@ impl ParRunner {
     {
         apdm_par::par_map(self.threads, cells, f)
     }
-
-    /// Sweep a (scenario × seed × fleet-size) grid in row-major input
-    /// order: all seeds and sizes of the first scenario, then the next.
-    pub fn grid<S, R, F>(&self, scenarios: &[S], seeds: &[u64], sizes: &[usize], f: F) -> Vec<R>
-    where
-        S: Clone + Send,
-        R: Send,
-        F: Fn(&S, u64, usize) -> R + Sync,
-    {
-        let mut cells = Vec::with_capacity(scenarios.len() * seeds.len() * sizes.len());
-        for scenario in scenarios {
-            for &seed in seeds {
-                for &size in sizes {
-                    cells.push((scenario.clone(), seed, size));
-                }
-            }
-        }
-        self.map(cells, |_, (scenario, seed, size)| f(&scenario, seed, size))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2106,18 +2087,6 @@ mod tests {
         // trial alone emits at least this much.
         assert!(r.records_captured >= 30 * (2 + 12));
         assert!(r.overhead_pct.is_finite());
-    }
-
-    #[test]
-    fn par_runner_merges_in_cell_order() {
-        let runner = ParRunner::new(4);
-        let got = runner.grid(&["a", "b"], &[1, 2], &[8, 16], |s, seed, n| {
-            format!("{s}/{seed}/{n}")
-        });
-        assert_eq!(
-            got,
-            ["a/1/8", "a/1/16", "a/2/8", "a/2/16", "b/1/8", "b/1/16", "b/2/8", "b/2/16"]
-        );
     }
 
     #[test]

@@ -54,6 +54,23 @@ if missing:
 print(f"trace smoke: all {len(phases)} tick-phase spans present")
 PY
 
+# Several examples assert what they print (quickstart, for one, asserts
+# that the guard stack holds the mule's speed at 7.0 or below), so each one
+# is run once, not only compiled. They run in a scratch directory because
+# trace_a_run writes its trace files into the working directory.
+echo "==> examples (each run once in release)"
+cargo build --release --examples
+mkdir "$trace_dir/examples"
+example_count=0
+for src in examples/*.rs; do
+    name="$(basename "$src" .rs)"
+    exe="$PWD/target/release/examples/$name"
+    example_count=$((example_count + 1))
+    (cd "$trace_dir/examples" && "$exe" >/dev/null) \
+        || { echo "example $name exited non-zero"; exit 1; }
+done
+echo "examples: all $example_count exited 0"
+
 echo "==> parallel determinism smoke (APDM_THREADS=4 vs sequential)"
 ./target/release/apdm-experiments record --seed 42 --threads 1 \
     --out "$trace_dir/run-seq.jsonl" --quiet >/dev/null
