@@ -107,8 +107,6 @@ pub struct FormationGuard {
     spec: AggregateSpec,
     human_error_rate: f64,
     audit: AuditLog,
-    admitted: usize,
-    refused: usize,
 }
 
 impl FormationGuard {
@@ -118,8 +116,6 @@ impl FormationGuard {
             spec,
             human_error_rate: 0.0,
             audit: AuditLog::new(),
-            admitted: 0,
-            refused: 0,
         }
     }
 
@@ -133,11 +129,6 @@ impl FormationGuard {
     /// The aggregate spec.
     pub fn spec(&self) -> AggregateSpec {
         self.spec
-    }
-
-    /// Statistics: `(admitted, refused)`.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.admitted, self.refused)
     }
 
     /// The audit trail.
@@ -162,7 +153,6 @@ impl FormationGuard {
             self.human_error_rate > 0.0 && rng.random_range(0.0..1.0) < self.human_error_rate;
         let admitted = analysis_says_safe != human_flips;
         if admitted {
-            self.admitted += 1;
             self.audit.record(
                 tick,
                 subject,
@@ -179,7 +169,6 @@ impl FormationGuard {
             );
             AdmissionDecision::Admitted
         } else {
-            self.refused += 1;
             self.audit.record(
                 tick,
                 subject,
@@ -207,8 +196,6 @@ impl fmt::Debug for FormationGuard {
         f.debug_struct("FormationGuard")
             .field("spec", &self.spec)
             .field("human_error_rate", &self.human_error_rate)
-            .field("admitted", &self.admitted)
-            .field("refused", &self.refused)
             .finish()
     }
 }
@@ -335,8 +322,15 @@ mod tests {
             1,
             &mut rng,
         );
-        assert!(d.is_admitted());
-        assert_eq!(g.stats(), (1, 0));
+        assert_eq!(d, AdmissionDecision::Admitted);
+        let entries = g.audit().entries();
+        assert_eq!(entries.len(), 1, "one audited admission");
+        assert_eq!(entries[0].subject, "new");
+        assert_eq!(entries[0].kind, AuditKind::Note);
+        assert_eq!(
+            entries[0].detail,
+            "formation check admitted (aggregate 8.00 vs limit 10.00)"
+        );
     }
 
     #[test]

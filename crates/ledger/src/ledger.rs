@@ -194,6 +194,13 @@ impl Ledger {
         Ledger::default()
     }
 
+    /// An empty ledger with room for `records` records.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        Ledger {
+            records: Vec::with_capacity(records),
+        }
+    }
+
     /// Append an event, chaining its digest; returns the new record's seq.
     pub fn append(&mut self, tick: u64, event: RunEvent) -> u64 {
         self.append_measured(tick, event).0

@@ -64,6 +64,10 @@ impl RotationPolicy {
     }
 }
 
+/// Records a rotated segment holds besides its body: the anchor frame, one
+/// header frame of the owner's and the seal. Sizes a new segment.
+const SEGMENT_FRAMES: usize = 3;
+
 /// The segment index encoded in a ledger's first record, when it has the
 /// shape of a segment head.
 fn segment_index_of(ledger: &Ledger) -> Option<u64> {
@@ -191,7 +195,11 @@ impl SegmentedRecorder {
         );
         let prev_head = self.current.head_digest();
         let prev_records = self.current.len() as u64;
-        self.sealed.push(std::mem::take(&mut self.current));
+        // The successor holds its anchor, the owner's header frames (the
+        // serving layer's checkpoint), a budget's worth of body and its
+        // seal; room for all of it up front spares the doublings.
+        let next = Ledger::with_capacity(self.policy.max_records + SEGMENT_FRAMES);
+        self.sealed.push(std::mem::replace(&mut self.current, next));
         if self.policy.keep_sealed > 0 {
             while self.sealed.len() > self.policy.keep_sealed {
                 self.sealed.remove(0);
