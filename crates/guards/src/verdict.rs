@@ -30,6 +30,22 @@ pub enum GuardVerdict {
 }
 
 impl GuardVerdict {
+    /// Append the verdict's stable tag, as ledgers and reports spell it:
+    /// `allow`, `allow+obligations`, `deny`, or `replace:<substitute>`.
+    /// Writing into a caller's buffer lets a recorder intern the tag
+    /// without allocating one per verdict.
+    pub fn write_name(&self, out: &mut String) {
+        match self {
+            GuardVerdict::Allow => out.push_str("allow"),
+            GuardVerdict::AllowWithObligations(_) => out.push_str("allow+obligations"),
+            GuardVerdict::Deny { .. } => out.push_str("deny"),
+            GuardVerdict::Replace { action, .. } => {
+                out.push_str("replace:");
+                out.push_str(action.name());
+            }
+        }
+    }
+
     /// Does the verdict let *some* action execute (the proposal or a
     /// replacement)?
     pub fn permits_execution(&self) -> bool {

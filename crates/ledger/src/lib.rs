@@ -73,7 +73,7 @@ pub mod segment;
 
 pub use event::{DeviceSnap, RawJson, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
-pub use name::{Name, NamePool};
+pub use name::{Name, NamePool, NAME_POOL_CAP};
 pub use replay::{Divergence, ReplayReport, Replayer, StreamReplayer};
 pub use segment::{
     RotationPolicy, SegmentCorruption, SegmentReport, SegmentedLedger, SegmentedRecorder,

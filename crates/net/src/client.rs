@@ -83,6 +83,21 @@ pub fn run_workload_client(
     sampler: Option<TraceSampler>,
     deadline: Duration,
 ) -> io::Result<ClientReport> {
+    workload_client(addr, spec, index, clients, sampler, deadline, || {})
+}
+
+/// [`run_workload_client`], calling `hold` just before the last arrival
+/// tick's requests go out. Until `hold` returns, the server cannot finish
+/// the arrival window, so nothing ends the run.
+pub(crate) fn workload_client(
+    addr: &str,
+    spec: WorkloadSpec,
+    index: u32,
+    clients: u32,
+    sampler: Option<TraceSampler>,
+    deadline: Duration,
+    hold: impl FnOnce(),
+) -> io::Result<ClientReport> {
     assert!(clients > 0 && index < clients, "bad partition");
     let stream = connect_with_retry(addr, 50, Duration::from_millis(100))?;
     let mut writer = &stream;
@@ -106,8 +121,14 @@ pub fn run_workload_client(
     let mut sent = 0u64;
     let mut decisions: Vec<Decision> = Vec::new();
     let mut burst = Vec::new();
+    let mut hold = Some(hold);
 
     for tick in 1..=arrival_ticks {
+        if tick == arrival_ticks {
+            if let Some(hold) = hold.take() {
+                hold();
+            }
+        }
         burst.clear();
         for req in gen.tick_requests(tick) {
             if req.id % clients as u64 != index as u64 {
@@ -265,7 +286,8 @@ pub enum ChaosKind {
     Oversize,
     /// Complete the handshake, then stall mid-frame past the read timeout.
     Slow,
-    /// Complete the handshake, then disconnect abruptly mid-frame.
+    /// Complete the handshake, then disconnect mid-frame: stop sending
+    /// for good with a partial frame outstanding.
     Disconnect,
     /// Join as an observer and submit a (well-formed) request anyway —
     /// must be answered with a fail-closed deny, not evaluated.
@@ -364,7 +386,11 @@ pub fn run_chaos_client(addr: &str, kind: ChaosKind) -> io::Result<ChaosReport> 
             handshake_observer(&mut stream)?;
             let bytes = encode(&Frame::new(FrameType::Ping, Vec::new()));
             io::Write::write_all(&mut stream, &bytes[..7])?;
-            drop(stream); // abrupt close mid-frame
+            // Close the sending half mid-frame; the server sees the end of
+            // the stream inside a frame, and its answer marks the drop as
+            // recorded.
+            stream.shutdown(std::net::Shutdown::Write)?;
+            read_close(&mut stream, &mut report);
         }
         ChaosKind::Unauthorized => {
             handshake_observer(&mut stream)?;

@@ -177,12 +177,9 @@ impl Decision {
     /// Stable verdict tag for ledgers and reports: `allow`, `deny`,
     /// `replace:<substitute>`, or `allow+obligations`.
     pub fn verdict_name(&self) -> String {
-        match &self.verdict {
-            GuardVerdict::Allow => "allow".to_string(),
-            GuardVerdict::AllowWithObligations(_) => "allow+obligations".to_string(),
-            GuardVerdict::Deny { .. } => "deny".to_string(),
-            GuardVerdict::Replace { action, .. } => format!("replace:{}", action.name()),
-        }
+        let mut name = String::new();
+        self.verdict.write_name(&mut name);
+        name
     }
 
     /// The guard's (or shed path's) reason string, empty for plain allows.

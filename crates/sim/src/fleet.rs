@@ -710,23 +710,16 @@ impl Fleet {
             self.metrics.interventions += 1;
         }
         if self.recorder.is_some() {
-            let described: Option<(Name, &str)> = match &outcome.verdict {
-                GuardVerdict::Allow => None,
-                GuardVerdict::AllowWithObligations(_) => {
-                    Some((self.verdict_names.intern("allow+obligations"), ""))
-                }
-                GuardVerdict::Deny { reason } => {
-                    Some((self.verdict_names.intern("deny"), reason.as_str()))
-                }
-                GuardVerdict::Replace { action, reason } => {
-                    use std::fmt::Write;
-                    self.scratch.clear();
-                    let _ = write!(self.scratch, "replace:{}", action.name());
-                    Some((self.verdict_names.intern(&self.scratch), reason.as_str()))
-                }
-            };
-            if let Some((verdict_name, reason)) = described {
-                let reason = reason.to_string();
+            if outcome.verdict.intervened() {
+                self.scratch.clear();
+                outcome.verdict.write_name(&mut self.scratch);
+                let verdict_name = self.verdict_names.intern(&self.scratch);
+                let reason = match &outcome.verdict {
+                    GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } => {
+                        reason.clone()
+                    }
+                    _ => String::new(),
+                };
                 record_timed(&mut self.recorder, clock, tick, || RunEvent::Verdict {
                     device: id.0,
                     action: outcome.proposed.clone(),
