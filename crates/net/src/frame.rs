@@ -460,19 +460,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome, ReadError> {
         Fill::Timeout => return Ok(ReadOutcome::Idle),
     }
     let (frame_type, ctx, len) = decode_header(&header).map_err(ReadError::Malformed)?;
-    let mut payload = vec![0u8; len as usize];
+    // Payload and trailer in one read: the trailer is never empty, so
+    // nothing arriving after the header is mid-frame, even for an empty
+    // payload.
+    let len = len as usize;
+    let mut payload = vec![0u8; len + TRAILER_LEN];
     match read_full(r, &mut payload)? {
         Fill::Done => {}
-        Fill::Eof | Fill::Timeout if len == 0 => {}
         Fill::Eof => return Err(ReadError::Truncated),
         Fill::Timeout => return Err(ReadError::Stalled),
     }
-    let mut trailer = [0u8; TRAILER_LEN];
-    match read_full(r, &mut trailer)? {
-        Fill::Done => {}
-        Fill::Eof => return Err(ReadError::Truncated),
-        Fill::Timeout => return Err(ReadError::Stalled),
-    }
+    let trailer: [u8; TRAILER_LEN] = payload[len..].try_into().expect("trailer bytes");
+    payload.truncate(len);
     let mut digest = Crc32::new();
     digest.update(&header[4..]);
     digest.update(&payload);
@@ -551,6 +550,42 @@ mod tests {
                 Err(ReadError::Truncated) => {}
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
+        }
+    }
+
+    /// Yields its bytes, then times out.
+    struct ThenTimeout<'a>(&'a [u8]);
+
+    impl Read for ThenTimeout<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timeout_between_frames_is_idle_but_inside_one_is_stalled() {
+        assert!(matches!(
+            read_frame(&mut ThenTimeout(&[])),
+            Ok(ReadOutcome::Idle)
+        ));
+        for payload in [Vec::new(), b"{\"k\":1}".to_vec()] {
+            let bytes = encode(&Frame::new(FrameType::Request, payload));
+            for cut in 1..bytes.len() {
+                match read_frame(&mut ThenTimeout(&bytes[..cut])) {
+                    Err(ReadError::Stalled) => {}
+                    other => panic!("cut at {cut}: expected Stalled, got {other:?}"),
+                }
+            }
+            assert!(matches!(
+                read_frame(&mut ThenTimeout(&bytes)),
+                Ok(ReadOutcome::Frame(_))
+            ));
         }
     }
 

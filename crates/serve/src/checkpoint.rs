@@ -15,20 +15,36 @@
 //! tables, `schemas` and `actions`, each entry written once in order of
 //! first appearance (lanes in tenant order, each queue front first; per
 //! request its schema, then its proposed action, then its alternatives),
-//! and each queued request is a [`ReqRow`] that refers to them by index:
-//! `{"id","device","schema":i,"values":[..],"proposed":j,"alternatives":[k,..],
-//! "submitted_at","deadline","ctx"}`. A row carries no tenant: its lane
-//! names it. Entries are interned by content, floats compared bit for bit,
-//! so the tables depend only on the queue's contents — not on the thread
-//! count, the memo cache or whether the process was restored.
+//! and each queued request is a [`ReqRow`]: a positional array in a fixed
+//! column order,
+//! `[id, device, schema, [value bits…], proposed, [alternatives…], submitted_at, deadline|null, ctx|null]`,
+//! whose `schema`, `proposed` and `alternatives` are indices into the
+//! tables. A row carries no tenant: its lane names it. Entries are interned
+//! by content, floats compared bit for bit, so the tables depend only on
+//! the queue's contents — not on the thread count, the memo cache or
+//! whether the process was restored.
+//!
+//! **State values as bits.** A row writes each state value as the integer
+//! [`f64::to_bits`] gives, not as a decimal: an integer is several times
+//! cheaper to write than the shortest decimal of a full-precision float,
+//! and every value comes back exactly — `-0.0`, infinities and NaN
+//! payloads included, which a JSON number cannot spell. The tables stay
+//! legible decimals; they hold a handful of entries.
+//!
+//! **One pass.** A rotating service writes its checkpoint straight from
+//! the admission lanes into the frame's `world` text: rows first, interning
+//! table entries as it meets them, then the tables. That is why `lanes`
+//! precedes `schemas` and `actions` in the object. The owned
+//! [`ServeCheckpoint`] serializes to the same bytes.
 //!
 //! **Format version.** Every checkpoint starts with a `format` field,
-//! [`CHECKPOINT_FORMAT`] (4: interned schemas and actions). Format 3 wrote
-//! each queued request whole, with its tenant; format 2 also stored each
-//! shard's memo-cache fingerprints and hit/miss counters; format 1, which
-//! stored `{fp, verdict}` entries, had no `format` field.
-//! [`ServeCheckpoint::from_frame`] checks the field before decoding
-//! anything else and refuses any other format with
+//! [`CHECKPOINT_FORMAT`] (5: positional rows with exact value bits).
+//! Format 4 wrote each row as an object with decimal values and its tables
+//! before its lanes; format 3 wrote each queued request whole, with its
+//! tenant; format 2 also stored each shard's memo-cache fingerprints and
+//! hit/miss counters; format 1, which stored `{fp, verdict}` entries, had
+//! no `format` field. [`ServeCheckpoint::from_frame`] checks the field
+//! before decoding anything else and refuses any other format with
 //! [`CheckpointError::Format`], so recovery can say why it will not resume
 //! instead of quietly restarting the run.
 //!
@@ -49,15 +65,15 @@
 //! entirely in `world`, as JSON text written once at rotation and parsed
 //! only on resume.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use apdm_ledger::{RawJson, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::{State, StateSchema};
 use apdm_telemetry::TraceContext;
-use serde::{Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
 
+use crate::admission::AdmissionQueue;
 use crate::request::{DecisionRequest, TenantId};
 use crate::service::ServeStats;
 
@@ -159,7 +175,12 @@ impl From<ReqSnap> for DecisionRequest {
 /// and its actions are indices into the checkpoint's
 /// [`schemas`](ServeCheckpoint::schemas) and
 /// [`actions`](ServeCheckpoint::actions), and its tenant is its lane's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It serializes as a positional array, the fields in declaration order,
+/// with each of `values` written as its [`f64::to_bits`] integer (see the
+/// module docs). Reading refuses a row of another arity and a value that
+/// is not an unsigned integer.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReqRow {
     /// Caller-assigned request id.
     pub id: u64,
@@ -181,6 +202,110 @@ pub struct ReqRow {
     pub ctx: Option<CtxSnap>,
 }
 
+/// The columns of a row, [`ReqRow`]'s fields in order.
+const ROW_COLUMNS: usize = 9;
+
+/// One row's columns, borrowed from an owned [`ReqRow`] or from a queued
+/// request: the only writer of a row's text.
+struct Row<'a, A> {
+    id: u64,
+    device: u64,
+    schema: usize,
+    values: &'a [f64],
+    proposed: usize,
+    alternatives: A,
+    submitted_at: u64,
+    deadline: Option<u64>,
+    ctx: Option<CtxSnap>,
+}
+
+impl<A: Iterator<Item = usize>> Row<'_, A> {
+    fn write(self, out: &mut String) {
+        out.push('[');
+        json::write_u64(out, self.id);
+        out.push(',');
+        json::write_u64(out, self.device);
+        out.push(',');
+        json::write_u64(out, self.schema as u64);
+        out.push_str(",[");
+        for (i, value) in self.values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_u64(out, value.to_bits());
+        }
+        out.push_str("],");
+        json::write_u64(out, self.proposed as u64);
+        out.push_str(",[");
+        for (i, index) in self.alternatives.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_u64(out, index as u64);
+        }
+        out.push_str("],");
+        json::write_u64(out, self.submitted_at);
+        out.push(',');
+        self.deadline.write_json(out);
+        out.push(',');
+        self.ctx.write_json(out);
+        out.push(']');
+    }
+}
+
+impl Serialize for ReqRow {
+    /// The written text, parsed back, so `Row::write` is the one
+    /// spelling of a row's columns.
+    fn to_value(&self) -> Value {
+        RawJson::of(self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        Row {
+            id: self.id,
+            device: self.device,
+            schema: self.schema,
+            values: &self.values,
+            proposed: self.proposed,
+            alternatives: self.alternatives.iter().copied(),
+            submitted_at: self.submitted_at,
+            deadline: self.deadline,
+            ctx: self.ctx,
+        }
+        .write(out);
+    }
+}
+
+impl Deserialize for ReqRow {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let columns = value
+            .as_seq()
+            .ok_or_else(|| serde::Error::expected("a row array", value))?;
+        let [id, device, schema, values, proposed, alternatives, submitted_at, deadline, ctx] =
+            columns
+        else {
+            return Err(serde::Error::custom(format!(
+                "a row of {} columns, not {ROW_COLUMNS}",
+                columns.len()
+            )));
+        };
+        Ok(ReqRow {
+            id: u64::from_value(id)?,
+            device: u64::from_value(device)?,
+            schema: usize::from_value(schema)?,
+            values: Vec::<u64>::from_value(values)?
+                .into_iter()
+                .map(f64::from_bits)
+                .collect(),
+            proposed: usize::from_value(proposed)?,
+            alternatives: Vec::from_value(alternatives)?,
+            submitted_at: u64::from_value(submitted_at)?,
+            deadline: Option::from_value(deadline)?,
+            ctx: Option::from_value(ctx)?,
+        })
+    }
+}
+
 /// One admission lane: a tenant's DRR deficit plus its queued requests,
 /// front of the queue first. Empty lanes are captured too, so the restored
 /// queue is structurally identical to the original.
@@ -194,12 +319,13 @@ pub struct LaneSnap {
     pub queue: Vec<ReqRow>,
 }
 
-/// The checkpoint format this build writes and reads: 4, queued requests
-/// as rows over schema and action tables. Format 3 wrote each queued
-/// request whole; format 2 also stored memo caches as fingerprints;
-/// format 1 stored them as `{fp, verdict}` entries and carried no
-/// `format` field.
-pub const CHECKPOINT_FORMAT: u32 = 4;
+/// The checkpoint format this build writes and reads: 5, queued requests
+/// as positional rows over schema and action tables, state values as
+/// their bits. Format 4 wrote rows as objects with decimal values; format
+/// 3 wrote each queued request whole; format 2 also stored memo caches as
+/// fingerprints; format 1 stored them as `{fp, verdict}` entries and
+/// carried no `format` field.
+pub const CHECKPOINT_FORMAT: u32 = 5;
 
 /// Why a checkpoint cannot be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,7 +366,7 @@ impl fmt::Display for CheckpointError {
                 write!(
                     f,
                     ", but this build reads only format {CHECKPOINT_FORMAT} \
-                     (queued requests refer to schema and action tables)"
+                     (queued requests are positional rows with exact value bits)"
                 )
             }
             CheckpointError::Malformed(e) => write!(f, "malformed serve checkpoint: {e}"),
@@ -264,14 +390,15 @@ pub struct ServeCheckpoint {
     /// The tick after which the checkpoint was taken; a restored service
     /// resumes at `tick + 1`.
     pub tick: u64,
+    /// Admission lanes in tenant order (empty lanes included). They come
+    /// before the tables they refer to, the order a rotation writes them.
+    pub lanes: Vec<LaneSnap>,
     /// Every distinct state schema of a queued request, in order of first
     /// appearance.
     pub schemas: Vec<StateSchema>,
     /// Every distinct proposed or alternative action of a queued request,
     /// in order of first appearance.
     pub actions: Vec<Action>,
-    /// Admission lanes in tenant order (empty lanes included).
-    pub lanes: Vec<LaneSnap>,
     /// DRR rotation order of backlogged tenants (front is being served).
     pub rotation: Vec<u32>,
     /// The work meter's credit (may be negative: outstanding debt).
@@ -428,51 +555,24 @@ struct Used {
     actions: Vec<bool>,
 }
 
-// Borrowed mirrors of the checkpoint types over a live service. A rotation
-// writes these straight from the admission lanes into the frame's `world`
-// text, so no copy of that state is built on the way. Each mirror lists the
-// same fields in the same order as its owned counterpart, which makes the
-// two serialize identically (the service tests check this through a
-// `from_frame` → `to_frame` round trip).
-
-/// Borrowed [`ReqRow`].
-#[derive(Serialize)]
-pub(crate) struct ReqView<'a> {
-    id: u64,
-    device: u64,
-    schema: usize,
-    values: &'a [f64],
-    proposed: usize,
-    alternatives: Vec<usize>,
-    submitted_at: u64,
-    deadline: Option<u64>,
-    ctx: Option<CtxSnap>,
-}
-
-/// Borrowed [`LaneSnap`].
-#[derive(Serialize)]
-pub(crate) struct LaneView<'a> {
-    tenant: u32,
-    deficit: u32,
-    queue: Vec<ReqView<'a>>,
-}
-
-/// Borrowed [`ServeCheckpoint`].
-#[derive(Serialize)]
-pub(crate) struct CheckpointView<'a> {
-    pub(crate) format: u32,
+/// A live service's checkpoint, written in one pass straight from its
+/// admission queue into the frame's `world` text: no copy of the queue,
+/// and no per-row or per-lane buffer. It writes the same bytes as the
+/// [`ServeCheckpoint`] it stands for: its `write_json` spells out that
+/// type's keys in their declaration order, a second spelling of the
+/// layout that the service test
+/// `checkpoint_frame_serializes_like_its_owned_copy` keeps in step
+/// through a `from_frame` → `to_frame` round trip.
+pub(crate) struct LiveCheckpoint<'a> {
     pub(crate) tick: u64,
-    pub(crate) schemas: Vec<&'a StateSchema>,
-    pub(crate) actions: Vec<&'a Action>,
-    pub(crate) lanes: Vec<LaneView<'a>>,
-    pub(crate) rotation: Vec<u32>,
-    pub(crate) meter_credit: i64,
-    pub(crate) meter_spent: u64,
+    pub(crate) queue: &'a AdmissionQueue,
+    /// The work meter's `(credit, spent)`.
+    pub(crate) meter: (i64, u64),
     pub(crate) shard_inflight: &'a [u64],
     pub(crate) stats: ServeStats,
 }
 
-impl CheckpointView<'_> {
+impl LiveCheckpoint<'_> {
     /// The ledger frame of this checkpoint, identical to the
     /// [`ServeCheckpoint::to_frame`] of its owned copy. `capacity` is the
     /// starting size of the text buffer (the last checkpoint's length is a
@@ -482,47 +582,90 @@ impl CheckpointView<'_> {
     }
 }
 
+impl Serialize for LiveCheckpoint<'_> {
+    /// The written text, parsed back: a checkpoint is only ever written.
+    fn to_value(&self) -> Value {
+        RawJson::of(self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"format\":");
+        json::write_u64(out, u64::from(CHECKPOINT_FORMAT));
+        out.push_str(",\"tick\":");
+        json::write_u64(out, self.tick);
+        out.push_str(",\"lanes\":[");
+        let mut tables = Tables::default();
+        for (i, (tenant, deficit, queue)) in self.queue.lanes().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"tenant\":");
+            json::write_u64(out, u64::from(tenant.0));
+            out.push_str(",\"deficit\":");
+            json::write_u64(out, u64::from(deficit));
+            out.push_str(",\"queue\":[");
+            for (j, req) in queue.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                tables.write_row(req, out);
+            }
+            out.push_str("]}");
+        }
+        out.push_str("],\"schemas\":");
+        json::write_seq(out, tables.schemas);
+        out.push_str(",\"actions\":");
+        json::write_seq(out, tables.actions);
+        out.push_str(",\"rotation\":[");
+        for (i, tenant) in self.queue.rotation().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_u64(out, u64::from(tenant.0));
+        }
+        out.push_str("],\"meter_credit\":");
+        json::write_i64(out, self.meter.0);
+        out.push_str(",\"meter_spent\":");
+        json::write_u64(out, self.meter.1);
+        out.push_str(",\"shard_inflight\":");
+        json::write_seq(out, self.shard_inflight);
+        out.push_str(",\"stats\":");
+        self.stats.write_json(out);
+        out.push('}');
+    }
+}
+
 /// The schema and action tables of a checkpoint being written, each entry
 /// once, in order of first appearance.
 #[derive(Default)]
-pub(crate) struct Tables<'a> {
-    pub(crate) schemas: Vec<&'a StateSchema>,
-    pub(crate) actions: Vec<&'a Action>,
+struct Tables<'a> {
+    schemas: Vec<&'a StateSchema>,
+    actions: Vec<&'a Action>,
 }
 
 impl<'a> Tables<'a> {
-    /// A live lane as rows, interning what its requests refer to. Lanes
-    /// must come in tenant order and requests front first, the order a
-    /// reader walks them.
-    pub(crate) fn lane(
-        &mut self,
-        tenant: TenantId,
-        deficit: u32,
-        queue: &'a VecDeque<DecisionRequest>,
-    ) -> LaneView<'a> {
-        LaneView {
-            tenant: tenant.0,
-            deficit,
-            queue: queue.iter().map(|req| self.row(req)).collect(),
-        }
-    }
-
-    fn row(&mut self, req: &'a DecisionRequest) -> ReqView<'a> {
-        ReqView {
+    /// Write a queued request as a row, interning what it refers to.
+    /// Lanes must come in tenant order and requests front first, the order
+    /// a reader walks them.
+    fn write_row(&mut self, req: &'a DecisionRequest, out: &mut String) {
+        let schema = intern(&mut self.schemas, req.state.schema(), same_schema);
+        let proposed = intern(&mut self.actions, &req.proposed, same_action);
+        let actions = &mut self.actions;
+        Row {
             id: req.id,
             device: req.device,
-            schema: intern(&mut self.schemas, req.state.schema(), same_schema),
+            schema,
             values: req.state.values(),
-            proposed: intern(&mut self.actions, &req.proposed, same_action),
+            proposed,
             alternatives: req
                 .alternatives
                 .iter()
-                .map(|action| intern(&mut self.actions, action, same_action))
-                .collect(),
+                .map(|action| intern(actions, action, same_action)),
             submitted_at: req.submitted_at,
             deadline: req.deadline,
             ctx: req.ctx.map(CtxSnap::from),
         }
+        .write(out);
     }
 }
 
@@ -635,6 +778,53 @@ mod tests {
     }
 
     #[test]
+    fn a_row_is_a_positional_array_with_value_bits() {
+        let mut row = row(9, 0, 1, vec![0, 1]);
+        row.values = vec![1.0, -0.0, f64::NAN, f64::NEG_INFINITY];
+        let text = RawJson::of(&row).as_str().to_string();
+        assert_eq!(
+            text,
+            format!(
+                "[9,4,0,[{},{},{},{}],1,[0,1],15,23,\
+                 {{\"trace_id\":1,\"span_id\":2,\"parent_id\":0,\"sampled\":true}}]",
+                1f64.to_bits(),
+                (-0f64).to_bits(),
+                f64::NAN.to_bits(),
+                f64::NEG_INFINITY.to_bits()
+            )
+        );
+        let back: ReqRow = serde_json::from_str(&text).unwrap();
+        let bits = |r: &ReqRow| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&row));
+        row.deadline = None;
+        row.ctx = None;
+        let text = RawJson::of(&row).as_str().to_string();
+        assert!(text.ends_with(",15,null,null]"), "{text}");
+    }
+
+    #[test]
+    fn rows_of_another_shape_do_not_read() {
+        let good = RawJson::of(&row(9, 0, 0, Vec::new())).as_str().to_string();
+        assert!(serde_json::from_str::<ReqRow>(&good).is_ok());
+        let bits = 1f64.to_bits();
+        for text in [
+            // Too short, too long, an object, not a row at all.
+            good.replacen(",15,", ",", 1),
+            good.replacen("[9,", "[9,9,", 1),
+            r#"{"id":9}"#.to_string(),
+            "9".to_string(),
+            // Value bits as a string, a float, negative, past u64.
+            good.replacen(&bits.to_string(), &format!("\"{bits}\""), 1),
+            good.replacen(&bits.to_string(), "1.0", 1),
+            good.replacen(&bits.to_string(), "-1", 1),
+            good.replacen(&bits.to_string(), "18446744073709551616", 1),
+        ] {
+            assert_ne!(text, good);
+            assert!(serde_json::from_str::<ReqRow>(&text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
     fn request_snapshots_roundtrip() {
         let req = DecisionRequest {
             id: 3,
@@ -738,14 +928,20 @@ mod tests {
             ctx: None,
         };
         let step = |dx: f64| Action::adjust("east", StateDelta::single(VarId(0), dx));
-        let queue: VecDeque<DecisionRequest> = [
+        let queue = [
             req(step(0.0), vec![step(-0.0), step(0.0)]),
             req(step(-0.0), vec![step(1.0).physical()]),
             req(step(1.0), Vec::new()),
-        ]
-        .into();
+        ];
         let mut tables = Tables::default();
-        let lane = tables.lane(TenantId(0), 0, &queue);
+        let written: Vec<ReqRow> = queue
+            .iter()
+            .map(|req| {
+                let mut text = String::new();
+                tables.write_row(req, &mut text);
+                serde_json::from_str(&text).expect("a written row reads back")
+            })
+            .collect();
         // `0.0 == -0.0`, but they serialize apart, so they are two entries;
         // a physical action is not its non-physical twin. Each request
         // built its own schema from the same declaration: one entry.
@@ -756,8 +952,7 @@ mod tests {
             .map(|a| RawJson::of(*a).as_str().to_string())
             .collect();
         assert_eq!(actions.len(), 4, "{actions:?}");
-        let rows: Vec<(usize, &[usize])> = lane
-            .queue
+        let rows: Vec<(usize, &[usize])> = written
             .iter()
             .map(|r| (r.proposed, &r.alternatives[..]))
             .collect();
@@ -785,7 +980,7 @@ mod tests {
         let Value::Map(fields) = current else {
             panic!("a checkpoint is a map")
         };
-        // Format 1 had no `format` field; formats 2 and 3 and a future
+        // Format 1 had no `format` field; formats 2 to 4 and a future
         // format have another value.
         let v1 = Value::Map(fields[1..].to_vec());
         let with_format = |v: i64| {
@@ -797,12 +992,13 @@ mod tests {
             (v1, None),
             (with_format(2), Some(2)),
             (with_format(3), Some(3)),
-            (with_format(5), Some(5)),
+            (with_format(4), Some(4)),
+            (with_format(6), Some(6)),
         ] {
             let err = ServeCheckpoint::from_frame(&frame(17, RawJson::of(&world))).unwrap_err();
             assert_eq!(err, CheckpointError::Format { tick: 17, found });
             assert!(
-                err.to_string().contains("this build reads only format 4"),
+                err.to_string().contains("this build reads only format 5"),
                 "{err}"
             );
         }

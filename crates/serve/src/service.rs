@@ -56,9 +56,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::batcher::{BatchPolicy, CostModel, Meter};
-use crate::checkpoint::{
-    CheckpointError, CheckpointView, ServeCheckpoint, Tables, CHECKPOINT_FORMAT,
-};
+use crate::checkpoint::{CheckpointError, LiveCheckpoint, ServeCheckpoint};
 use crate::request::{Decision, DecisionRequest, ShedReason, TenantId};
 
 /// One shard's contribution to a batch: `(batch_index, verdict)` pairs.
@@ -667,22 +665,10 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// they must not influence results, so they must not ride the
     /// checkpoint.
     pub fn checkpoint_frame(&self, now: u64) -> SnapshotFrame {
-        let (meter_credit, meter_spent) = self.meter.export();
-        let mut tables = Tables::default();
-        let lanes = self
-            .queue
-            .lanes()
-            .map(|(tenant, deficit, queue)| tables.lane(tenant, deficit, queue))
-            .collect();
-        CheckpointView {
-            format: CHECKPOINT_FORMAT,
+        LiveCheckpoint {
             tick: now,
-            schemas: tables.schemas,
-            actions: tables.actions,
-            lanes,
-            rotation: self.queue.rotation().map(|t| t.0).collect(),
-            meter_credit,
-            meter_spent,
+            queue: &self.queue,
+            meter: self.meter.export(),
             shard_inflight: &self.shard_inflight,
             stats: self.stats,
         }
@@ -1379,6 +1365,53 @@ mod tests {
             backlog_seen |= owned.lanes.iter().any(|l| !l.queue.is_empty());
         }
         assert!(backlog_seen, "the checkpoint must cover queued requests");
+    }
+
+    #[test]
+    fn queued_values_survive_a_checkpoint_bit_for_bit() {
+        let cfg = ServeConfig::default();
+        let mut svc = service(cfg);
+        let schema = StateSchema::builder()
+            .var("a", 0.0, 10.0)
+            .var("b", 0.0, 10.0)
+            .var("c", 0.0, 10.0)
+            .var("d", 0.0, 10.0)
+            .var("e", 0.0, 10.0)
+            .var("f", 0.0, 10.0)
+            .build();
+        // A NaN with a payload and its sign bit set, too.
+        let payload = f64::from_bits(0xfff8_0000_0000_beef);
+        let values = [
+            -0.0,
+            f64::NAN,
+            payload,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1,
+        ];
+        let mut r = req(0, 3, Action::adjust("patrol", StateDelta::empty()), 1, None);
+        r.state = schema.state_verbatim(values.to_vec()).unwrap();
+        assert!(svc.submit(r, 1).is_none(), "admitted, not decided");
+        let checkpoint = ServeCheckpoint::from_frame(&svc.checkpoint_frame(1)).unwrap();
+        let recorder = SegmentedRecorder::new(
+            "test",
+            cfg.seed,
+            cfg.shards as u64,
+            RotationPolicy::default(),
+        );
+        let restored = PolicyDecisionService::restore(
+            cfg,
+            standard_stacks(cfg.shards, cfg.cache),
+            WorkloadOracle,
+            &checkpoint,
+            recorder,
+        )
+        .expect("restore");
+        let queued: Vec<&DecisionRequest> =
+            restored.queue.lanes().flat_map(|(_, _, q)| q).collect();
+        assert_eq!(queued.len(), 1);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(queued[0].state.values()), bits(&values));
     }
 
     /// The in-flight gauges a traced tick publishes, one per shard.

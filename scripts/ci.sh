@@ -233,9 +233,10 @@ if ./target/release/apdm-experiments verify "$tamper_file" --quiet >/dev/null 2>
     echo "e16 smoke: tampered segment chain passed verification"; exit 1
 fi
 # Format guard: a verified checkpoint in an old format (1: memo caches as
-# verdicts, 2: as fingerprints, 3: queued requests written whole) is
-# refused by name, never silently restarted from tick 1.
-for v in 1 2 3; do
+# verdicts, 2: as fingerprints, 3: queued requests written whole, 4: rows
+# as objects with decimal values) is refused by name, never silently
+# restarted from tick 1.
+for v in 1 2 3 4; do
     cp "tests/fixtures/e16-42-v$v.seg0006.jsonl" "$trace_dir/e16-v$v.seg0006.jsonl"
     if ./target/release/apdm-experiments resume "$trace_dir/e16-v$v" --seed 42 \
         --out "$trace_dir/e16-v$v-resumed" --quiet >/dev/null 2>"$trace_dir/e16-v$v.err"; then
@@ -245,7 +246,7 @@ for v in 1 2 3; do
         || { echo "e16 smoke: the format-$v refusal does not name the format:"; cat "$trace_dir/e16-v$v.err"; exit 1; }
 done
 echo "e16 smoke: resumed run byte-identical to golden across $golden_count segments," \
-     "rotated chain verifies, tampering detected, format-1, -2 and -3 checkpoints refused"
+     "rotated chain verifies, tampering detected, format-1 to -4 checkpoints refused"
 
 echo "==> hostile-ledger smoke (200,000-deep nesting is a parse error, not a stack overflow)"
 # In hostile.jsonl, line 1 nests far past the JSON parser's depth cap as a

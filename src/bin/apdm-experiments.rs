@@ -57,7 +57,8 @@
 //! resumed run's sealed segments; CI `cmp`s them byte for byte against
 //! the golden files. A verified checkpoint of another format than this
 //! build's (format 1 stored memo-cache verdicts, format 2 memo-cache
-//! fingerprints, format 3 each queued request whole) is refused: `resume`
+//! fingerprints, format 3 each queued request whole, format 4 rows as
+//! objects with decimal values) is refused: `resume`
 //! names the format and exits nonzero rather than restarting the run from
 //! tick 1. `verify` recognizes rotated runs: pointed at any
 //! `.segNNNN.jsonl` file (or the family's base path), it checks every

@@ -184,7 +184,7 @@ fn assert_resume_refuses_format(format: u32) {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(
         stderr.contains(&format!("serve checkpoint format {format}"))
-            && stderr.contains("reads only format 4"),
+            && stderr.contains("reads only format 5"),
         "stderr: {stderr}"
     );
     assert_eq!(
@@ -211,6 +211,12 @@ fn resume_refuses_a_format_2_checkpoint_by_name() {
 fn resume_refuses_a_format_3_checkpoint_by_name() {
     // Format 3 wrote every queued request whole, with its tenant.
     assert_resume_refuses_format(3);
+}
+
+#[test]
+fn resume_refuses_a_format_4_checkpoint_by_name() {
+    // Format 4 wrote each queued request as an object with decimal values.
+    assert_resume_refuses_format(4);
 }
 
 #[test]

@@ -35,7 +35,7 @@ const FIXTURES: [(u64, &str); 4] = [
 ];
 
 /// Head digest of the golden run's final segment.
-const GOLDEN_HEAD: u64 = 0x1f3a_0d12_df7a_a3ba;
+const GOLDEN_HEAD: u64 = 0x196e_95ea_5360_2dc0;
 
 /// The committed segment of the overloaded cell, `(index, file name)`: its
 /// checkpoint holds 39 queued requests across the lanes, with alternatives

@@ -266,15 +266,49 @@ const INCONSISTENT_QUEUES: usize = 3;
 
 /// Does the checkpoint line hold any queued request?
 fn has_rows(line: &str) -> bool {
-    line.contains("\"queue\":[{")
+    line.contains("\"queue\":[[")
 }
 
-/// Checkpoints whose rows do not resolve against their tables, each made
-/// from a line that holds rows: an index out of range, `u64::MAX`,
-/// negative or a float; `values` shorter or longer than the schema; and a
-/// table entry no row uses.
+/// A row's columns, in order.
+const COLUMNS: [&str; 9] = [
+    "id",
+    "device",
+    "schema",
+    "values",
+    "proposed",
+    "alternatives",
+    "submitted_at",
+    "deadline",
+    "ctx",
+];
+
+/// Checkpoints whose rows do not read or do not resolve against their
+/// tables, each made from a line that holds rows: a row one column short
+/// or long; value bits as a string, a float, negative or past `u64`; an
+/// index out of range, `u64::MAX`, negative or a float; `values` shorter
+/// or longer than the schema; and a table entry no row uses.
 fn unresolvable(line: &str) -> Vec<(String, Vec<u8>)> {
-    let edits: [(&str, Edit); 10] = [
+    let edits: [(&str, Edit); 16] = [
+        ("a row one column short", |cp| {
+            first_row(cp).pop();
+        }),
+        ("a row one column long", |cp| {
+            first_row(cp).push(Value::Null);
+        }),
+        ("value bits as a string", |cp| {
+            let bits = Value::Str(1f64.to_bits().to_string());
+            set_in_first_row(cp, "values", Value::Seq(vec![bits]));
+        }),
+        ("value bits as a float", |cp| {
+            set_in_first_row(cp, "values", Value::Seq(vec![Value::Float(1.0)]));
+        }),
+        ("negative value bits", |cp| {
+            set_in_first_row(cp, "values", Value::Seq(vec![Value::Int(-1)]));
+        }),
+        ("value bits past u64", |cp| {
+            let mark = Value::Str(PAST_U64_MARK.into());
+            set_in_first_row(cp, "values", Value::Seq(vec![mark]));
+        }),
         ("schema index out of range", |cp| {
             let n = field(cp, "schemas").len();
             set_in_first_row(cp, "schema", Value::UInt(n as u64));
@@ -299,8 +333,8 @@ fn unresolvable(line: &str) -> Vec<(String, Vec<u8>)> {
             set_in_first_row(cp, "values", Value::Seq(Vec::new()));
         }),
         ("values longer than the schema", |cp| {
-            let two = Value::Seq(vec![Value::Float(0.5), Value::Float(1.5)]);
-            set_in_first_row(cp, "values", two);
+            let bits = |v: f64| Value::UInt(v.to_bits());
+            set_in_first_row(cp, "values", Value::Seq(vec![bits(0.5), bits(1.5)]));
         }),
         ("an unused schema", |cp| {
             let schema = field(cp, "schemas")[0].clone();
@@ -311,20 +345,38 @@ fn unresolvable(line: &str) -> Vec<(String, Vec<u8>)> {
             field(cp, "actions").push(action);
         }),
     ];
-    edited(line, &edits)
+    let mut mutants = edited(line, &edits);
+    let mark = format!("\"{PAST_U64_MARK}\"");
+    for (label, bytes) in &mut mutants {
+        let text = String::from_utf8(std::mem::take(bytes)).expect("utf-8");
+        assert_eq!(text.contains(&mark), label == "value bits past u64");
+        *bytes = text.replace(&mark, "18446744073709551616").into_bytes();
+    }
+    mutants
 }
 
-/// Replace field `key` of the first queued request.
-fn set_in_first_row(checkpoint: &mut Fields, key: &str, value: Value) {
+/// Stands in a mutant's value tree for the integer 2^64, which a `Value`
+/// cannot hold; the mutant's text spells the integer itself.
+const PAST_U64_MARK: &str = "<2^64>";
+
+/// The columns of the first queued request.
+fn first_row(checkpoint: &mut Fields) -> &mut Vec<Value> {
     let row = field(checkpoint, "lanes")
         .iter_mut()
         .flat_map(queue_of)
         .next()
         .expect("the checkpoint holds a queued request");
-    let Value::Map(fields) = row else {
-        panic!("a row is a map")
+    let Value::Seq(columns) = row else {
+        panic!("a row is an array")
     };
-    fields.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
+    assert_eq!(columns.len(), COLUMNS.len(), "a row has every column");
+    columns
+}
+
+/// Replace column `key` of the first queued request.
+fn set_in_first_row(checkpoint: &mut Fields, key: &str, value: Value) {
+    let at = COLUMNS.iter().position(|c| *c == key).expect(key);
+    first_row(checkpoint)[at] = value;
 }
 
 /// A queued request as a row of `checkpoint`, its schema and proposed
