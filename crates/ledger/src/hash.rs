@@ -1,5 +1,10 @@
 //! The chained digest: 64-bit FNV-1a over previous digest + payload.
 //!
+//! The payload is the record's canonical bytes: since ledger format 2, a
+//! compact binary form of `(seq, tick, event)` ([`crate::canon`]), not the
+//! record's JSON text, which format 1 hashed. FNV-1a costs per byte, so
+//! the shorter input is most of what an append saves.
+//!
 //! FNV-1a is not a cryptographic hash; it is the strongest digest available
 //! from std alone (the issue constrains the crate to std + existing
 //! workspace deps). It is entirely adequate for the *accidental/naive*
@@ -15,7 +20,7 @@ pub const GENESIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Digest of one record: FNV-1a over the previous record's digest (little
-/// endian) followed by the record's canonical payload bytes.
+/// endian) followed by the record's canonical bytes.
 pub fn chain_digest(prev: u64, payload: &[u8]) -> u64 {
     let mut hash = GENESIS;
     for byte in prev.to_le_bytes() {

@@ -5,8 +5,9 @@ use std::fmt;
 use std::time::Instant;
 
 use apdm_telemetry::{self as telemetry, event, Level};
-use serde::{json, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
+use crate::canon::{format_1_payload, with_canonical_record, LEDGER_FORMAT};
 use crate::event::{RunEvent, SnapshotFrame};
 use crate::hash::{chain_digest, GENESIS};
 
@@ -73,7 +74,11 @@ fn corruption(seq: u64, reason: String) -> Corruption {
         reason = reason.as_str()
     );
     CORRUPTION_DETECTED.with(|c| c.inc());
-    Corruption { seq, reason }
+    Corruption {
+        seq,
+        reason,
+        older_format: None,
+    }
 }
 
 /// One chained record: position, tick, payload and chained digest.
@@ -86,7 +91,8 @@ pub struct LedgerRecord {
     /// The recorded occurrence.
     pub event: RunEvent,
     /// FNV-1a digest over the previous record's digest + this record's
-    /// canonical payload (see [`crate::hash`]).
+    /// canonical record: a compact binary form of `(seq, tick, event)`, not
+    /// its JSON text (ledger format 2; see [`crate::canon`]).
     pub digest: u64,
 }
 
@@ -99,11 +105,20 @@ pub struct Corruption {
     pub seq: u64,
     /// What broke.
     pub reason: String,
+    /// `Some(1)` when nothing broke but the ledger is format 1, whose
+    /// digests covered each record's compact JSON text: its first record
+    /// chains under that format's digest instead of this build's format
+    /// [`LEDGER_FORMAT`]. Only the first record is checked, so this
+    /// recognizes a format and verifies nothing.
+    pub older_format: Option<u64>,
 }
 
 impl fmt::Display for Corruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ledger corrupt at record {}: {}", self.seq, self.reason)
+        match self.older_format {
+            Some(_) => f.write_str(&self.reason),
+            None => write!(f, "ledger corrupt at record {}: {}", self.seq, self.reason),
+        }
     }
 }
 
@@ -137,45 +152,27 @@ impl fmt::Display for LedgerError {
 impl std::error::Error for LedgerError {}
 
 thread_local! {
-    /// Reused canonical-payload buffer: every append and every verified
-    /// record writes its payload here, so the hot path allocates nothing
-    /// once the buffer has grown to the largest record (a checkpoint).
-    static PAYLOAD: RefCell<String> = const { RefCell::new(String::new()) };
+    /// Reused line buffer for [`jsonl_line_len`].
+    static LINE: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Run `f` over the canonical payload bytes of a record: compact JSON of
-/// `[seq,tick,event]`.
-///
-/// Canonical because the vendored `serde_json` writer emits no whitespace,
-/// struct fields in declaration order, and a fixed float format — two equal
-/// events always serialize to identical bytes. The event streams straight
-/// from the borrowed value ([`Serialize::write_json`]); nothing is copied.
-fn with_canonical_payload<R>(
-    seq: u64,
-    tick: u64,
-    event: &RunEvent,
-    f: impl FnOnce(&[u8]) -> R,
-) -> R {
-    PAYLOAD.with(|buf| {
-        let mut out = buf.borrow_mut();
-        out.clear();
-        out.push('[');
-        json::write_u64(&mut out, seq);
-        out.push(',');
-        json::write_u64(&mut out, tick);
-        out.push(',');
-        event.write_json(&mut out);
-        out.push(']');
-        f(out.as_bytes())
+/// Byte length of `record`'s [`Ledger::to_jsonl`] line, newline included.
+/// Only a recorder under a byte budget asks, so only it writes JSON on
+/// append.
+pub(crate) fn jsonl_line_len(record: &LedgerRecord) -> usize {
+    LINE.with(|line| {
+        let mut line = line.borrow_mut();
+        line.clear();
+        record.write_json(&mut line);
+        line.len() + 1
     })
 }
 
-/// Byte length of a record's JSONL line, newline included, from the length
-/// of its canonical payload. The line `{"seq":S,"tick":T,"event":E,"digest":D}`
-/// holds the payload `[S,T,E]`'s values plus 36 bytes of keys and
-/// punctuation where the payload has 4, plus the digest's decimal digits.
-fn jsonl_line_len(payload_len: usize, digest: u64) -> usize {
-    payload_len + 32 + digest.checked_ilog10().map_or(1, |d| d as usize + 1)
+/// Does `first`, the first record of a ledger, chain under format 1's
+/// digest, FNV-1a over its compact JSON text? The one use of that text.
+fn is_format_1(first: &LedgerRecord) -> bool {
+    let text = format_1_payload(first.seq, first.tick, &first.event);
+    first.digest == chain_digest(GENESIS, text.as_bytes())
 }
 
 /// An append-only, hash-chained event log.
@@ -203,27 +200,18 @@ impl Ledger {
 
     /// Append an event, chaining its digest; returns the new record's seq.
     pub fn append(&mut self, tick: u64, event: RunEvent) -> u64 {
-        self.append_measured(tick, event).0
-    }
-
-    /// [`append`](Ledger::append), also returning the byte length of the new
-    /// record's [`to_jsonl`](Ledger::to_jsonl) line (newline included). The
-    /// length comes from the canonical payload the digest was just computed
-    /// over, so nothing is serialized a second time.
-    pub(crate) fn append_measured(&mut self, tick: u64, event: RunEvent) -> (u64, usize) {
         sampled_timed(&APPEND_NS, &APPEND_SAMPLER, || {
             let seq = self.records.len() as u64;
             let prev = self.head_digest();
-            let (digest, payload_len) = with_canonical_payload(seq, tick, &event, |payload| {
-                (chain_digest(prev, payload), payload.len())
-            });
+            let digest =
+                with_canonical_record(seq, tick, &event, |record| chain_digest(prev, record));
             self.records.push(LedgerRecord {
                 seq,
                 tick,
                 event,
                 digest,
             });
-            (seq, jsonl_line_len(payload_len, digest))
+            seq
         })
     }
 
@@ -274,11 +262,20 @@ impl Ledger {
                         ),
                     ));
                 }
-                let expected =
-                    with_canonical_payload(record.seq, record.tick, &record.event, |p| {
-                        chain_digest(prev, p)
-                    });
+                let expected = with_canonical_record(record.seq, record.tick, &record.event, |r| {
+                    chain_digest(prev, r)
+                });
                 if record.digest != expected {
+                    if seq == 0 && is_format_1(record) {
+                        return Err(Corruption {
+                            seq,
+                            reason: format!(
+                                "ledger format 1 (its digests cover each record's JSON text); \
+                                 this build reads format {LEDGER_FORMAT}"
+                            ),
+                            older_format: Some(1),
+                        });
+                    }
                     return Err(corruption(
                         seq,
                         format!(
@@ -642,21 +639,16 @@ mod tests {
 
     #[test]
     fn measured_line_lengths_match_the_exported_lines() {
-        let mut ledger = Ledger::new();
-        let mut lengths = Vec::new();
-        for (tick, event) in sample().records().iter().map(|r| (r.tick, r.event.clone())) {
-            lengths.push(ledger.append_measured(tick, event).1);
-        }
+        let ledger = sample();
+        let measured: Vec<usize> = ledger.records().iter().map(jsonl_line_len).collect();
         let exported: Vec<usize> = ledger.to_jsonl().lines().map(|l| l.len() + 1).collect();
-        assert_eq!(lengths, exported);
-        assert_eq!(jsonl_line_len(0, 0), 33);
-        assert_eq!(jsonl_line_len(0, 9), 33);
-        assert_eq!(jsonl_line_len(0, 10), 34);
-        assert_eq!(jsonl_line_len(0, u64::MAX), 52);
+        assert_eq!(measured, exported);
     }
 
     #[test]
     fn canonical_payload_matches_the_value_route() {
+        // The format-1 payload, kept to recognize format-1 ledgers, is the
+        // compact JSON of `[seq,tick,event]`.
         for record in sample().records() {
             let reference = serde_json::to_string_via_value(&Value::Seq(vec![
                 Value::UInt(record.seq),
@@ -664,11 +656,62 @@ mod tests {
                 record.event.to_value(),
             ]))
             .unwrap();
-            let streamed = with_canonical_payload(record.seq, record.tick, &record.event, |p| {
-                String::from_utf8(p.to_vec()).unwrap()
-            });
-            assert_eq!(streamed, reference);
+            assert_eq!(
+                format_1_payload(record.seq, record.tick, &record.event),
+                reference
+            );
         }
+    }
+
+    /// `sample()` chained the way format 1 chained it: each digest over the
+    /// record's compact JSON text.
+    fn format_1_sample() -> Ledger {
+        let mut ledger = sample();
+        let mut prev = GENESIS;
+        for record in &mut ledger.records {
+            let text = format_1_payload(record.seq, record.tick, &record.event);
+            record.digest = chain_digest(prev, text.as_bytes());
+            prev = record.digest;
+        }
+        ledger
+    }
+
+    #[test]
+    fn a_format_1_ledger_is_named_not_called_corrupt() {
+        let old = format_1_sample();
+        let named = old.verify().unwrap_err();
+        assert_eq!((named.seq, named.older_format), (0, Some(1)));
+        assert_eq!(
+            named.to_string(),
+            "ledger format 1 (its digests cover each record's JSON text); \
+             this build reads format 2"
+        );
+        // Through JSONL too: the export of a format-1 ledger reads back as
+        // one.
+        let back = Ledger::from_jsonl(&old.to_jsonl()).unwrap();
+        assert_eq!(back.verify_chain().unwrap_err().older_format, Some(1));
+    }
+
+    #[test]
+    fn only_a_first_record_of_format_1_is_named() {
+        // A damaged first record is damage, whatever the format.
+        let mut old = format_1_sample();
+        old.records[0].digest ^= 1;
+        let corruption = old.verify().unwrap_err();
+        assert_eq!(corruption.older_format, None);
+        assert!(
+            corruption.reason.contains("digest mismatch"),
+            "{corruption}"
+        );
+        // A format-2 ledger broken after record 0 is corrupt, not old.
+        let mut new = sample();
+        new.records[2].digest = format_1_sample().records[2].digest;
+        let corruption = new.verify().unwrap_err();
+        assert_eq!((corruption.seq, corruption.older_format), (2, None));
+        assert!(
+            corruption.reason.contains("digest mismatch"),
+            "{corruption}"
+        );
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! - [`Ledger`] — an append-only event log where each record's 64-bit
 //!   FNV-1a digest chains over the previous record's digest plus the
-//!   record's canonical JSON payload. [`Ledger::verify`] localizes the
+//!   record's canonical bytes, a compact binary form of the record
+//!   ([`canon`], ledger format 2). [`Ledger::verify`] localizes the
 //!   first corrupted record; random mutation, deletion, truncation and
-//!   reordering are all caught (see the crate's property tests).
+//!   reordering are all caught (see the crate's property tests). A
+//!   ledger of the older format 1 is named as such, not reported as
+//!   corrupt ([`Corruption::older_format`]).
 //! - [`SnapshotFrame`] — periodic checkpoint frames carrying world, fleet
 //!   and RNG state so a run can resume mid-stream instead of from tick 0.
 //! - [`Replayer`] — compares a re-executed event stream against the
@@ -64,6 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod canon;
 pub mod event;
 pub mod hash;
 pub mod ledger;
@@ -71,6 +75,7 @@ pub mod name;
 pub mod replay;
 pub mod segment;
 
+pub use canon::LEDGER_FORMAT;
 pub use event::{DeviceSnap, RawJson, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
 pub use name::{Name, NamePool, NAME_POOL_CAP};

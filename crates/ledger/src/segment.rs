@@ -29,7 +29,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::event::RunEvent;
-use crate::ledger::{Corruption, Ledger, LedgerError};
+use crate::ledger::{jsonl_line_len, Corruption, Ledger, LedgerError};
 
 /// When and how a [`SegmentedRecorder`] rolls to a new segment.
 ///
@@ -154,9 +154,10 @@ impl SegmentedRecorder {
 
     /// Append an event to the current segment; returns its in-segment seq.
     pub fn record(&mut self, tick: u64, event: RunEvent) -> u64 {
-        let (seq, line_len) = self.current.append_measured(tick, event);
+        let seq = self.current.append(tick, event);
         if self.policy.max_bytes > 0 {
-            self.current_bytes += line_len;
+            let last = self.current.records().last().expect("just appended");
+            self.current_bytes += jsonl_line_len(last);
         }
         seq
     }
@@ -388,6 +389,7 @@ impl SegmentedLedger {
     ) -> Option<Corruption> {
         if seg.is_empty() {
             return Some(Corruption {
+                older_format: None,
                 seq: 0,
                 reason: "empty segment".into(),
             });
@@ -408,6 +410,7 @@ impl SegmentedLedger {
             } if index > 0 => {
                 if *segment != index {
                     return Some(Corruption {
+                        older_format: None,
                         seq: 0,
                         reason: format!(
                             "anchor frame carries segment index {segment}, expected {index}"
@@ -418,6 +421,7 @@ impl SegmentedLedger {
                     let prev = &self.segments[pos - 1];
                     if *prev_head != prev.head_digest() {
                         return Some(Corruption {
+                            older_format: None,
                             seq: 0,
                             reason: format!(
                                 "anchor mismatch: frame anchors predecessor head {prev_head:#018x}, segment {} heads {:#018x} (predecessor rewritten)",
@@ -428,6 +432,7 @@ impl SegmentedLedger {
                     }
                     if *prev_records != prev.len() as u64 {
                         return Some(Corruption {
+                            older_format: None,
                             seq: 0,
                             reason: format!(
                                 "anchor mismatch: frame anchors {prev_records} predecessor records, segment {} holds {}",
@@ -440,6 +445,7 @@ impl SegmentedLedger {
             }
             other => {
                 return Some(Corruption {
+                    older_format: None,
                     seq: 0,
                     reason: format!(
                         "segment head must be {} but is {}",
@@ -460,6 +466,7 @@ impl SegmentedLedger {
         if is_last {
             if !seg.is_sealed() {
                 return Some(Corruption {
+                    older_format: None,
                     seq: seg.len() as u64,
                     reason:
                         "not sealed: terminal run-finished record missing (truncated or tail deleted)"
@@ -472,6 +479,7 @@ impl SegmentedLedger {
                     if *segment == index && *records == seg.len() as u64 => {}
                 other => {
                     return Some(Corruption {
+                        older_format: None,
                         seq: seg.len() as u64 - 1,
                         reason: format!(
                             "non-final segment must seal with segment-sealed[{index}, {}] but ends with {}",
@@ -509,6 +517,7 @@ impl SegmentedLedger {
             Err(SegmentCorruption {
                 segment: self.last_index(),
                 corruption: Corruption {
+                    older_format: None,
                     seq: last.len().saturating_sub(1) as u64,
                     reason: format!(
                         "head digest {:#018x} does not match anchor {anchored_head:#018x} (suffix rewritten)",
@@ -742,12 +751,13 @@ mod tests {
                 assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
             }
         }
-        // Rotation ticks and final head of the same run under the earlier
-        // recorder, which re-serialized the open segment to count bytes.
+        // Rotation ticks of the same run under the earlier recorder, which
+        // re-serialized the open segment to count bytes, and the run's
+        // final head in ledger format 2.
         assert_eq!(rotations, [5, 10, 14, 19, 24, 29, 33, 38, 42, 47, 52, 57]);
         let sealed = rec.finish(61, 0);
         sealed.verify().unwrap();
-        assert_eq!(sealed.head_digest(), 0x29f2_57bc_fbc2_dc85);
+        assert_eq!(sealed.head_digest(), 0x83e1_4917_9570_7877);
     }
 
     #[test]

@@ -67,7 +67,7 @@
 
 use std::fmt;
 
-use apdm_ledger::{RawJson, SnapshotFrame};
+use apdm_ledger::{RawJson, SnapshotFrame, LEDGER_FORMAT};
 use apdm_policy::Action;
 use apdm_statespace::{State, StateSchema};
 use apdm_telemetry::TraceContext;
@@ -346,6 +346,13 @@ pub enum CheckpointError {
     /// The checkpoint decodes but does not fit the service configuration
     /// it is restored into (another shard count).
     Mismatch(String),
+    /// The segment holding the checkpoint is ledger format `found`, whose
+    /// digests this build does not verify (see
+    /// [`Corruption::older_format`](apdm_ledger::Corruption::older_format)).
+    LedgerFormat {
+        /// The segment's ledger format.
+        found: u64,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -373,6 +380,11 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Mismatch(e) => {
                 write!(f, "serve checkpoint does not fit the configuration: {e}")
             }
+            CheckpointError::LedgerFormat { found } => write!(
+                f,
+                "the checkpoint's segment is ledger format {found} (its digests cover \
+                 each record's JSON text); this build reads format {LEDGER_FORMAT}"
+            ),
         }
     }
 }

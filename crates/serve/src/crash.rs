@@ -34,7 +34,10 @@
 //! format-4 one written by an older build, whose rows were objects with
 //! decimal values) is not damage, so it does not step down the ladder:
 //! recovery refuses with [`CheckpointError::Format`] instead of silently
-//! restarting the run from tick 1.
+//! restarting the run from tick 1. A segment of an older ledger format
+//! (format 1, whose digests covered each record's JSON text) is refused the
+//! same way, with [`CheckpointError::LedgerFormat`]: its chain does not
+//! verify under this build's digests, but it is not damage either.
 //!
 //! Recovery work is bounded by the rotation budget: a crash never forces
 //! replay of more than roughly two segments' worth of records (asserted
@@ -187,13 +190,21 @@ impl Recovery {
 /// # Errors
 ///
 /// [`CheckpointError::Format`] when the header's chain verifies but its
-/// checkpoint is in a format this build does not read.
+/// checkpoint is in a format this build does not read;
+/// [`CheckpointError::LedgerFormat`] when the segment is an older ledger
+/// format, whose chain this build does not verify.
 pub fn segment_header(text: &str) -> Result<Option<(ServeCheckpoint, Ledger)>, CheckpointError> {
     let Ok((ledger, _torn)) = Ledger::from_jsonl_recovering(text) else {
         return Ok(None);
     };
-    if ledger.len() < 2 || ledger.verify_chain().is_err() {
+    if ledger.len() < 2 {
         return Ok(None);
+    }
+    if let Err(corruption) = ledger.verify_chain() {
+        return match corruption.older_format {
+            Some(found) => Err(CheckpointError::LedgerFormat { found }),
+            None => Ok(None),
+        };
     }
     let (RunEvent::SegmentOpened { .. }, RunEvent::Snapshot(frame)) =
         (&ledger.records()[0].event, &ledger.records()[1].event)

@@ -528,7 +528,7 @@ mod tests {
         assert_eq!(cell.ticks, 11);
         assert!(cell.decided + cell.shed < cell.offered);
         assert_eq!((cell.decided, cell.shed), (288, 162));
-        assert_eq!(cell.ledger_digest, 2_531_439_190_497_961_433);
+        assert_eq!(cell.ledger_digest, 1_735_070_129_588_814_490);
     }
 
     #[test]

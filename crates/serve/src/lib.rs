@@ -33,8 +33,6 @@
 //!   cross-shard admission backpressure, and experiment E15, the Zipf
 //!   device-skew sweep over skew × threads reporting each batch's static
 //!   and balanced virtual schedules side by side.
-//! - [`run_calibration`] — fits the virtual [`CostModel`] to measured
-//!   per-batch nanoseconds so shed curves track real hardware.
 //! - [`ServeCheckpoint`] / [`run_e16`] — crash tolerance: the service
 //!   checkpoints its full decision state into the ledger at segment
 //!   rotation points ([`ServeConfig::rotation`]), a killed process
@@ -95,7 +93,6 @@
 
 mod admission;
 mod batcher;
-mod calibrate;
 mod checkpoint;
 mod crash;
 mod drive;
@@ -108,7 +105,6 @@ mod workload;
 
 pub use admission::{AdmissionConfig, AdmissionQueue};
 pub use batcher::{BatchPolicy, CostModel, Meter};
-pub use calibrate::{run_calibration, CalibrationReport};
 pub use checkpoint::{
     CheckpointError, CtxSnap, LaneSnap, ReqRow, ReqSnap, ServeCheckpoint, CHECKPOINT_FORMAT,
 };

@@ -169,20 +169,6 @@ print(f"e15 smoke: ledger byte-identical at 1 and 3 threads, balanced vs static 
       f"hot-shard p99 wait {waits}, {cells[1]['deferrals']} deferrals")
 PY
 
-echo "==> cost-model calibration smoke (calibrate)"
-./target/release/apdm-experiments calibrate --seed 42 --json --quiet \
-    > "$trace_dir/calibration.json"
-python3 - "$trace_dir/calibration.json" <<'PY'
-import json, sys
-
-cal = json.load(open(sys.argv[1]))
-fit = cal["fitted"]
-if fit["cost_miss"] < 1 or fit["capacity_per_tick"] < 1:
-    sys.exit(f"calibration smoke: degenerate fitted model {fit}")
-print(f"calibration smoke: {cal['samples']} batches -> cost_miss={fit['cost_miss']}, "
-      f"capacity_per_tick={fit['capacity_per_tick']}")
-PY
-
 echo "==> crash-tolerance smoke (E16: checkpoint golden, kill mid-run, resume, verify)"
 ./target/release/apdm-experiments checkpoint --seed 42 \
     --out "$trace_dir/e16-golden" --quiet >/dev/null
@@ -245,8 +231,18 @@ for v in 1 2 3 4; do
     grep -q "serve checkpoint format $v" "$trace_dir/e16-v$v.err" \
         || { echo "e16 smoke: the format-$v refusal does not name the format:"; cat "$trace_dir/e16-v$v.err"; exit 1; }
 done
+# Ledger format guard: a format-1 segment (digests over each record's JSON
+# text) is named by verify, not reported as corrupt.
+cp tests/fixtures/ledger-format1.seg0008.jsonl "$trace_dir/ledger-format1.seg0008.jsonl"
+if ./target/release/apdm-experiments verify "$trace_dir/ledger-format1.seg0008.jsonl" \
+    --quiet >/dev/null 2>"$trace_dir/ledger-format1.err"; then
+    echo "e16 smoke: a format-1 ledger verified"; exit 1
+fi
+grep -q "ledger format 1 .*this build reads format 2" "$trace_dir/ledger-format1.err" \
+    || { echo "e16 smoke: verify does not name a format-1 ledger:"; cat "$trace_dir/ledger-format1.err"; exit 1; }
 echo "e16 smoke: resumed run byte-identical to golden across $golden_count segments," \
-     "rotated chain verifies, tampering detected, format-1 to -4 checkpoints refused"
+     "rotated chain verifies, tampering detected, format-1 to -4 checkpoints refused," \
+     "format-1 ledger named"
 
 echo "==> hostile-ledger smoke (200,000-deep nesting is a parse error, not a stack overflow)"
 # In hostile.jsonl, line 1 nests far past the JSON parser's depth cap as a

@@ -36,9 +36,7 @@
 //! virtual schedule of the same batches side by side; `run e15 --out
 //! cell.jsonl` runs the canonical skewed cell and writes its sealed
 //! ledger — CI runs it at two thread counts and compares the files byte
-//! for byte. `calibrate` measures real per-batch guard-stack nanoseconds
-//! and prints the least-squares-fitted `CostModel` constants with their
-//! residual error.
+//! for byte.
 //!
 //! Distributed tracing: `run e14 --out traced.jsonl` records the full-mode
 //! causally-traced serve run (experiment E14) as JSONL, and
@@ -63,7 +61,10 @@
 //! tick 1. `verify` recognizes rotated runs: pointed at any
 //! `.segNNNN.jsonl` file (or the family's base path), it checks every
 //! retained segment's hash chain *and* the cross-segment anchors, prints
-//! a per-segment report, and exits nonzero if any segment fails.
+//! a per-segment report, and exits nonzero if any segment fails. A
+//! ledger of the older format 1, whose digests covered each record's JSON
+//! text, is named as such by `verify` and refused by name by `resume`,
+//! not reported as corrupt.
 //!
 //! Networked serving: `serve-net` exposes the experiment E17 machinery as
 //! separate processes so CI can prove the TCP path is ledger-invisible
@@ -87,7 +88,7 @@ use apdm::ledger::{Ledger, SegmentedLedger};
 use apdm::net::{
     golden_segments, run_chaos_client, run_workload_client, serve, ChaosKind, E17Config,
 };
-use apdm::serve::{resume_run, run_calibration, E16Config, SimDisk};
+use apdm::serve::{resume_run, E16Config, SimDisk};
 use apdm::sim::recorder::{
     replay_recorded, replay_recorded_prefix, run_recorded, RecordSpec, ReplayStart,
 };
@@ -107,7 +108,6 @@ commands:
   verify <ledger.jsonl | run.segNNNN.jsonl>
   replay <ledger.jsonl> [--seed N] [--json] [--threads N] [--no-cache] [--from-snapshot]
   trace [--seed N] [--json] [--threads N] [--no-cache] [--out trace.jsonl]
-  calibrate [--seed N] [--json]
   trace-analyze <trace.jsonl> [--chrome out.json]
   checkpoint [--seed N] [--kill-tick T] [--out base]
   resume <base> [--seed N] [--out base2]
@@ -132,7 +132,7 @@ A flag the command never reads is rejected.";
 /// included; `None` for an unknown command.
 fn positional_limit(command: &str) -> Option<usize> {
     match command {
-        "list" | "record" | "trace" | "calibrate" | "checkpoint" => Some(1),
+        "list" | "record" | "trace" | "checkpoint" => Some(1),
         "run" | "verify" | "replay" | "trace-analyze" | "resume" | "serve-net" => Some(2),
         _ => None,
     }
@@ -503,39 +503,6 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
                 }
             }
         }
-        Some("calibrate") => {
-            // The wall-clock cost model fit: measure real per-batch
-            // guard-stack nanoseconds and print the least-squares constants
-            // plus residual error.
-            let report = run_calibration(seed, 8, 1_000_000);
-            if json {
-                emit(true, &report);
-                return ExitCode::SUCCESS;
-            }
-            println!(
-                "calibration: {} timed batches (seed {seed})",
-                report.samples
-            );
-            println!(
-                "  fit: batch_ns ~= {:.1} + {:.1}*hits + {:.1}*misses",
-                report.overhead_ns, report.hit_ns, report.miss_ns
-            );
-            println!(
-                "  residual: {:.1} ns rms ({:.1}% of mean batch)",
-                report.residual_rms_ns,
-                report.residual_rel * 100.0
-            );
-            let m = &report.fitted;
-            println!(
-                "fitted CostModel (1 unit = one cache hit, tick budget {} ns):",
-                report.tick_budget_ns
-            );
-            println!(
-                "  capacity_per_tick={} batch_overhead={} cost_miss={}",
-                m.capacity_per_tick, m.batch_overhead, m.cost_miss
-            );
-            ExitCode::SUCCESS
-        }
         Some("trace-analyze") => {
             let Some(path) = positional.get(1) else {
                 return fail(
@@ -576,7 +543,7 @@ fn dispatch(positional: &[String], flags: &Flags) -> ExitCode {
         }
         _ => fail(
             "usage: apdm-experiments \
-                 <list|run|record|verify|replay|trace|calibrate|trace-analyze\
+                 <list|run|record|verify|replay|trace|trace-analyze\
                  |checkpoint|resume|serve-net> ...",
         ),
     }
@@ -1051,7 +1018,6 @@ const READS: &[(&str, &str)] = &[
         "replay",
         "--seed --json --threads --no-cache --from-snapshot",
     ),
-    ("calibrate", "--seed --json"),
     ("trace-analyze", "--chrome"),
     ("checkpoint", "--seed --kill-tick --out"),
     ("resume", "--seed --out"),

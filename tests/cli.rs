@@ -78,7 +78,8 @@ fn malformed_command_lines_are_rejected_without_running() {
         &["list", "extra"],
         // Known flags the subcommand never reads.
         &[
-            "calibrate",
+            "replay",
+            "run.jsonl",
             "--kill-tick",
             "3",
             "--out",
@@ -104,12 +105,16 @@ fn malformed_command_lines_are_rejected_without_running() {
     let stderr =
         String::from_utf8_lossy(&run_in(&dir, &["record", "--sed", "7"]).stderr).into_owned();
     assert!(stderr.contains("unknown flag `--sed`"), "stderr: {stderr}");
-    let stderr = String::from_utf8_lossy(&run_in(&dir, &["calibrate", "--kill-tick", "3"]).stderr)
-        .into_owned();
+    let stderr =
+        String::from_utf8_lossy(&run_in(&dir, &["replay", "run.jsonl", "--kill-tick", "3"]).stderr)
+            .into_owned();
     assert!(
-        stderr.contains("`calibrate` does not read `--kill-tick`"),
+        stderr.contains("`replay` does not read `--kill-tick`"),
         "stderr: {stderr}"
     );
+    // A removed command is an unknown one.
+    let run = run_in(&dir, &["calibrate"]);
+    assert!(!run.status.success(), "exit status {:?}", run.status);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -217,6 +222,42 @@ fn resume_refuses_a_format_3_checkpoint_by_name() {
 fn resume_refuses_a_format_4_checkpoint_by_name() {
     // Format 4 wrote each queued request as an object with decimal values.
     assert_resume_refuses_format(4);
+}
+
+/// The words `verify` and `resume` use to name a format-1 ledger.
+const FORMAT_1: &str =
+    "ledger format 1 (its digests cover each record's JSON text); this build reads format 2";
+
+#[test]
+fn a_format_1_ledger_is_named_by_verify_and_resume() {
+    let fixture = format!(
+        "{}/tests/fixtures/ledger-format1.seg0008.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let dir = scratch("ledger-format1");
+    std::fs::copy(&fixture, dir.join("old.seg0008.jsonl")).expect("copy the fixture");
+    let verify = run_in(&dir, &["verify", "old.seg0008.jsonl", "--quiet"]);
+    assert_eq!(
+        verify.status.code(),
+        Some(1),
+        "exit status {:?}",
+        verify.status
+    );
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    assert!(
+        stderr.contains(FORMAT_1) && !stderr.contains("corrupt"),
+        "stderr: {stderr}"
+    );
+    let resume = run_in(&dir, &["resume", "old", "--seed", "42", "--quiet"]);
+    assert!(!resume.status.success(), "exit status {:?}", resume.status);
+    let stderr = String::from_utf8_lossy(&resume.stderr);
+    assert!(stderr.contains(FORMAT_1), "stderr: {stderr}");
+    assert_eq!(
+        listing(&dir),
+        ["old.seg0008.jsonl"],
+        "nothing resumed, nothing written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

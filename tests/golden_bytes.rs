@@ -35,7 +35,11 @@ const FIXTURES: [(u64, &str); 4] = [
 ];
 
 /// Head digest of the golden run's final segment.
-const GOLDEN_HEAD: u64 = 0x196e_95ea_5360_2dc0;
+const GOLDEN_HEAD: u64 = 0xa627_6d05_12c2_f325;
+
+/// The golden run's segment 8 as ledger format 1 wrote it, digests over
+/// each record's JSON text: the last segment before the format changed.
+const FORMAT_1_FIXTURE: (u64, &str) = (8, "ledger-format1.seg0008.jsonl");
 
 /// The committed segment of the overloaded cell, `(index, file name)`: its
 /// checkpoint holds 39 queued requests across the lanes, with alternatives
@@ -76,6 +80,51 @@ fn e16_golden_segments_regenerate_byte_identically() {
         );
     }
     assert_eq!(head, GOLDEN_HEAD, "head {head:016x}");
+}
+
+/// `text` with the value of every `"digest"` and `"prev_head"` key (a
+/// segment anchor's copy of its predecessor's head digest) masked.
+fn digests_masked(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = ["\"digest\":", "\"prev_head\":"]
+        .iter()
+        .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('N');
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn the_format_change_moved_only_digests() {
+    let (segments, _) = cell_segments(&golden_config());
+    let (index, name) = FORMAT_1_FIXTURE;
+    let (_, text) = segments
+        .iter()
+        .find(|(i, _)| *i == index)
+        .expect("the golden run retains the format-1 fixture's segment");
+    let old = fixture(name);
+    assert_ne!(*text, old, "the digests moved");
+    assert_eq!(digests_masked(text), digests_masked(&old));
+    assert_eq!(
+        digests_masked(r#"{"prev_head":12,"x":3,"digest":0}"#),
+        r#"{"prev_head":N,"x":3,"digest":N}"#
+    );
+    // The old segment parses, and is named rather than called corrupt.
+    let corruption = Ledger::from_jsonl(&old)
+        .expect("a format-1 segment parses")
+        .verify_chain()
+        .expect_err("format-1 digests do not verify");
+    assert_eq!(
+        (corruption.seq, corruption.older_format),
+        (0, Some(1)),
+        "{corruption}"
+    );
 }
 
 #[test]
@@ -469,7 +518,61 @@ fn written(n: u64) -> String {
     out
 }
 
+/// A snapshot whose float-bearing fields hold a NaN with a payload,
+/// `-0.0` and both infinities: the export writes each non-finite one as
+/// `null`.
+fn edge_float_snapshot() -> RunEvent {
+    let edges = [
+        f64::from_bits(0x7ff8_0000_0000_beef),
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let floats = Value::Seq(edges.iter().map(|&f| Value::Float(f)).collect());
+    RunEvent::Snapshot(SnapshotFrame {
+        tick: u64::MAX,
+        rng: [0, 127, 128, u64::MAX],
+        world: RawJson::of(&Value::Map(vec![("ünï😀".into(), floats.clone())])),
+        metrics: RawJson::of(&floats),
+        devices: vec![DeviceSnap {
+            id: u64::MAX,
+            values: vec![-0.0, 0.1, 1e21],
+            active: true,
+            x: i32::MIN,
+            y: i32::MAX,
+            tamper: Value::Seq(vec![floats]),
+        }],
+    })
+}
+
 proptest! {
+    /// The canonical bytes of a record equal those of the record read back
+    /// from its JSONL line, so every digest survives export and import.
+    /// A device's state values stay finite here: the export writes a
+    /// non-finite one as `null`, which no float field reads back.
+    #[test]
+    fn digests_survive_a_jsonl_round_trip(seed in any::<u64>()) {
+        let mut gen = Gen(seed);
+        let mut ledger = Ledger::new();
+        ledger.append(gen.u64(), edge_float_snapshot());
+        for variant in 0..15 {
+            let mut event = gen.run_event(variant);
+            if let RunEvent::Snapshot(frame) = &mut event {
+                for value in frame.devices.iter_mut().flat_map(|d| &mut d.values) {
+                    if !value.is_finite() {
+                        *value = -0.0;
+                    }
+                }
+            }
+            ledger.append(gen.u64(), event);
+        }
+        ledger.verify().expect("the last event generated seals the run");
+        let back = Ledger::from_jsonl(&ledger.to_jsonl()).expect("the export reads back");
+        let digests = |l: &Ledger| l.records().iter().map(|r| r.digest).collect::<Vec<_>>();
+        prop_assert_eq!(digests(&back), digests(&ledger));
+        prop_assert!(back.verify().is_ok());
+    }
+
     #[test]
     fn run_events_stream_like_the_value_route(seed in any::<u64>()) {
         let mut gen = Gen(seed);
